@@ -2,7 +2,8 @@
 
 One verb per invocation; exit codes encode the verdict so scripts can
 branch without parsing output: 0 true/valid/sat, 1 false/invalid/unsat,
-2 usage or parse error, 3 a resource guard refused the computation.
+2 usage or parse error, 3 a resource guard refused the computation,
+4 an internal error (a bug: the verdict is unknown).
 Verdict payloads (teams, countermodels, witnesses) print in the same
 file formats the tool reads, so they can be piped back in.
 """
@@ -15,6 +16,7 @@ import sys
 import time
 
 from .dqbf import (
+    DEFAULT_MAX_TABLE_BITS,
     dqbf_eval,
     dqbf_to_qbf,
     parse_dqbf,
@@ -26,15 +28,36 @@ from .dqbf import (
 )
 from .errors import GuardLimitError, ParseError
 from .formula import Fragment, classify, render
-from .kripke import kripke_from_dict, kripke_to_dict, mt_eval
+from .kripke import (
+    DEFAULT_MAX_CHOICES,
+    DEFAULT_MAX_SPLIT_ROWS as DEFAULT_MAX_SPLIT_WORLDS,
+    kripke_from_dict,
+    kripke_to_dict,
+    mt_eval,
+)
 from .parser import parse_modal, parse_prop
-from .prop_team import pd_sat, pd_valid, pt_eval, team_from_dict, team_to_dict
-from .translate import Invalid, emdl_to_mliv, emdl_valid, ml_valid
+from .prop_team import (
+    DEFAULT_MAX_DOMAIN,
+    DEFAULT_MAX_SPLIT_ROWS,
+    pd_sat,
+    pd_valid,
+    pt_eval,
+    team_from_dict,
+    team_to_dict,
+)
+from .translate import (
+    DEFAULT_MAX_SELECTIONS,
+    Invalid,
+    emdl_to_mliv,
+    emdl_valid,
+    ml_valid,
+)
 
 _EXIT_TRUE = 0
 _EXIT_FALSE = 1
 _EXIT_USAGE = 2
 _EXIT_GUARD = 3
+_EXIT_INTERNAL = 4
 
 
 def _limit(value: int | None, default):
@@ -111,7 +134,9 @@ def _cmd_mc(args, report: _Report) -> int:
     if args.team is not None:
         team = team_from_dict(_load_json(args.team))
         f = parse_prop(_read_text(args, "formula"))
-        result = pt_eval(team, f, max_split_rows=_limit(args.max_team, 24))
+        result = pt_eval(
+            team, f, max_split_rows=_limit(args.max_team, DEFAULT_MAX_SPLIT_ROWS)
+        )
     else:
         model, team = kripke_from_dict(_load_json(args.model))
         f = parse_modal(_read_text(args, "formula"))
@@ -119,8 +144,8 @@ def _cmd_mc(args, report: _Report) -> int:
             model,
             team,
             f,
-            max_choices=_limit(args.max_choices, 1 << 20),
-            max_split_rows=_limit(args.max_team, 24),
+            max_choices=_limit(args.max_choices, DEFAULT_MAX_CHOICES),
+            max_split_rows=_limit(args.max_team, DEFAULT_MAX_SPLIT_WORLDS),
         )
     report.lines = ["true" if result else "false"]
     report.payload = {"verdict": "true" if result else "false"}
@@ -130,7 +155,9 @@ def _cmd_mc(args, report: _Report) -> int:
 def _cmd_sat(args, report: _Report) -> int:
     f = parse_prop(_read_text(args, "formula"))
     witness = pd_sat(
-        f, require_nonempty=args.nonempty, max_domain=_limit(args.max_team, 20)
+        f,
+        require_nonempty=args.nonempty,
+        max_domain=_limit(args.max_team, DEFAULT_MAX_DOMAIN),
     )
     if witness is None:
         report.lines = ["unsat"]
@@ -148,7 +175,7 @@ def _cmd_valid(args, report: _Report) -> int:
         f = parse_prop(text)
         if args.logic == "pl" and classify(f) is not Fragment.PL:
             raise ValueError("--logic pl admits no dependence atoms")
-        result = pd_valid(f, max_domain=_limit(args.max_team, 20))
+        result = pd_valid(f, max_domain=_limit(args.max_team, DEFAULT_MAX_DOMAIN))
         report.lines = ["valid" if result else "invalid"]
         report.payload = {"verdict": "valid" if result else "invalid"}
         return _EXIT_TRUE if result else _EXIT_FALSE
@@ -157,7 +184,7 @@ def _cmd_valid(args, report: _Report) -> int:
         verdict = ml_valid(f)
     else:
         verdict = emdl_valid(
-            f, max_selections=_limit(args.max_selections, 1 << 20)
+            f, max_selections=_limit(args.max_selections, DEFAULT_MAX_SELECTIONS)
         )
     report.checked = verdict.checked
     if verdict:
@@ -183,7 +210,9 @@ def _cmd_translate(args, report: _Report) -> int:
 
 def _cmd_dqbf_eval(args, report: _Report) -> int:
     inst = parse_dqbf(_read_path(args.path))
-    witness = dqbf_eval(inst, max_table_bits=_limit(args.max_skolem_bits, 24))
+    witness = dqbf_eval(
+        inst, max_table_bits=_limit(args.max_skolem_bits, DEFAULT_MAX_TABLE_BITS)
+    )
     if witness is None:
         report.lines = ["false"]
         report.payload = {"verdict": "false"}
@@ -335,6 +364,14 @@ def run(argv: list[str] | None = None) -> int:
     except GuardLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_GUARD
+    except Exception as exc:
+        # Exit 1 would read as a negative verdict; report the bug instead.
+        # Imported here so that no run without a bug pays for the import.
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _EXIT_INTERNAL
     return report.emit(code, started)
 
 

@@ -195,16 +195,63 @@ def _universal_columns(universals: tuple[PropSymbol, ...]) -> dict[PropSymbol, i
     return cols
 
 
-def _matrix_column(f: Formula, cols: dict[PropSymbol, int], full: int) -> int:
-    if isinstance(f, Atom):
-        return cols[f.sym]
-    if isinstance(f, NegAtom):
-        return ~cols[f.sym] & full
-    if isinstance(f, And):
-        return _matrix_column(f.left, cols, full) & _matrix_column(f.right, cols, full)
-    if isinstance(f, Or):
-        return _matrix_column(f.left, cols, full) | _matrix_column(f.right, cols, full)
-    raise ValueError(f"not a plain propositional formula: {type(f).__name__}")
+_POS, _NEG, _AND, _OR = range(4)
+
+
+def _compile_matrix(
+    matrix: Formula, slot: dict[PropSymbol, int]
+) -> list[tuple[int, int, int]]:
+    """Flatten an NNF matrix into a postorder program, root last.
+
+    Instruction (_POS or _NEG, v, 0) reads variable slot v, positively
+    or negated; (_AND or _OR, x, y) combines the results of instructions
+    x and y. Built with an explicit stack, so depth costs no recursion.
+    """
+    program: list[tuple[int, int, int]] = []
+    results: list[int] = []
+    stack: list[tuple[Formula, bool]] = [(matrix, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, (Atom, NegAtom)):
+            program.append((_POS if isinstance(node, Atom) else _NEG, slot[node.sym], 0))
+        elif expanded:
+            y = results.pop()
+            x = results.pop()
+            program.append((_AND if isinstance(node, And) else _OR, x, y))
+        else:
+            stack.append((node, True))
+            stack.append((node.right, False))
+            stack.append((node.left, False))
+            continue
+        results.append(len(program) - 1)
+    return program
+
+
+def _surely_false(
+    program: list[tuple[int, int, int]], ones: list[int], zeros: list[int]
+) -> int:
+    """Rows where the matrix is false whatever the unfixed entries become.
+
+    Kleene evaluation over pairs of masks (surely true, surely false):
+    ones[v] and zeros[v] are the rows where variable v is fixed to 1
+    and to 0. Fixing more entries only grows both masks of every node.
+    """
+    t: list[int] = []
+    f: list[int] = []
+    for op, x, y in program:
+        if op == _POS:
+            t.append(ones[x])
+            f.append(zeros[x])
+        elif op == _NEG:
+            t.append(zeros[x])
+            f.append(ones[x])
+        elif op == _AND:
+            t.append(t[x] & t[y])
+            f.append(f[x] | f[y])
+        else:
+            t.append(t[x] | t[y])
+            f.append(f[x] & f[y])
+    return f[-1]
 
 
 def dqbf_eval(
@@ -212,11 +259,17 @@ def dqbf_eval(
 ) -> SkolemWitness | None:
     """Decide an instance by searching Skolem tables.
 
-    Tables are tried in lexicographic order over their concatenated bits
-    (existentials in declaration order, entries in index order), so a
-    true instance always yields the same, least witness. Each candidate
-    is checked against all universal assignments at once via bit-parallel
-    evaluation of the matrix.
+    The search fixes table bits one at a time in lexicographic order over
+    their concatenation (existentials in declaration order, entries in
+    index order, 0 before 1), so a true instance always yields the same,
+    least witness. After each bit the matrix is evaluated three-valued
+    on all universal assignments at once; as soon as some assignment is
+    false whatever the unfixed bits become, the search backtracks, since
+    no table below that prefix can be a witness.
+
+    `max_table_bits` bounds the size of the tables, not the search work:
+    pruning usually cuts the 2^bits candidates far down, but a false
+    instance can still need exponentially many steps.
     """
     n = len(inst.universals)
     sizes = [1 << len(deps) for _, deps in inst.existentials]
@@ -228,38 +281,53 @@ def dqbf_eval(
         )
     full = (1 << (1 << n)) - 1
     cols = _universal_columns(inst.universals)
-    upos = {u: i for i, u in enumerate(inst.universals)}
-    entry_masks: list[list[int]] = []
-    for _, deps in inst.existentials:
-        masks = []
+    # One slot per variable: universals are fixed everywhere, each
+    # existential starts fixed nowhere.
+    ones = [cols[u] for u in inst.universals] + [0] * len(inst.existentials)
+    zeros = [full ^ c for c in ones[:n]] + [0] * len(inst.existentials)
+    slot = {u: i for i, u in enumerate(inst.universals)}
+    # (slot, rows) per table bit, in search order.
+    bits: list[tuple[int, int]] = []
+    for k, (sym, deps) in enumerate(inst.existentials):
+        slot[sym] = n + k
         for entry in range(1 << len(deps)):
             m = full
             for t, d in enumerate(deps):
                 bit = entry >> (len(deps) - 1 - t) & 1
                 m &= cols[d] if bit else ~cols[d] & full
-            masks.append(m)
-        entry_masks.append(masks)
-    for bits in itertools.product((0, 1), repeat=total_bits):
-        all_cols = dict(cols)
-        off = 0
-        for (sym, _), size, masks in zip(inst.existentials, sizes, entry_masks):
-            col = 0
-            for e in range(size):
-                if bits[off + e]:
-                    col |= masks[e]
-            all_cols[sym] = col
-            off += size
-        if _matrix_column(inst.matrix, all_cols, full) == full:
-            tables = {}
-            off = 0
-            for (sym, _), size in zip(inst.existentials, sizes):
-                tables[sym] = tuple(bits[off : off + size])
-                off += size
-            return SkolemWitness(
-                tables=tables,
-                constraints={sym: deps for sym, deps in inst.existentials},
-            )
-    return None
+            bits.append((n + k, m))
+    program = _compile_matrix(inst.matrix, slot)
+    if not bits and _surely_false(program, ones, zeros):
+        return None
+    chosen: list[int] = []
+    value = 0
+    while len(chosen) < total_bits:
+        v, rows = bits[len(chosen)]
+        fixed = ones if value else zeros
+        fixed[v] |= rows
+        if not _surely_false(program, ones, zeros):
+            chosen.append(value)
+            value = 0
+            continue
+        fixed[v] ^= rows
+        # Both values refuted at this depth: undo the choices above it
+        # until one can still switch from 0 to 1.
+        while value:
+            if not chosen:
+                return None
+            value = chosen.pop()
+            v, rows = bits[len(chosen)]
+            (ones if value else zeros)[v] ^= rows
+        value = 1
+    tables = {}
+    off = 0
+    for (sym, _), size in zip(inst.existentials, sizes):
+        tables[sym] = tuple(chosen[off : off + size])
+        off += size
+    return SkolemWitness(
+        tables=tables,
+        constraints={sym: deps for sym, deps in inst.existentials},
+    )
 
 
 def replay_witness(inst: DqbfInstance, witness: SkolemWitness) -> bool:

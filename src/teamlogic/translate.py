@@ -47,7 +47,6 @@ from .kripke import KripkeStructure, disjoint_union, ml_point_eval, mt_eval
 
 DEFAULT_MAX_DEP_ARITY = 10
 DEFAULT_MAX_SELECTIONS = 1 << 20
-_MAX_IDIS_OCCURRENCES = 20
 
 
 @dataclass(frozen=True)
@@ -353,9 +352,7 @@ def mliv_valid(
     replayed through the team semantics before being returned.
     """
     m = count_idis(f)
-    if m > _MAX_IDIS_OCCURRENCES or (
-        max_selections is not None and (1 << m) > max_selections
-    ):
+    if max_selections is not None and (1 << m) > max_selections:
         raise GuardLimitError(
             f"{m} team-level disjunctions give 2^{m} selections, over the "
             f"configured limit"

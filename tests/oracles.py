@@ -465,6 +465,64 @@ def dedup_pool_by_table(pool) -> list[tuple[Formula, int, int]]:
 
 
 # ---------------------------------------------------------------------------
+# brute-force least Skolem witness
+
+
+def _point_true(env: dict, f: Formula) -> bool:
+    if isinstance(f, Atom):
+        return env[f.sym] == 1
+    if isinstance(f, NegAtom):
+        return env[f.sym] == 0
+    if isinstance(f, And):
+        return _point_true(env, f.left) and _point_true(env, f.right)
+    if isinstance(f, Or):
+        return _point_true(env, f.left) or _point_true(env, f.right)
+    raise ValueError(f"unexpected node {type(f).__name__}")
+
+
+def dqbf_least_witness_bruteforce(inst) -> dict | None:
+    """The lexicographically least Skolem tables of a DQBF instance.
+
+    Candidates run over the concatenated table bits (existentials in
+    declaration order, entries in index order, 0 before 1); each is
+    checked one universal assignment at a time. Entry k of a table reads
+    the dependency values as a binary number, first dependency most
+    significant. Returns {existential: table} or None when false.
+    """
+    universals = inst.universals
+    existentials = inst.existentials
+    offsets = []
+    total = 0
+    for _, deps in existentials:
+        offsets.append(total)
+        total += 1 << len(deps)
+    points = []
+    for values in itertools.product((0, 1), repeat=len(universals)):
+        env = dict(zip(universals, values))
+        cells = []
+        for (sym, deps), off in zip(existentials, offsets):
+            k = 0
+            for d in deps:
+                k = 2 * k + env[d]
+            cells.append((sym, off + k))
+        points.append((env, cells))
+    for bits in itertools.product((0, 1), repeat=total):
+        ok = True
+        for env, cells in points:
+            for sym, cell in cells:
+                env[sym] = bits[cell]
+            if not _point_true(env, inst.matrix):
+                ok = False
+                break
+        if ok:
+            return {
+                sym: bits[off : off + (1 << len(deps))]
+                for (sym, deps), off in zip(existentials, offsets)
+            }
+    return None
+
+
+# ---------------------------------------------------------------------------
 # vectorized all-structures, all-teams oracle
 
 

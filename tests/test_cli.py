@@ -153,6 +153,28 @@ def test_guard_exit_code(capsys):
     assert "error:" in err
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    import teamlogic.cli as cli
+
+    def broken(args, report):
+        raise RuntimeError("countermodel failed replay; this is a bug")
+
+    monkeypatch.setitem(cli._COMMANDS, "translate", broken)
+    code, out, err = run_cli(capsys, "translate", "p")
+    assert code == 4
+    assert out == ""
+    assert "internal error: RuntimeError: countermodel failed replay" in err
+
+
+def test_deep_nesting_is_an_internal_error_not_a_verdict(capsys):
+    code, out, err = run_cli(
+        capsys, "valid", "--logic", "pd", "(" * 2000 + "p" + ")" * 2000
+    )
+    assert code == 4
+    assert out == ""
+    assert "internal error: RecursionError" in err
+
+
 def test_mc_guard_override(tmp_path, capsys):
     import itertools
 

@@ -30,7 +30,12 @@ from teamlogic import (
     replay_witness,
 )
 
-from oracles import nnf_pool, dedup_pool_by_table
+from oracles import (
+    dedup_pool_by_table,
+    dqbf_least_witness_bruteforce,
+    nnf_pool,
+    random_dep_free_prop,
+)
 
 a1, a2 = PropSymbol("a1"), PropSymbol("a2")
 b1, b2 = PropSymbol("b1"), PropSymbol("b2")
@@ -84,6 +89,56 @@ def test_witness_is_first_in_lexicographic_order():
     # the constant-0 table fails, then (0,1) is found
     w = dqbf_eval(identity_instance())
     assert w.tables[b1] == (0, 1)
+
+
+def _random_instance(rng):
+    universals = [PropSymbol(f"u{i}") for i in range(rng.randint(1, 3))]
+    existentials = [PropSymbol(f"e{j}") for j in range(rng.randint(1, 3))]
+    while True:
+        deps = [
+            rng.sample(universals, rng.randint(0, len(universals)))
+            for _ in existentials
+        ]
+        if sum(1 << len(d) for d in deps) <= 12:
+            break
+    names = [s.name for s in universals + existentials]
+    if rng.random() < 0.5:
+        clauses = []
+        for _ in range(rng.randint(1, 2 * len(names))):
+            lits = []
+            for _ in range(3):
+                s = PropSymbol(rng.choice(names))
+                lits.append(Atom(s) if rng.random() < 0.5 else NegAtom(s))
+            clauses.append(Or(Or(lits[0], lits[1]), lits[2]))
+        matrix = clauses[0]
+        for c in clauses[1:]:
+            matrix = And(matrix, c)
+    else:
+        matrix = random_dep_free_prop(rng, names, rng.randint(3, 15))
+    return DqbfInstance(universals, list(zip(existentials, deps)), matrix)
+
+
+def test_witness_is_least_on_random_instances():
+    # 3-CNF and general NNF matrices, dependency sets of every size
+    rng = random.Random(20140624)
+    verdicts = []
+    for _ in range(500):
+        inst = _random_instance(rng)
+        expected = dqbf_least_witness_bruteforce(inst)
+        w = dqbf_eval(inst)
+        assert (None if w is None else w.tables) == expected, inst
+        verdicts.append(expected is not None)
+    assert 100 <= sum(verdicts) <= 400
+
+
+def test_deep_search_needs_no_recursion():
+    universals = [PropSymbol(f"u{i}") for i in range(11)]
+    inst = DqbfInstance(
+        universals, [(b1, tuple(universals))], Or(Atom(b1), NegAtom(b1))
+    )
+    w = dqbf_eval(inst, max_table_bits=None)
+    assert w.tables == {b1: (0,) * 2048}
+    assert replay_witness(inst, w)
 
 
 def test_replay_witness_validates_shape():

@@ -168,11 +168,24 @@ def test_mliv_selection_guard():
     f = Atom(p)
     for _ in range(5):
         f = IDis(f, f)
-    # 31 occurrences exceed the occurrence cap
+    # 31 occurrences give 2^31 selections, over the default guard
     with pytest.raises(GuardLimitError):
         mliv_valid(f)
     with pytest.raises(GuardLimitError):
         mliv_valid(IDis(Atom(p), IDis(Atom(p), Atom(q))), max_selections=2)
+
+
+def test_mliv_unbounded_selections_pass_the_guard():
+    # the all-left selection is the tautology, found first
+    f = Or(Atom(p), NegAtom(p))
+    for _ in range(21):
+        f = IDis(f, Atom(q))
+    with pytest.raises(GuardLimitError):
+        mliv_valid(f)
+    res = mliv_valid(f, max_selections=None)
+    assert isinstance(res, Valid)
+    assert res.witness.bitstring == "0" * 21
+    assert res.checked == 1
 
 
 def test_emdl_valid_frozen_examples():
