@@ -28,13 +28,7 @@ from .dqbf import (
 )
 from .errors import GuardLimitError, ParseError
 from .formula import Fragment, classify, render
-from .kripke import (
-    DEFAULT_MAX_CHOICES,
-    DEFAULT_MAX_SPLIT_ROWS as DEFAULT_MAX_SPLIT_WORLDS,
-    kripke_from_dict,
-    kripke_to_dict,
-    mt_eval,
-)
+from .kripke import DEFAULT_MAX_CHOICES, kripke_from_dict, kripke_to_dict, mt_eval
 from .parser import parse_modal, parse_prop
 from .prop_team import (
     DEFAULT_MAX_DOMAIN,
@@ -47,7 +41,6 @@ from .prop_team import (
 )
 from .translate import (
     DEFAULT_MAX_SELECTIONS,
-    Invalid,
     emdl_to_mliv,
     emdl_valid,
     ml_valid,
@@ -145,7 +138,7 @@ def _cmd_mc(args, report: _Report) -> int:
             team,
             f,
             max_choices=_limit(args.max_choices, DEFAULT_MAX_CHOICES),
-            max_split_rows=_limit(args.max_team, DEFAULT_MAX_SPLIT_WORLDS),
+            max_split_rows=_limit(args.max_team, DEFAULT_MAX_SPLIT_ROWS),
         )
     report.lines = ["true" if result else "false"]
     report.payload = {"verdict": "true" if result else "false"}
@@ -276,13 +269,6 @@ def _add_formula_args(p: argparse.ArgumentParser) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable verdict")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker cap; evaluation currently runs sequentially regardless",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

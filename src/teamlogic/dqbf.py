@@ -31,6 +31,7 @@ from .formula import (
     NegAtom,
     Or,
     PropSymbol,
+    _as_symbol,
     render,
     symbols as formula_symbols,
     to_nnf,
@@ -41,10 +42,6 @@ from .prop_team import pl_pointwise
 
 DEFAULT_MAX_TABLE_BITS = 24
 DEFAULT_MAX_QBF_VARS = 24
-
-
-def _as_symbol(s) -> PropSymbol:
-    return s if isinstance(s, PropSymbol) else PropSymbol(s)
 
 
 def _check_matrix(matrix: Formula, declared: set[PropSymbol]) -> Formula:

@@ -42,6 +42,10 @@ class PropSymbol:
         return self.name
 
 
+def _as_symbol(s) -> PropSymbol:
+    return s if isinstance(s, PropSymbol) else PropSymbol(s)
+
+
 @dataclass(frozen=True)
 class Atom:
     sym: PropSymbol

@@ -6,15 +6,15 @@ every member of T seeing into T2. Because all formulas handled here are
 downward closed, it is enough to range over successor-choice images,
 picking one successor per member; the box clause uses the full image.
 Modal dependence atoms are evaluated pointwise on their components,
-which are plain modal formulas and therefore flat.
+which are plain modal formulas and therefore flat. Model checking hands
+the worlds, as bitmasks per symbol and successor lists, to the
+evaluator in `team_eval`.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Mapping
 
-from .errors import GuardLimitError
 from .formula import (
     And,
     Atom,
@@ -26,17 +26,11 @@ from .formula import (
     MDep,
     NegAtom,
     Or,
-    PropSymbol,
+    _as_symbol,
     symbols as formula_symbols,
     walk,
 )
-
-DEFAULT_MAX_CHOICES = 1 << 20
-DEFAULT_MAX_SPLIT_ROWS = 24
-
-
-def _as_symbol(s) -> PropSymbol:
-    return s if isinstance(s, PropSymbol) else PropSymbol(s)
+from .team_eval import DEFAULT_MAX_CHOICES, DEFAULT_MAX_SPLIT_ROWS, _TeamEvaluator
 
 
 class KripkeStructure:
@@ -196,242 +190,6 @@ def _check_modal_team(f: Formula) -> None:
             )
 
 
-class _ModalTeamEvaluator:
-    """Modal team evaluation over one structure, teams as world bitmasks."""
-
-    def __init__(self, m: KripkeStructure, root: Formula, max_choices: int | None, max_split_rows: int | None):
-        self.m = m
-        self.max_choices = max_choices
-        self.max_split_rows = max_split_rows
-        self.order = m.worlds
-        self.widx = {w: i for i, w in enumerate(self.order)}
-        self.full = (1 << len(self.order)) - 1
-        self.succ_mask = {}
-        for w in self.order:
-            sm = 0
-            for v in m.successors(w):
-                sm |= 1 << self.widx[v]
-            self.succ_mask[w] = sm
-        self.flat_mask: dict[Formula, int] = {}
-        self.dep_groups: dict[Formula, list[tuple[int, int]]] = {}
-        self.or_chain: dict[Formula, tuple[int, tuple[Formula, ...]]] = {}
-        self.memo: dict = {}
-        self.memo_rest: dict = {}
-        self._prepare(root)
-
-    def _point_mask(self, f: Formula) -> int:
-        """Worlds satisfying a plain modal formula, by classical truth."""
-        if isinstance(f, Atom):
-            sym_worlds = self.m.valuation.get(f.sym)
-            if sym_worlds is None:
-                raise ValueError(f"symbol {f.sym} is missing from the valuation")
-            m = 0
-            for w in sym_worlds:
-                m |= 1 << self.widx[w]
-            return m
-        if isinstance(f, NegAtom):
-            return ~self._point_mask(Atom(f.sym)) & self.full
-        if isinstance(f, And):
-            return self._point_mask(f.left) & self._point_mask(f.right)
-        if isinstance(f, Or):
-            return self._point_mask(f.left) | self._point_mask(f.right)
-        if isinstance(f, Diamond):
-            child = self._point_mask(f.child)
-            m = 0
-            for w in self.order:
-                if self.succ_mask[w] & child:
-                    m |= 1 << self.widx[w]
-            return m
-        if isinstance(f, Box):
-            child = self._point_mask(f.child)
-            m = 0
-            for w in self.order:
-                if self.succ_mask[w] & ~child == 0:
-                    m |= 1 << self.widx[w]
-            return m
-        raise ValueError(f"not a plain modal formula: {type(f).__name__}")
-
-    def _prepare(self, f: Formula) -> int | None:
-        """Return the satisfying-world mask when `f` is flat (plain modal)."""
-        if f in self.flat_mask:
-            return self.flat_mask[f]
-        if f in self.dep_groups or f in self.or_chain:
-            return None
-        if isinstance(f, (Atom, NegAtom)):
-            m = self._point_mask(f)
-        elif isinstance(f, (And, Or)):
-            ml = self._prepare(f.left)
-            mr = self._prepare(f.right)
-            if ml is None or mr is None:
-                if isinstance(f, Or):
-                    self._prepare_or(f)
-                return None
-            m = (ml & mr) if isinstance(f, And) else (ml | mr)
-        elif isinstance(f, (Diamond, Box)):
-            mc = self._prepare(f.child)
-            if mc is None:
-                return None
-            m = self._point_mask(f)
-        elif isinstance(f, IDis):
-            self._prepare(f.left)
-            self._prepare(f.right)
-            return None
-        elif isinstance(f, MDep):
-            self._prepare_mdep(f)
-            return None
-        else:
-            raise ValueError(f"not a modal team formula: {type(f).__name__}")
-        self.flat_mask[f] = m
-        return m
-
-    def _prepare_mdep(self, f: MDep) -> None:
-        comp_masks = [self._point_mask(a) for a in f.args]
-        target_mask = self._point_mask(f.target)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, w in enumerate(self.order):
-            profile = tuple((cm >> i) & 1 for cm in comp_masks)
-            groups.setdefault(profile, []).append(i)
-        pairs = []
-        for members in groups.values():
-            zeros = ones = 0
-            for i in members:
-                if target_mask >> i & 1:
-                    ones |= 1 << i
-                else:
-                    zeros |= 1 << i
-            if zeros and ones:
-                pairs.append((zeros, ones))
-        self.dep_groups[f] = pairs
-
-    def _prepare_or(self, f: Or) -> None:
-        disjuncts: list[Formula] = []
-        stack = [f.right, f.left]
-        while stack:
-            d = stack.pop()
-            if isinstance(d, Or):
-                stack.append(d.right)
-                stack.append(d.left)
-            else:
-                disjuncts.append(d)
-        flat_union = 0
-        nonflat = []
-        for d in disjuncts:
-            m = self._prepare(d)
-            if m is None:
-                nonflat.append(d)
-            else:
-                flat_union |= m
-        self.or_chain[f] = (flat_union, tuple(nonflat))
-
-    def eval(self, f: Formula, mask: int) -> bool:
-        m = self.flat_mask.get(f)
-        if m is not None:
-            return mask & ~m == 0
-        key = (f, mask)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(f, MDep):
-            result = True
-            for zeros, ones in self.dep_groups[f]:
-                if mask & zeros and mask & ones:
-                    result = False
-                    break
-        elif isinstance(f, And):
-            result = self.eval(f.left, mask) and self.eval(f.right, mask)
-        elif isinstance(f, IDis):
-            result = self.eval(f.left, mask) or self.eval(f.right, mask)
-        elif isinstance(f, Or):
-            flat_union, nonflat = self.or_chain[f]
-            rest = mask & ~flat_union
-            if not nonflat:
-                result = rest == 0
-            elif len(nonflat) == 1:
-                result = self.eval(nonflat[0], rest)
-            else:
-                if (
-                    self.max_split_rows is not None
-                    and rest.bit_count() > self.max_split_rows
-                ):
-                    raise GuardLimitError(
-                        f"team of {rest.bit_count()} worlds exceeds the split "
-                        f"guard of {self.max_split_rows}; raise max_split_rows "
-                        f"to override"
-                    )
-                result = self._or_rest(f, nonflat, 0, rest)
-        elif isinstance(f, Diamond):
-            result = self._eval_diamond(f, mask)
-        elif isinstance(f, Box):
-            image = 0
-            for i in _bits(mask):
-                image |= self.succ_mask[self.order[i]]
-            result = self.eval(f.child, image)
-        else:
-            raise ValueError(f"not a modal team formula: {type(f).__name__}")
-        self.memo[key] = result
-        return result
-
-    def _or_rest(self, node: Or, nonflat: tuple[Formula, ...], i: int, mask: int) -> bool:
-        if i == len(nonflat) - 1:
-            return self.eval(nonflat[i], mask)
-        key = (node, i, mask)
-        hit = self.memo_rest.get(key)
-        if hit is not None:
-            return hit
-        result = False
-        sub = mask
-        while True:
-            if self.eval(nonflat[i], sub) and self._or_rest(node, nonflat, i + 1, mask & ~sub):
-                result = True
-                break
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        self.memo_rest[key] = result
-        return result
-
-    def _eval_diamond(self, f: Diamond, mask: int) -> bool:
-        """Search successor teams as images of successor-choice functions.
-
-        Downward closure makes choice images a complete witness set: any
-        successor team can be thinned to one successor per member.
-        """
-        members = list(_bits(mask))
-        if not members:
-            return True
-        succ_lists = []
-        count = 1
-        for i in members:
-            succs = self.m.successors(self.order[i])
-            if not succs:
-                return False
-            succ_lists.append(succs)
-            count *= len(succs)
-        if self.max_choices is not None and count > self.max_choices:
-            raise GuardLimitError(
-                f"{count} successor choices exceed the guard of "
-                f"{self.max_choices}; raise max_choices to override"
-            )
-        seen = set()
-        for pick in itertools.product(*succ_lists):
-            child_mask = 0
-            for v in pick:
-                child_mask |= 1 << self.widx[v]
-            if child_mask in seen:
-                continue
-            seen.add(child_mask)
-            if self.eval(f.child, child_mask):
-                return True
-        return False
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def mt_eval(
     m: KripkeStructure,
     team: Iterable[str],
@@ -443,23 +201,32 @@ def mt_eval(
     """Exact modal team-semantics truth of `f` on `team` in `m`.
 
     The valuation must cover every symbol of the formula. Guards bound
-    the two enumerations: successor choices per diamond and team splits
-    per disjunction; either raises GuardLimitError rather than start an
-    oversized search.
+    the two enumerations: successor choices per diamond, and the worlds a
+    disjunction with two or more disjuncts that are not flat must split;
+    either raises GuardLimitError rather than start an oversized search.
     """
     _check_modal_team(f)
     team = frozenset(team)
     bad = sorted(team - set(m.worlds))
     if bad:
         raise ValueError(f"team names unknown worlds: {bad}")
-    missing = formula_symbols(f) - set(m.valuation)
+    syms = formula_symbols(f)
+    missing = syms - set(m.valuation)
     if missing:
         names = ", ".join(sorted(s.name for s in missing))
         raise ValueError(f"symbols missing from the valuation: {names}")
-    ev = _ModalTeamEvaluator(m, f, max_choices, max_split_rows)
+    widx = {w: i for i, w in enumerate(m.worlds)}
+    sym_mask = {}
+    for sym in syms:
+        sm = 0
+        for w in m.valuation[sym]:
+            sm |= 1 << widx[w]
+        sym_mask[sym] = sm
+    succ = [tuple(widx[v] for v in m.successors(w)) for w in m.worlds]
+    ev = _TeamEvaluator(len(m.worlds), sym_mask, succ, f, max_choices, max_split_rows)
     mask = 0
     for w in team:
-        mask |= 1 << ev.widx[w]
+        mask |= 1 << widx[w]
     return ev.eval(f, mask)
 
 

@@ -4,18 +4,8 @@ A team is a set of assignments over a fixed domain of symbols. Truth is
 the team-semantics relation: conjunction is pointwise composition,
 splitting disjunction divides the team, and a dependence atom
 dep(args; target) holds when no two members agree on the arguments but
-disagree on the target.
-
-Evaluation enumerates the 2^|X| ordered partitions of the team at each
-splitting disjunction; restricting covers to ordered partitions is sound
-because every formula here is downward closed. The evaluator shortcuts
-where soundness is free: a dependence-free subformula is flat, so its
-team truth is a subset test against the rows it satisfies pointwise, and
-rows satisfying a flat disjunct can always be absorbed by it. The
-remaining search is memoized per (subformula, row bitmask), and a
-disjunction of exactly two dependence atoms over many rows is decided as
-a 2-SAT instance on the row-to-disjunct assignment instead of by
-enumeration. None of this changes observable results.
+disagree on the target. Model checking hands the team's rows, as
+bitmasks per symbol, to the evaluator in `team_eval`.
 """
 
 from __future__ import annotations
@@ -33,20 +23,13 @@ from .formula import (
     NegAtom,
     Or,
     PropSymbol,
+    _as_symbol,
     symbols as formula_symbols,
     walk,
 )
+from .team_eval import DEFAULT_MAX_SPLIT_ROWS, _TeamEvaluator
 
 DEFAULT_MAX_DOMAIN = 20
-DEFAULT_MAX_SPLIT_ROWS = 24
-
-# Row count above which a two-dependence-atom split is decided by 2-SAT
-# rather than by subset enumeration.
-_TWO_SAT_MIN_ROWS = 6
-
-
-def _as_symbol(s) -> PropSymbol:
-    return s if isinstance(s, PropSymbol) else PropSymbol(s)
 
 
 @dataclass(frozen=True)
@@ -198,230 +181,28 @@ def _pl_eval(env: dict, f: Formula) -> bool:
     raise ValueError(f"not a plain propositional formula: {type(f).__name__}")
 
 
-class _TeamEvaluator:
-    """Team-semantics evaluation over subsets of a fixed row universe.
-
-    Teams are bitmasks over `rows`. One evaluator instance serves every
-    subset of its universe and shares memoized results between them,
-    which is what makes whole-powerset sweeps affordable.
-    """
-
-    def __init__(
-        self,
-        domain: tuple[PropSymbol, ...],
-        rows: tuple[tuple[int, ...], ...],
-        root: Formula,
-        use_two_sat: bool = True,
-    ):
-        # 2-SAT wins for one-off evaluations; a powerset sweep is better
-        # served by the enumeration, whose memo amortizes across masks.
-        self.use_two_sat = use_two_sat
-        self.rows = rows
-        self.full = (1 << len(rows)) - 1
-        col = {}
-        for j, sym in enumerate(domain):
-            m = 0
-            for i, row in enumerate(rows):
-                if row[j]:
-                    m |= 1 << i
-            col[sym] = m
-        self.col = col
-        self.idx = {sym: j for j, sym in enumerate(domain)}
-        self.flat_mask: dict[Formula, int] = {}
-        self.dep_groups: dict[Formula, list[tuple[int, int]]] = {}
-        self.or_chain: dict[Formula, tuple[int, tuple[Formula, ...]]] = {}
-        self.memo: dict = {}
-        self.memo_rest: dict = {}
-        self._prepare(root)
-
-    def _prepare(self, f: Formula) -> int | None:
-        """Return the pointwise satisfying-row mask when `f` is flat."""
-        if f in self.flat_mask:
-            return self.flat_mask[f]
-        if f in self.dep_groups or f in self.or_chain:
-            return None
-        if isinstance(f, Atom):
-            m = self.col[f.sym]
-        elif isinstance(f, NegAtom):
-            m = ~self.col[f.sym] & self.full
-        elif isinstance(f, Dep):
-            self._prepare_dep(f)
-            return None
-        elif isinstance(f, (And, Or)):
-            ml = self._prepare(f.left)
-            mr = self._prepare(f.right)
-            if ml is None or mr is None:
-                if isinstance(f, Or):
-                    self._prepare_or(f)
-                return None
-            m = (ml & mr) if isinstance(f, And) else (ml | mr)
-        else:
-            raise ValueError(f"not a propositional team formula: {type(f).__name__}")
-        self.flat_mask[f] = m
-        return m
-
-    def _prepare_dep(self, f: Dep) -> None:
-        arg_idx = [self.idx[a] for a in f.args]
-        t_idx = self.idx[f.target]
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, row in enumerate(self.rows):
-            groups.setdefault(tuple(row[j] for j in arg_idx), []).append(i)
-        pairs = []
-        for members in groups.values():
-            zeros = ones = 0
-            for i in members:
-                if self.rows[i][t_idx]:
-                    ones |= 1 << i
-                else:
-                    zeros |= 1 << i
-            if zeros and ones:
-                pairs.append((zeros, ones))
-        self.dep_groups[f] = pairs
-
-    def _prepare_or(self, f: Or) -> None:
-        disjuncts: list[Formula] = []
-        stack = [f.right, f.left]
-        while stack:
-            d = stack.pop()
-            if isinstance(d, Or):
-                stack.append(d.right)
-                stack.append(d.left)
-            else:
-                disjuncts.append(d)
-        flat_union = 0
-        nonflat = []
-        for d in disjuncts:
-            m = self._prepare(d)
-            if m is None:
-                nonflat.append(d)
-            else:
-                flat_union |= m
-        self.or_chain[f] = (flat_union, tuple(nonflat))
-
-    def eval(self, f: Formula, mask: int) -> bool:
-        m = self.flat_mask.get(f)
-        if m is not None:
-            return mask & ~m == 0
-        key = (f, mask)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(f, Dep):
-            result = True
-            for zeros, ones in self.dep_groups[f]:
-                if mask & zeros and mask & ones:
-                    result = False
-                    break
-        elif isinstance(f, And):
-            result = self.eval(f.left, mask) and self.eval(f.right, mask)
-        elif isinstance(f, Or):
-            flat_union, nonflat = self.or_chain[f]
-            rest = mask & ~flat_union
-            if not nonflat:
-                result = rest == 0
-            elif len(nonflat) == 1:
-                result = self.eval(nonflat[0], rest)
-            elif (
-                self.use_two_sat
-                and len(nonflat) == 2
-                and isinstance(nonflat[0], Dep)
-                and isinstance(nonflat[1], Dep)
-                and rest.bit_count() >= _TWO_SAT_MIN_ROWS
-            ):
-                result = self._dep_split_2sat(nonflat[0], nonflat[1], rest)
-            else:
-                result = self._or_rest(f, nonflat, 0, rest)
-        else:
-            raise ValueError(f"not a propositional team formula: {type(f).__name__}")
-        self.memo[key] = result
-        return result
-
-    def _or_rest(self, node: Or, nonflat: tuple[Formula, ...], i: int, mask: int) -> bool:
-        if i == len(nonflat) - 1:
-            return self.eval(nonflat[i], mask)
-        key = (node, i, mask)
-        hit = self.memo_rest.get(key)
-        if hit is not None:
-            return hit
-        result = False
-        sub = mask
-        while True:
-            if self.eval(nonflat[i], sub) and self._or_rest(node, nonflat, i + 1, mask & ~sub):
-                result = True
-                break
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        self.memo_rest[key] = result
-        return result
-
-    def _dep_split_2sat(self, d1: Dep, d2: Dep, mask: int) -> bool:
-        """Can `mask` split into one part per dependence atom?
-
-        Variable x_r says row r goes to the part for `d1`; the complement
-        part gets the rest. A pair violating `d1` must not land together
-        in part one, and a pair violating `d2` must not land together in
-        part two, which is exactly a 2-SAT instance.
-        """
-        rows = [i for i in range(self.full.bit_length()) if mask >> i & 1]
-        pos = {r: i for i, r in enumerate(rows)}
-        n = len(rows)
-        adj = [0] * (2 * n)  # literal 2i = x_i, literal 2i+1 = not x_i
-
-        def add_clause(a: int, b: int) -> None:
-            adj[a ^ 1] |= 1 << b
-            adj[b ^ 1] |= 1 << a
-
-        for zeros, ones in self.dep_groups[d1]:
-            for u in _bits(zeros & mask):
-                for v in _bits(ones & mask):
-                    add_clause(2 * pos[u] + 1, 2 * pos[v] + 1)
-        for zeros, ones in self.dep_groups[d2]:
-            for u in _bits(zeros & mask):
-                for v in _bits(ones & mask):
-                    add_clause(2 * pos[u], 2 * pos[v])
-        reach = list(adj)
-        for k in range(2 * n):
-            rk = reach[k]
-            bit = 1 << k
-            for i in range(2 * n):
-                if reach[i] & bit:
-                    reach[i] |= rk
-        for i in range(n):
-            t, f = 2 * i, 2 * i + 1
-            if reach[t] >> f & 1 and reach[f] >> t & 1:
-                return False
-        return True
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def pt_eval(team: PropTeam, f: Formula, *, max_split_rows: int | None = DEFAULT_MAX_SPLIT_ROWS) -> bool:
     """Exact team-semantics truth of `f` on `team`.
 
     The formula's symbols must lie inside the team domain. With the
-    default guard, teams of more than 24 rows are refused when the
-    formula contains a splitting disjunction, because evaluation
-    enumerates team partitions.
+    default guard, a splitting disjunction with two or more disjuncts
+    that are not flat is refused when it must divide more than 24 rows,
+    because evaluation enumerates team partitions.
     """
     _check_prop(f)
     missing = formula_symbols(f) - set(team.domain)
     if missing:
         names = ", ".join(sorted(s.name for s in missing))
         raise ValueError(f"symbols outside the team domain: {names}")
-    has_or = any(isinstance(n, Or) for n in walk(f))
-    if max_split_rows is not None and has_or and len(team.rows) > max_split_rows:
-        raise GuardLimitError(
-            f"team of {len(team.rows)} rows exceeds the split guard of "
-            f"{max_split_rows}; raise max_split_rows to override"
-        )
-    rows = tuple(sorted(team.rows))
-    ev = _TeamEvaluator(team.domain, rows, f)
+    rows = sorted(team.rows)
+    sym_mask = {}
+    for j, sym in enumerate(team.domain):
+        m = 0
+        for i, row in enumerate(rows):
+            if row[j]:
+                m |= 1 << i
+        sym_mask[sym] = m
+    ev = _TeamEvaluator(len(rows), sym_mask, None, f, max_split_rows=max_split_rows)
     return ev.eval(f, ev.full)
 
 
@@ -445,27 +226,6 @@ def pd_valid(f: Formula, *, max_domain: int | None = DEFAULT_MAX_DOMAIN) -> bool
     _check_prop(f)
     team = max_team(formula_symbols(f), max_domain=max_domain)
     return pt_eval(team, f, max_split_rows=None)
-
-
-def pd_valid_bruteforce(f: Formula, domain: Iterable, *, max_domain: int | None = 4) -> bool:
-    """Validity by checking pt_eval on every team over `domain`.
-
-    This enumerates all 2^(2^|domain|) teams and is the definitional
-    cross-check for pd_valid; the domain guard defaults to 4 symbols.
-    """
-    _check_prop(f)
-    domain = tuple(sorted({_as_symbol(s) for s in domain}))
-    if max_domain is not None and len(domain) > max_domain:
-        raise GuardLimitError(
-            f"domain of {len(domain)} symbols exceeds the brute-force guard of {max_domain}"
-        )
-    missing = formula_symbols(f) - set(domain)
-    if missing:
-        names = ", ".join(sorted(s.name for s in missing))
-        raise ValueError(f"symbols outside the domain: {names}")
-    rows = tuple(itertools.product((0, 1), repeat=len(domain)))
-    ev = _TeamEvaluator(domain, rows, f, use_two_sat=False)
-    return all(ev.eval(f, mask) for mask in range(1 << len(rows)))
 
 
 def pd_sat(

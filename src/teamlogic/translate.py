@@ -22,8 +22,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import GuardLimitError
 from .formula import (
     And,
@@ -133,21 +131,6 @@ def eliminate_idis(f: Formula):
     for raw in itertools.product("LR", repeat=m):
         sel = SelectionFunction(raw)
         yield sel, _select(f, raw, [0])
-
-
-def pad_formula(g: Formula, n: int, p) -> Formula:
-    """Conjoin `n` tautologies over `p` in front of `g`.
-
-    Useful for growing a formula's size without changing its meaning.
-    """
-    sym = p if not isinstance(p, str) else Atom(p).sym
-    taut = Or(Atom(sym), NegAtom(sym))
-    if n <= 0:
-        return g
-    acc: Formula = taut
-    for _ in range(n - 1):
-        acc = And(acc, taut)
-    return And(acc, g)
 
 
 def emdl_to_mliv(f: Formula, *, max_dep_arity: int | None = DEFAULT_MAX_DEP_ARITY) -> Formula:
@@ -421,60 +404,3 @@ def emdl_valid(
     if mt_eval(verdict.model, verdict.team, f, max_choices=None, max_split_rows=None):
         raise RuntimeError("countermodel failed replay; this is a bug")
     return verdict
-
-
-def ml_valid_small_models(
-    f: Formula, max_worlds: int = 3, *, allow_large: bool = False
-) -> bool:
-    """Validity of a plain modal formula over all models up to a size.
-
-    Exhausts every structure with at most `max_worlds` worlds over the
-    formula's own symbols, vectorizing over all relations at once. This
-    is a reference check, complete only for formulas whose countermodels
-    fit the bound; the guard refuses more than 4 worlds or 2 symbols
-    unless `allow_large` is set.
-    """
-    if not is_pure_ml(f):
-        raise ValueError("ml_valid_small_models handles plain modal formulas only")
-    syms = sorted(formula_symbols(f))
-    if (max_worlds > 4 or len(syms) > 2) and not allow_large:
-        raise GuardLimitError(
-            f"{max_worlds} worlds over {len(syms)} symbols is over the small-model "
-            f"guard; pass allow_large=True to run it anyway"
-        )
-    for n_worlds in range(1, max_worlds + 1):
-        full = (1 << n_worlds) - 1
-        relations = np.arange(1 << (n_worlds * n_worlds), dtype=np.int64)
-        succ = [
-            ((relations >> (w * n_worlds)) & full).astype(np.int64)
-            for w in range(n_worlds)
-        ]
-
-        def truth(g: Formula, atom_mask: dict):
-            if isinstance(g, Atom):
-                return atom_mask[g.sym]
-            if isinstance(g, NegAtom):
-                return ~atom_mask[g.sym] & full
-            if isinstance(g, And):
-                return truth(g.left, atom_mask) & truth(g.right, atom_mask)
-            if isinstance(g, Or):
-                return truth(g.left, atom_mask) | truth(g.right, atom_mask)
-            if isinstance(g, Diamond):
-                child = truth(g.child, atom_mask)
-                out = np.zeros_like(relations)
-                for w in range(n_worlds):
-                    out |= ((succ[w] & child) != 0).astype(np.int64) << w
-                return out
-            if isinstance(g, Box):
-                child = truth(g.child, atom_mask)
-                out = np.zeros_like(relations)
-                for w in range(n_worlds):
-                    out |= ((succ[w] & ~child & full) == 0).astype(np.int64) << w
-                return out
-            raise ValueError(f"not a plain modal formula: {type(g).__name__}")
-
-        for bits in itertools.product(range(1 << n_worlds), repeat=len(syms)):
-            atom_mask = dict(zip(syms, bits))
-            if not np.all(truth(f, atom_mask) == full):
-                return False
-    return True

@@ -1,11 +1,14 @@
 """Independent reference implementations and corpus generators.
 
-Everything here recomputes semantics straight from the definitions and
-shares no evaluation code with the package: splits enumerate subsets
-explicitly, successor teams are checked against their two defining
-conditions over every subset of worlds, and the vectorized oracle
-propagates whole satisfying-team sets per structure. Corpus generators
-enumerate formula spaces bottom up by AST size.
+Almost everything here recomputes semantics straight from the
+definitions and shares no evaluation code with the package: splits
+enumerate subsets explicitly, successor teams are checked against their
+two defining conditions over every subset of worlds, and the vectorized
+oracles propagate whole satisfying-team sets per structure. The one
+exception is `pd_valid_bruteforce`, which checks the package's team
+evaluator on every team to cross-check that validity needs only the
+team of all assignments. Corpus generators enumerate formula spaces
+bottom up by AST size.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from teamlogic import (
     Dep,
     Diamond,
     Formula,
+    GuardLimitError,
     IDis,
     KripkeStructure,
     MDep,
@@ -29,7 +33,12 @@ from teamlogic import (
     Or,
     PropSymbol,
     PropTeam,
+    is_pure_ml,
+    symbols,
 )
+from teamlogic.formula import _as_symbol
+from teamlogic.prop_team import _check_prop
+from teamlogic.team_eval import _TeamEvaluator
 
 
 # ---------------------------------------------------------------------------
@@ -812,3 +821,89 @@ class PropTeamSetOracle:
             self.domain,
             [self.rows[i] for i in range(self.n_rows) if team_idx >> i & 1],
         )
+
+
+# ---------------------------------------------------------------------------
+# validity by exhausting every team or every small model
+
+
+def pd_valid_bruteforce(f: Formula, domain, *, max_domain: int | None = 4) -> bool:
+    """Validity by checking the team evaluator on every team over `domain`.
+
+    This enumerates all 2^(2^|domain|) teams and is the definitional
+    cross-check for pd_valid; the domain guard defaults to 4 symbols.
+    """
+    _check_prop(f)
+    domain = tuple(sorted({_as_symbol(s) for s in domain}))
+    if max_domain is not None and len(domain) > max_domain:
+        raise GuardLimitError(
+            f"domain of {len(domain)} symbols exceeds the brute-force guard of {max_domain}"
+        )
+    missing = symbols(f) - set(domain)
+    if missing:
+        names = ", ".join(sorted(s.name for s in missing))
+        raise ValueError(f"symbols outside the domain: {names}")
+    rows = list(itertools.product((0, 1), repeat=len(domain)))
+    sym_mask = {
+        sym: sum(1 << i for i, row in enumerate(rows) if row[j])
+        for j, sym in enumerate(domain)
+    }
+    ev = _TeamEvaluator(len(rows), sym_mask, None, f)
+    return all(ev.eval(f, mask) for mask in range(1 << len(rows)))
+
+
+def ml_valid_small_models(
+    f: Formula, max_worlds: int = 3, *, allow_large: bool = False
+) -> bool:
+    """Validity of a plain modal formula over all models up to a size.
+
+    Exhausts every structure with at most `max_worlds` worlds over the
+    formula's own symbols, vectorizing over all relations at once. This
+    is complete only for formulas whose countermodels fit the bound; the
+    guard refuses more than 4 worlds or 2 symbols unless `allow_large`
+    is set.
+    """
+    if not is_pure_ml(f):
+        raise ValueError("ml_valid_small_models handles plain modal formulas only")
+    syms = sorted(symbols(f))
+    if (max_worlds > 4 or len(syms) > 2) and not allow_large:
+        raise GuardLimitError(
+            f"{max_worlds} worlds over {len(syms)} symbols is over the small-model "
+            f"guard; pass allow_large=True to run it anyway"
+        )
+    for n_worlds in range(1, max_worlds + 1):
+        full = (1 << n_worlds) - 1
+        relations = np.arange(1 << (n_worlds * n_worlds), dtype=np.int64)
+        succ = [
+            ((relations >> (w * n_worlds)) & full).astype(np.int64)
+            for w in range(n_worlds)
+        ]
+
+        def truth(g: Formula, atom_mask: dict):
+            if isinstance(g, Atom):
+                return atom_mask[g.sym]
+            if isinstance(g, NegAtom):
+                return ~atom_mask[g.sym] & full
+            if isinstance(g, And):
+                return truth(g.left, atom_mask) & truth(g.right, atom_mask)
+            if isinstance(g, Or):
+                return truth(g.left, atom_mask) | truth(g.right, atom_mask)
+            if isinstance(g, Diamond):
+                child = truth(g.child, atom_mask)
+                out = np.zeros_like(relations)
+                for w in range(n_worlds):
+                    out |= ((succ[w] & child) != 0).astype(np.int64) << w
+                return out
+            if isinstance(g, Box):
+                child = truth(g.child, atom_mask)
+                out = np.zeros_like(relations)
+                for w in range(n_worlds):
+                    out |= ((succ[w] & ~child & full) == 0).astype(np.int64) << w
+                return out
+            raise ValueError(f"not a plain modal formula: {type(g).__name__}")
+
+        for bits in itertools.product(range(1 << n_worlds), repeat=len(syms)):
+            atom_mask = dict(zip(syms, bits))
+            if not np.all(truth(f, atom_mask) == full):
+                return False
+    return True

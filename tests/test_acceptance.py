@@ -40,13 +40,11 @@ from teamlogic import (
     kripke_to_dict,
     ml_point_eval,
     ml_valid,
-    ml_valid_small_models,
     mliv_valid,
     mt_eval,
     nb_subf,
     parse_modal,
     pd_valid,
-    pd_valid_bruteforce,
     pl_pointwise,
     pt_eval,
     qbf_eval,
@@ -67,7 +65,9 @@ from oracles import (
     dedup_pool_by_table,
     enumerate_emdl,
     enumerate_pd,
+    ml_valid_small_models,
     nnf_pool,
+    pd_valid_bruteforce,
     random_dep_free_prop,
     random_emdl_formula,
     random_ml_formula,

@@ -10,22 +10,30 @@ from teamlogic import (
     Atom,
     Dep,
     GuardLimitError,
+    KripkeStructure,
+    MDep,
     NegAtom,
     Or,
     PropSymbol,
     PropTeam,
     max_team,
+    mt_eval,
     parse_prop,
     pd_sat,
     pd_valid,
-    pd_valid_bruteforce,
     pl_pointwise,
     pt_eval,
     team_from_dict,
     team_to_dict,
 )
 
-from oracles import PropTeamSetOracle, brute_pt, random_pd_formula, random_team
+from oracles import (
+    PropTeamSetOracle,
+    brute_pt,
+    pd_valid_bruteforce,
+    random_pd_formula,
+    random_team,
+)
 
 p = PropSymbol("p")
 q = PropSymbol("q")
@@ -128,6 +136,13 @@ def test_split_guard_trips_on_wide_teams():
     assert pt_eval(team, f, max_split_rows=None) in (True, False)
 
 
+def test_split_guard_is_lazy():
+    # a flat disjunction never reaches the splitter, however wide the team
+    syms = tuple(PropSymbol(f"x{i}") for i in range(5))
+    team = max_team(syms)
+    assert pt_eval(team, Or(Atom(syms[0]), NegAtom(syms[0])))
+
+
 def test_pd_valid_frozen_examples():
     assert pd_valid(parse_prop("dep(p; q) | dep(p; q)"))
     assert not pd_valid(parse_prop("dep(p; q)"))
@@ -162,19 +177,35 @@ def test_against_brute_oracle_seeded():
 
 
 def test_two_sat_path_matches_enumeration():
-    # two dependence disjuncts over a full 8-row team take the 2-SAT
-    # route; forcing the enumeration must give the same verdicts
+    # two dependence disjuncts over a team of 6 or more rows take the
+    # 2-SAT route; the set oracle enumerates every split instead. The
+    # same split runs as two modal dependence atoms on an edgeless
+    # structure whose worlds are the rows.
     rng = random.Random(17)
     dom = (p, q, r)
     oracle = PropTeamSetOracle(dom)
+    worlds = [f"r{i}" for i in range(oracle.n_rows)]
+    m = KripkeStructure(
+        worlds,
+        [],
+        {s: {w for w, row in zip(worlds, oracle.rows) if row[j]} for j, s in enumerate(dom)},
+    )
     for _ in range(120):
         args1 = tuple(rng.sample(dom, rng.randint(0, 2)))
         args2 = tuple(rng.sample(dom, rng.randint(0, 2)))
-        f = Or(Dep(args1, rng.choice(dom)), Dep(args2, rng.choice(dom)))
+        t1, t2 = rng.choice(dom), rng.choice(dom)
+        f = Or(Dep(args1, t1), Dep(args2, t2))
+        modal = Or(
+            MDep(tuple(Atom(a) for a in args1), Atom(t1)),
+            MDep(tuple(Atom(a) for a in args2), Atom(t2)),
+        )
         bits = oracle.sets(f)
         mask = rng.randrange(1 << oracle.n_rows)
         team = oracle.team_of(mask)
-        assert pt_eval(team, f, max_split_rows=None) == bool(bits >> mask & 1)
+        expected = bool(bits >> mask & 1)
+        assert pt_eval(team, f, max_split_rows=None) == expected
+        members = {w for i, w in enumerate(worlds) if mask >> i & 1}
+        assert mt_eval(m, members, modal, max_split_rows=None) == expected
 
 
 teams_2 = st.lists(

@@ -23,11 +23,9 @@ from teamlogic import (
     emdl_valid,
     ml_point_eval,
     ml_valid,
-    ml_valid_small_models,
     mliv_valid,
     mt_eval,
     nb_subf,
-    pad_formula,
     parse_modal,
     render,
     size,
@@ -36,6 +34,7 @@ from teamlogic import (
 from oracles import (
     _bml_point,
     brute_mt,
+    ml_valid_small_models,
     random_emdl_formula,
     random_ml_formula,
     random_mliv_formula,
@@ -70,13 +69,6 @@ def test_selection_function():
     assert set(picks) == {"0", "1"}
     assert picks["0"] == Atom(p)
     assert picks["1"] == Atom(q)
-
-
-def test_pad_formula_preserves_meaning():
-    g = Atom(q)
-    padded = pad_formula(g, 3, p)
-    assert size(padded) > size(g)
-    assert ml_valid(Or(padded, NegAtom(q))) == ml_valid(Or(g, NegAtom(q)))
 
 
 def test_translation_frozen_example():
