@@ -60,26 +60,22 @@ def _limit(value: int | None, default):
     return None if value < 0 else value
 
 
-def _read_text(args, what: str) -> str:
-    inline = getattr(args, what, None)
-    path = args.file
-    if inline is not None and path is not None:
-        raise ValueError(f"give the {what} inline or via --file, not both")
-    if inline is not None:
-        return inline
-    if path is None:
-        raise ValueError(f"no {what} given; pass it inline or via --file")
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _read_path(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def _read_text(args, what: str) -> str:
+    inline = getattr(args, what, None)
+    if inline is not None and args.file is not None:
+        raise ValueError(f"give the {what} inline or via --file, not both")
+    if inline is not None:
+        return inline
+    if args.file is None:
+        raise ValueError(f"no {what} given; pass it inline or via --file")
+    return _read_path(args.file)
 
 
 def _load_json(path: str) -> dict:

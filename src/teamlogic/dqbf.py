@@ -229,24 +229,20 @@ def _surely_false(
 ) -> int:
     """Rows where the matrix is false whatever the unfixed entries become.
 
-    Kleene evaluation over pairs of masks (surely true, surely false):
-    ones[v] and zeros[v] are the rows where variable v is fixed to 1
-    and to 0. Fixing more entries only grows both masks of every node.
+    Kleene evaluation on masks: ones[v] and zeros[v] are the rows where
+    variable v is fixed to 1 and to 0. In negation normal form a node's
+    surely-false mask follows from its children's alone, so the surely-true
+    half is never needed. Fixing more entries only grows every node's mask.
     """
-    t: list[int] = []
     f: list[int] = []
     for op, x, y in program:
         if op == _POS:
-            t.append(ones[x])
             f.append(zeros[x])
         elif op == _NEG:
-            t.append(zeros[x])
             f.append(ones[x])
         elif op == _AND:
-            t.append(t[x] & t[y])
             f.append(f[x] | f[y])
         else:
-            t.append(t[x] | t[y])
             f.append(f[x] & f[y])
     return f[-1]
 

@@ -135,10 +135,6 @@ class MDep:
 
 Formula = Union[Atom, NegAtom, Not, And, Or, IDis, Diamond, Box, Dep, MDep]
 
-# Nodes allowed in a propositional (team) formula.
-PROP_NODES = (Atom, NegAtom, And, Or, Dep)
-
-
 class Fragment(Enum):
     """Syntactic fragments, ordered by inclusion where comparable."""
 

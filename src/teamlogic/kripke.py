@@ -84,12 +84,6 @@ class KripkeStructure:
     def image(self, team: Iterable[str]) -> frozenset[str]:
         return frozenset(v for w in team for v in self._succ[w])
 
-    def is_successor_team(self, team: Iterable[str], team2: Iterable[str]) -> bool:
-        team, team2 = frozenset(team), frozenset(team2)
-        if not team2 <= self.image(team):
-            return False
-        return all(any(v in team2 for v in self._succ[w]) for w in team)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, KripkeStructure)

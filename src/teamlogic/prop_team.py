@@ -85,17 +85,6 @@ class PropTeam:
                 raise ValueError("row values must be 0 or 1")
         self.rows: frozenset[tuple[int, ...]] = rows
 
-    @classmethod
-    def from_assignments(cls, assignments: Iterable[Assignment]) -> "PropTeam":
-        assignments = list(assignments)
-        if not assignments:
-            raise ValueError("cannot infer a domain from no assignments")
-        domain = assignments[0].domain
-        for a in assignments:
-            if a.domain != domain:
-                raise ValueError("assignments disagree on the domain")
-        return cls(domain, (a.bits for a in assignments))
-
     def assignments(self) -> tuple[Assignment, ...]:
         return tuple(Assignment(self.domain, r) for r in sorted(self.rows))
 
@@ -250,7 +239,23 @@ def pd_sat(
             f"domain of {len(domain)} symbols exceeds the guard of {max_domain}"
         )
     for bits in itertools.product((0, 1), repeat=len(domain)):
-        team = PropTeam(domain, (bits,))
-        if pt_eval(team, f, max_split_rows=None):
-            return team
+        if _singleton_holds(dict(zip(domain, bits)), f):
+            return PropTeam(domain, (bits,))
     return None
+
+
+def _singleton_holds(env: dict, f: Formula) -> bool:
+    """Team truth of `f` on the team whose only member is `env`.
+
+    A dependence atom holds on every team of at most one member, and a
+    singleton splits only into itself and the empty team, which
+    satisfies everything; so this is classical truth with every
+    dependence atom read as true.
+    """
+    if isinstance(f, Dep):
+        return True
+    if isinstance(f, And):
+        return _singleton_holds(env, f.left) and _singleton_holds(env, f.right)
+    if isinstance(f, Or):
+        return _singleton_holds(env, f.left) or _singleton_holds(env, f.right)
+    return _pl_eval(env, f)

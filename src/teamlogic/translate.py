@@ -35,7 +35,6 @@ from .formula import (
     NegAtom,
     Or,
     dual,
-    is_pure_ml,
     nb_subf,
     render,
     symbols as formula_symbols,
@@ -143,48 +142,47 @@ def emdl_to_mliv(f: Formula, *, max_dep_arity: int | None = DEFAULT_MAX_DEP_ARIT
     team-level disjunction and no dependence atoms, and it is
     team-equivalent to the input.
     """
-    if isinstance(f, (Atom, NegAtom)):
-        return f
-    if isinstance(f, And):
-        return And(
-            emdl_to_mliv(f.left, max_dep_arity=max_dep_arity),
-            emdl_to_mliv(f.right, max_dep_arity=max_dep_arity),
-        )
-    if isinstance(f, Or):
-        return Or(
-            emdl_to_mliv(f.left, max_dep_arity=max_dep_arity),
-            emdl_to_mliv(f.right, max_dep_arity=max_dep_arity),
-        )
-    if isinstance(f, Diamond):
-        return Diamond(emdl_to_mliv(f.child, max_dep_arity=max_dep_arity))
-    if isinstance(f, Box):
-        return Box(emdl_to_mliv(f.child, max_dep_arity=max_dep_arity))
-    if isinstance(f, MDep):
-        n = len(f.args)
-        if max_dep_arity is not None and n > max_dep_arity:
-            raise GuardLimitError(
-                f"dependence atom of arity {n} exceeds the guard of "
-                f"{max_dep_arity}; its unfolding has 2^{n} disjuncts"
+
+    def unfold(f: Formula) -> Formula:
+        if isinstance(f, (Atom, NegAtom)):
+            return f
+        if isinstance(f, And):
+            return And(unfold(f.left), unfold(f.right))
+        if isinstance(f, Or):
+            return Or(unfold(f.left), unfold(f.right))
+        if isinstance(f, Diamond):
+            return Diamond(unfold(f.child))
+        if isinstance(f, Box):
+            return Box(unfold(f.child))
+        if isinstance(f, MDep):
+            n = len(f.args)
+            if max_dep_arity is not None and n > max_dep_arity:
+                raise GuardLimitError(
+                    f"dependence atom of arity {n} exceeds the guard of "
+                    f"{max_dep_arity}; its unfolding has 2^{n} disjuncts"
+                )
+            constant_target = IDis(f.target, dual(f.target))
+            negated = [dual(arg) for arg in f.args]
+            disjuncts = []
+            for pattern in itertools.product((True, False), repeat=n):
+                conj: Formula | None = None
+                for arg, neg, positive in zip(f.args, negated, pattern):
+                    lit = arg if positive else neg
+                    conj = lit if conj is None else And(conj, lit)
+                branch = constant_target if conj is None else And(conj, constant_target)
+                disjuncts.append(branch)
+            out = disjuncts[0]
+            for d in disjuncts[1:]:
+                out = Or(out, d)
+            return out
+        if isinstance(f, Dep):
+            raise ValueError(
+                "propositional dependence atoms do not apply to worlds; "
+                "use a modal dependence atom"
             )
-        constant_target = IDis(f.target, dual(f.target))
-        disjuncts = []
-        for pattern in itertools.product((True, False), repeat=n):
-            conj: Formula | None = None
-            for arg, positive in zip(f.args, pattern):
-                lit = arg if positive else dual(arg)
-                conj = lit if conj is None else And(conj, lit)
-            branch = constant_target if conj is None else And(conj, constant_target)
-            disjuncts.append(branch)
-        out = disjuncts[0]
-        for d in disjuncts[1:]:
-            out = Or(out, d)
-        return out
-    if isinstance(f, Dep):
-        raise ValueError(
-            "propositional dependence atoms do not apply to worlds; "
-            "use a modal dependence atom"
-        )
-    raise ValueError(f"not a modal dependence formula: {type(f).__name__}")
+        raise ValueError(f"not a modal dependence formula: {type(f).__name__}")
+
+    return unfold(f)
 
 
 class _TableauNode:
@@ -207,10 +205,7 @@ def _tableau(fs: frozenset, memo: dict) -> _TableauNode | None:
     """
     if fs in memo:
         return memo[fs]
-    pick = None
-    for g in sorted((x for x in fs if isinstance(x, (And, Or))), key=render):
-        pick = g
-        break
+    pick = min((x for x in fs if isinstance(x, (And, Or))), key=render, default=None)
     if isinstance(pick, And):
         result = _tableau(fs - {pick} | {pick.left, pick.right}, memo)
     elif isinstance(pick, Or):
@@ -305,18 +300,16 @@ def ml_valid(f: Formula) -> Valid | Invalid:
     Searches a tableau for the pointwise negation; a closed tableau
     means valid, and an open branch is folded into a countermodel whose
     size is at most two to the number of literal and modal subformulas.
-    The countermodel is replayed before being returned.
+    The countermodel is replayed before being returned. Anything but a
+    plain modal formula makes `dual` raise ValueError.
     """
-    if not is_pure_ml(f):
-        raise ValueError("ml_valid handles plain modal formulas only")
     negated = dual(f)
     tree = _tableau(frozenset([negated]), {})
     if tree is None:
         return Valid(witness=None, checked=1)
     syms = formula_symbols(f)
     raw_model, raw_root = _model_from_tableau(tree, syms)
-    sig = sorted(nb_subf(negated), key=render)
-    model, root = _filtrate(raw_model, raw_root, sig)
+    model, root = _filtrate(raw_model, raw_root, list(nb_subf(negated)))
     if ml_point_eval(model, root, f):
         raise RuntimeError("countermodel failed replay; this is a bug")
     return Invalid(model=model, team=frozenset([root]), checked=1)
@@ -340,39 +333,29 @@ def mliv_valid(
             f"{m} team-level disjunctions give 2^{m} selections, over the "
             f"configured limit"
         )
-    allowed = (Atom, NegAtom, And, Or, IDis, Diamond, Box)
-    for node in walk(f):
-        if not isinstance(node, allowed):
-            raise ValueError(
-                f"mliv_valid handles modal formulas with team-level "
-                f"disjunction only, not {type(node).__name__}"
-            )
-    seen: set[Formula] = set()
-    refuted: list[tuple[KripkeStructure, str]] = []
+    # The first selection walks every node, the dropped side of each
+    # `ior` included, so anything foreign is rejected before any check.
+    refuted: dict[Formula, tuple[KripkeStructure, str]] = {}
     for sel, candidate in eliminate_idis(f):
-        if candidate in seen:
+        if candidate in refuted:
             continue
-        seen.add(candidate)
         verdict = ml_valid(candidate)
         if verdict:
-            return Valid(witness=sel, checked=len(seen))
-        refuted.append((verdict.model, next(iter(verdict.team))))
-    model, points = refuted[0][0], [refuted[0][1]]
-    for other_model, other_root in refuted[1:]:
+            return Valid(witness=sel, checked=len(refuted) + 1)
+        refuted[candidate] = (verdict.model, next(iter(verdict.team)))
+    (model, root), *rest = refuted.values()
+    points = [root]
+    for other_model, other_root in rest:
         model = disjoint_union(model, other_model)
         points = [f"L:{p}" for p in points] + [f"R:{other_root}"]
     team = frozenset(points)
     # The formula holds on a team exactly when some selection does, and
     # each selection is flat, so this replay stays linear per selection
     # where evaluating the disjunctions directly would enumerate splits.
-    replayed: set[Formula] = set()
-    for _, candidate in eliminate_idis(f):
-        if candidate in replayed:
-            continue
-        replayed.add(candidate)
+    for candidate in refuted:
         if mt_eval(model, team, candidate, max_choices=None, max_split_rows=None):
             raise RuntimeError("countermodel failed replay; this is a bug")
-    return Invalid(model=model, team=team, checked=len(seen))
+    return Invalid(model=model, team=team, checked=len(refuted))
 
 
 def emdl_valid(

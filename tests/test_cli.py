@@ -130,6 +130,19 @@ def test_valid_json_shape(capsys):
     assert out.index('"stats"') < out.index('"verdict"')
 
 
+GOLDENS = json.loads((Path(__file__).parent / "valid_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDENS, ids=[c["name"] for c in GOLDENS])
+def test_valid_countermodels_match_goldens(capsys, case):
+    # outputs pinned from an earlier build, so that changes to the
+    # pipeline keep the same countermodels, not just some countermodel
+    code, out, _ = run_cli(capsys, *case["argv"])
+    payload = json.loads(out)
+    payload["stats"].pop("elapsed_ms")
+    assert (code, payload) == (case["exit"], case["payload"])
+
+
 def test_json_determinism_modulo_timing(capsys):
     outs = []
     for _ in range(2):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -23,6 +24,7 @@ from teamlogic import (
     pd_valid,
     pl_pointwise,
     pt_eval,
+    symbols,
     team_from_dict,
     team_to_dict,
 )
@@ -162,6 +164,29 @@ def test_pd_sat():
     assert team is not None and len(team.rows) == 1
 
 
+def test_pd_sat_returns_the_first_satisfying_row():
+    rng = random.Random(23)
+    found = 0
+    for _ in range(300):
+        f = random_pd_formula(rng, ["p", "q", "r", "s"], rng.randint(1, 9))
+        domain = tuple(sorted(symbols(f)))
+        expected = None
+        for bits in itertools.product((0, 1), repeat=len(domain)):
+            team = PropTeam(domain, (bits,))
+            if brute_pt(team, f):
+                expected = team
+                break
+        assert pd_sat(f, require_nonempty=True) == expected
+        found += expected is not None
+    assert 0 < found < 300
+    xs = [Atom(PropSymbol(f"x{i:02d}")) for i in range(12)]
+    conj = xs[0]
+    for x in xs[1:]:
+        conj = And(conj, x)
+    team = pd_sat(conj, require_nonempty=True)
+    assert team.rows == frozenset({(1,) * 12})
+
+
 def test_bruteforce_guard():
     f = parse_prop("p | q")
     with pytest.raises(GuardLimitError):
@@ -180,8 +205,11 @@ def test_two_sat_path_matches_enumeration():
     # two dependence disjuncts over a team of 6 or more rows take the
     # 2-SAT route; the set oracle enumerates every split instead. The
     # same split runs as two modal dependence atoms on an edgeless
-    # structure whose worlds are the rows.
+    # structure whose worlds are the rows. Besides a random subteam,
+    # each case runs on the full team, the one pd_valid checks, and on
+    # the full team less one row, both of which always take the route.
     rng = random.Random(17)
+    drop_rng = random.Random(18)
     dom = (p, q, r)
     oracle = PropTeamSetOracle(dom)
     worlds = [f"r{i}" for i in range(oracle.n_rows)]
@@ -200,12 +228,14 @@ def test_two_sat_path_matches_enumeration():
             MDep(tuple(Atom(a) for a in args2), Atom(t2)),
         )
         bits = oracle.sets(f)
-        mask = rng.randrange(1 << oracle.n_rows)
-        team = oracle.team_of(mask)
-        expected = bool(bits >> mask & 1)
-        assert pt_eval(team, f, max_split_rows=None) == expected
-        members = {w for i, w in enumerate(worlds) if mask >> i & 1}
-        assert mt_eval(m, members, modal, max_split_rows=None) == expected
+        full = (1 << oracle.n_rows) - 1
+        near_full = full & ~(1 << drop_rng.randrange(oracle.n_rows))
+        for mask in (rng.randrange(1 << oracle.n_rows), full, near_full):
+            team = oracle.team_of(mask)
+            expected = bool(bits >> mask & 1)
+            assert pt_eval(team, f, max_split_rows=None) == expected
+            members = {w for i, w in enumerate(worlds) if mask >> i & 1}
+            assert mt_eval(m, members, modal, max_split_rows=None) == expected
 
 
 teams_2 = st.lists(

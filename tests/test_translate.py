@@ -13,6 +13,7 @@ from teamlogic import (
     Invalid,
     MDep,
     NegAtom,
+    Not,
     Or,
     PropSymbol,
     Valid,
@@ -120,6 +121,24 @@ def test_ml_valid_rejects_non_ml():
         ml_valid(parse_modal("p ior q"))
 
 
+@pytest.mark.parametrize(
+    "node",
+    [Dep((p,), q), MDep((Atom(p),), Atom(q)), Not(Atom(p))],
+    ids=["Dep", "MDep", "Not"],
+)
+def test_ml_and_mliv_valid_reject_foreign_nodes(node):
+    for f in (node, And(Atom(p), Diamond(node))):
+        with pytest.raises(ValueError):
+            ml_valid(f)
+        with pytest.raises(ValueError):
+            mliv_valid(f)
+    # on the right, the node sits behind the tautology q | !q, the first
+    # selection: only a check that also walks the dropped side sees it
+    for f in (IDis(node, Atom(q)), IDis(Or(Atom(q), NegAtom(q)), node)):
+        with pytest.raises(ValueError):
+            mliv_valid(f)
+
+
 def test_ml_valid_on_random_formulas_replays():
     rng = random.Random(7)
     for _ in range(150):
@@ -195,6 +214,16 @@ def test_emdl_valid_rejects_idis_and_prop_dep():
         emdl_valid(IDis(Atom(p), Atom(q)))
     with pytest.raises(ValueError):
         emdl_valid(Dep((p,), q))
+
+
+def test_emdl_valid_rejects_ior_before_the_arity_guard():
+    wide = MDep(tuple(Atom(PropSymbol(f"x{i}")) for i in range(11)), Atom(p))
+    with pytest.raises(GuardLimitError):
+        emdl_valid(wide)
+    # the ior comes after the over-arity atom, yet the whole formula is
+    # checked before anything unfolds: a usage error, not a guard refusal
+    with pytest.raises(ValueError):
+        emdl_valid(And(wide, IDis(Atom(p), Atom(q))))
 
 
 def test_emdl_valid_random_replay():
