@@ -39,6 +39,7 @@ from .formula import (
 )
 from .parser import parse_prop
 from .prop_team import pl_pointwise
+from .team_eval import _full_team_columns
 
 DEFAULT_MAX_TABLE_BITS = 24
 DEFAULT_MAX_QBF_VARS = 24
@@ -174,24 +175,6 @@ class SkolemWitness:
         return "\n".join(lines)
 
 
-def _universal_columns(universals: tuple[PropSymbol, ...]) -> dict[PropSymbol, int]:
-    """Bit column per universal over all 2^n assignments.
-
-    Assignment index a encodes the tuple of values with the first
-    universal most significant; bit a of column u is u's value there.
-    """
-    n = len(universals)
-    total = 1 << n
-    cols = {}
-    for j, u in enumerate(universals):
-        rep = 1 << (n - 1 - j)
-        period = rep << 1
-        unit = ((1 << rep) - 1) << rep
-        multiplier = ((1 << total) - 1) // ((1 << period) - 1)
-        cols[u] = unit * multiplier
-    return cols
-
-
 _POS, _NEG, _AND, _OR = range(4)
 
 
@@ -273,7 +256,7 @@ def dqbf_eval(
             f"{max_table_bits}; raise max_table_bits to override"
         )
     full = (1 << (1 << n)) - 1
-    cols = _universal_columns(inst.universals)
+    cols = _full_team_columns(inst.universals)
     # One slot per variable: universals are fixed everywhere, each
     # existential starts fixed nowhere.
     ones = [cols[u] for u in inst.universals] + [0] * len(inst.existentials)

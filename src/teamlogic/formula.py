@@ -1,10 +1,13 @@
 """Formula ASTs for team-semantics logics.
 
 All nodes are immutable and hashable, so formulas can live in sets and
-serve as dictionary keys. Public formulas are kept in negation normal
-form: negation occurs on proposition symbols only. General negation is
-written with the transient `Not` wrapper, which `to_nnf` eliminates;
-every other operation rejects `Not`.
+serve as dictionary keys. Each node computes its structural hash once,
+on first use, and keeps it; the kept hash is not part of equality and
+is not pickled or copied, because string hashes differ between
+processes. Public formulas are kept in negation normal form: negation
+occurs on proposition symbols only. General negation is written with
+the transient `Not` wrapper, which `to_nnf` eliminates; every other
+operation rejects `Not`.
 
 Two kinds of dependence atom exist. `Dep` ranges over proposition
 symbols and belongs to the propositional pipeline; `MDep` ranges over
@@ -46,30 +49,58 @@ def _as_symbol(s) -> PropSymbol:
     return s if isinstance(s, PropSymbol) else PropSymbol(s)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass that computes its structural hash only once.
+
+    The hash lives in the instance dict beside the fields, shadowing the
+    class default None, so equality, `repr` and the constructor never
+    see it, and `__getstate__` leaves it out of the pickled and copied
+    state.
+    """
+    cls = dataclass(frozen=True)(cls)
+    structural_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = structural_hash(self)
+        return h
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_node
 class Atom:
     sym: PropSymbol
 
 
-@dataclass(frozen=True)
+@_node
 class NegAtom:
     sym: PropSymbol
 
 
-@dataclass(frozen=True)
+@_node
 class Not:
     """General negation; only `to_nnf` understands it."""
 
     child: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     """Splitting disjunction: the team divides between the disjuncts."""
 
@@ -77,7 +108,7 @@ class Or:
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class IDis:
     """Team-level disjunction (`ior`): the whole team satisfies a side."""
 
@@ -85,17 +116,17 @@ class IDis:
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Diamond:
     child: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Box:
     child: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Dep:
     """Propositional dependence atom dep(args; target) over symbols."""
 
@@ -111,7 +142,7 @@ class Dep:
             raise TypeError("Dep target must be a proposition symbol")
 
 
-@dataclass(frozen=True)
+@_node
 class MDep:
     """Modal dependence atom dep(args; target) over plain modal formulas.
 

@@ -27,7 +27,7 @@ from .formula import (
     symbols as formula_symbols,
     walk,
 )
-from .team_eval import DEFAULT_MAX_SPLIT_ROWS, _TeamEvaluator
+from .team_eval import DEFAULT_MAX_SPLIT_ROWS, _full_team_columns, _TeamEvaluator
 
 DEFAULT_MAX_DOMAIN = 20
 
@@ -195,13 +195,17 @@ def pt_eval(team: PropTeam, f: Formula, *, max_split_rows: int | None = DEFAULT_
     return ev.eval(f, ev.full)
 
 
-def max_team(domain: Iterable, *, max_domain: int | None = DEFAULT_MAX_DOMAIN) -> PropTeam:
-    """The team of all 2^|domain| assignments over `domain`."""
-    domain = tuple(sorted({_as_symbol(s) for s in domain}))
+def _check_domain(domain: tuple, max_domain: int | None) -> None:
     if max_domain is not None and len(domain) > max_domain:
         raise GuardLimitError(
             f"domain of {len(domain)} symbols exceeds the guard of {max_domain}"
         )
+
+
+def max_team(domain: Iterable, *, max_domain: int | None = DEFAULT_MAX_DOMAIN) -> PropTeam:
+    """The team of all 2^|domain| assignments over `domain`."""
+    domain = tuple(sorted({_as_symbol(s) for s in domain}))
+    _check_domain(domain, max_domain)
     return PropTeam(domain, itertools.product((0, 1), repeat=len(domain)))
 
 
@@ -210,11 +214,14 @@ def pd_valid(f: Formula, *, max_domain: int | None = DEFAULT_MAX_DOMAIN) -> bool
 
     A formula is valid exactly when the team of all assignments over its
     own symbols satisfies it, so one model check on that team decides
-    validity.
+    validity. The team's symbol columns are built in closed form, with
+    no rows.
     """
     _check_prop(f)
-    team = max_team(formula_symbols(f), max_domain=max_domain)
-    return pt_eval(team, f, max_split_rows=None)
+    domain = tuple(sorted(formula_symbols(f)))
+    _check_domain(domain, max_domain)
+    ev = _TeamEvaluator(1 << len(domain), _full_team_columns(domain), None, f, max_split_rows=None)
+    return ev.eval(f, ev.full)
 
 
 def pd_sat(
@@ -234,10 +241,7 @@ def pd_sat(
     domain = tuple(sorted(formula_symbols(f)))
     if not require_nonempty:
         return PropTeam(domain, ())
-    if max_domain is not None and len(domain) > max_domain:
-        raise GuardLimitError(
-            f"domain of {len(domain)} symbols exceeds the guard of {max_domain}"
-        )
+    _check_domain(domain, max_domain)
     for bits in itertools.product((0, 1), repeat=len(domain)):
         if _singleton_holds(dict(zip(domain, bits)), f):
             return PropTeam(domain, (bits,))

@@ -4,8 +4,10 @@ A team is a bitmask over a fixed universe of members: the rows of a
 propositional team or the worlds of a Kripke structure. The evaluator
 sees a member count, one mask per symbol (the members where it is 1, or
 where it holds), and for modal teams each member's successor list. One
-instance serves every subset of its universe and memoizes results per
-(subformula, member bitmask), which is what makes whole-powerset sweeps
+instance compiles its root formula into a table of nodes with dense
+integer ids, one id per class of structurally equal subformulas, and
+then serves every subset of its universe, memoizing results per (node
+id, member bitmask), which is what makes whole-powerset sweeps
 affordable.
 
 A dependence-free, `ior`-free subformula is flat: its team truth is a
@@ -42,6 +44,25 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _full_team_columns(symbols) -> dict:
+    """Bit column per symbol over the team of all 2^n assignments.
+
+    Member a encodes the tuple of values with the first symbol most
+    significant, so the members are the assignments in sorted order;
+    bit a of a symbol's column is its value there.
+    """
+    n = len(symbols)
+    total = 1 << n
+    cols = {}
+    for j, s in enumerate(symbols):
+        rep = 1 << (n - 1 - j)
+        period = rep << 1
+        unit = ((1 << rep) - 1) << rep
+        multiplier = ((1 << total) - 1) // ((1 << period) - 1)
+        cols[s] = unit * multiplier
+    return cols
+
+
 def _conflict_pairs(components: list[int], target: int, full: int) -> list[tuple[int, int]]:
     """(zeros, ones) per class of members agreeing on every component.
 
@@ -59,12 +80,35 @@ def _conflict_pairs(components: list[int], target: int, full: int) -> list[tuple
     return pairs
 
 
+def _parts(f: Formula) -> tuple[Formula, ...]:
+    """The direct subformulas of `f`, left to right."""
+    if isinstance(f, (And, Or, IDis)):
+        return (f.left, f.right)
+    if isinstance(f, (Diamond, Box)):
+        return (f.child,)
+    if isinstance(f, MDep):
+        return (*f.args, f.target)
+    return ()
+
+
+# Node kinds of the compiled table.
+_ATOM, _NEG, _AND, _OR, _IDIS, _DIAMOND, _BOX, _DEP = range(8)
+
+
 class _TeamEvaluator:
     """Team-semantics evaluation over subsets of `n` members.
 
     `sym_mask` maps each symbol to the members where it is 1; `succ`
     lists each member's successors by index, or is None for
     propositional teams, which have no modalities.
+
+    The root formula is compiled once into a table of nodes with dense
+    integer ids, one id per class of structurally equal subformulas.
+    Per id the table keeps the node's kind, its child ids, its
+    pointwise mask when flat (else None), a dependence atom's conflict
+    pairs, and a non-flat disjunction's chain: the union of its flat
+    disjuncts' masks and the ids of the other disjuncts, left to right.
+    Results are memoized per id in a dict keyed by member mask.
     """
 
     def __init__(
@@ -87,118 +131,132 @@ class _TeamEvaluator:
             self.succ_mask.append(sm)
         self.max_choices = max_choices
         self.max_split_rows = max_split_rows
-        self.flat_mask: dict[Formula, int] = {}
-        self.dep_groups: dict[Formula, list[tuple[int, int]]] = {}
-        self.or_chain: dict[Formula, tuple[int, tuple[Formula, ...]]] = {}
-        self.memo: dict = {}
-        self.memo_rest: dict = {}
-        self._prepare(root)
+        self.ids: dict[Formula, int] = {}
+        self.kind: list[int] = []
+        self.kids: list[tuple[int, ...]] = []
+        self.flat: list[int | None] = []
+        self.pairs: list[list[tuple[int, int]] | None] = []
+        self.chain: list[tuple[int, tuple[int, ...]] | None] = []
+        self.memo: list[dict[int, bool] | None] = []
+        self.memo_rest: dict[tuple[int, int, int], bool] = {}
+        self._compile(root)
 
-    def _prepare(self, f: Formula) -> int | None:
-        """Return the pointwise satisfying-member mask when `f` is flat."""
-        if f in self.flat_mask:
-            return self.flat_mask[f]
-        if f in self.dep_groups or f in self.or_chain:
-            return None
+    def _compile(self, root: Formula) -> None:
+        """Give every subformula of `root` an id, children first."""
+        stack = [(root, False)]
+        while stack:
+            f, ready = stack.pop()
+            if not ready:
+                stack.append((f, True))
+                stack.extend((c, False) for c in reversed(_parts(f)))
+            elif f not in self.ids:
+                self._add(f)
+
+    def _add(self, f: Formula) -> None:
+        ids, flat = self.ids, self.flat
+        kids = tuple(ids[c] for c in _parts(f))
+        pairs = chain = None
         if isinstance(f, Atom):
-            m = self.sym_mask[f.sym]
+            kind, m = _ATOM, self.sym_mask[f.sym]
         elif isinstance(f, NegAtom):
-            m = ~self.sym_mask[f.sym] & self.full
+            kind, m = _NEG, ~self.sym_mask[f.sym] & self.full
         elif isinstance(f, (And, Or)):
-            ml = self._prepare(f.left)
-            mr = self._prepare(f.right)
+            kind = _AND if isinstance(f, And) else _OR
+            ml, mr = flat[kids[0]], flat[kids[1]]
             if ml is None or mr is None:
-                if isinstance(f, Or):
-                    self._prepare_or(f)
-                return None
-            m = (ml & mr) if isinstance(f, And) else (ml | mr)
+                m = None
+                if kind == _OR:
+                    chain = self._or_chain(kids)
+            else:
+                m = (ml & mr) if kind == _AND else (ml | mr)
         elif isinstance(f, (Diamond, Box)):
-            mc = self._prepare(f.child)
+            kind = _DIAMOND if isinstance(f, Diamond) else _BOX
+            mc = flat[kids[0]]
             if mc is None:
-                return None
-            if isinstance(f, Diamond):
+                m = None
+            elif kind == _DIAMOND:
                 m = sum(1 << i for i, sm in enumerate(self.succ_mask) if sm & mc)
             else:
                 m = sum(1 << i for i, sm in enumerate(self.succ_mask) if not sm & ~mc)
         elif isinstance(f, IDis):
-            self._prepare(f.left)
-            self._prepare(f.right)
-            return None
+            kind, m = _IDIS, None
         elif isinstance(f, Dep):
+            kind, m = _DEP, None
             components = [self.sym_mask[a] for a in f.args]
-            target = self.sym_mask[f.target]
-            self.dep_groups[f] = _conflict_pairs(components, target, self.full)
-            return None
+            pairs = _conflict_pairs(components, self.sym_mask[f.target], self.full)
         elif isinstance(f, MDep):
             # components are plain modal formulas, hence flat
-            components = [self._prepare(a) for a in f.args]
-            target = self._prepare(f.target)
-            self.dep_groups[f] = _conflict_pairs(components, target, self.full)
-            return None
+            kind, m = _DEP, None
+            pairs = _conflict_pairs([flat[k] for k in kids[:-1]], flat[kids[-1]], self.full)
         else:
             raise ValueError(f"not a team formula: {type(f).__name__}")
-        self.flat_mask[f] = m
-        return m
+        ids[f] = len(self.kind)
+        self.kind.append(kind)
+        self.kids.append(kids)
+        flat.append(m)
+        self.pairs.append(pairs)
+        self.chain.append(chain)
+        self.memo.append(None if m is not None else {})
 
-    def _prepare_or(self, f: Or) -> None:
-        disjuncts: list[Formula] = []
-        stack = [f.right, f.left]
-        while stack:
-            d = stack.pop()
-            if isinstance(d, Or):
-                stack.append(d.right)
-                stack.append(d.left)
-            else:
-                disjuncts.append(d)
-        flat_union = 0
-        nonflat = []
-        for d in disjuncts:
-            m = self._prepare(d)
-            if m is None:
-                nonflat.append(d)
-            else:
+    def _or_chain(self, kids: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """Flatten nested disjunctions: flat union, other disjuncts in order."""
+        flat_union, nonflat = 0, ()
+        for k in kids:
+            m = self.flat[k]
+            if m is not None:
                 flat_union |= m
-        self.or_chain[f] = (flat_union, tuple(nonflat))
+            elif self.kind[k] == _OR:
+                union, rest = self.chain[k]
+                flat_union |= union
+                nonflat += rest
+            else:
+                nonflat += (k,)
+        return flat_union, nonflat
 
     def eval(self, f: Formula, mask: int) -> bool:
-        m = self.flat_mask.get(f)
+        """Team truth of `f`, the root or one of its subformulas, on `mask`."""
+        return self._eval(self.ids[f], mask)
+
+    def _eval(self, i: int, mask: int) -> bool:
+        m = self.flat[i]
         if m is not None:
             return mask & ~m == 0
-        key = (f, mask)
-        hit = self.memo.get(key)
+        memo = self.memo[i]
+        hit = memo.get(mask)
         if hit is not None:
             return hit
-        if isinstance(f, (Dep, MDep)):
+        kind = self.kind[i]
+        if kind == _DEP:
             result = True
-            for zeros, ones in self.dep_groups[f]:
+            for zeros, ones in self.pairs[i]:
                 if mask & zeros and mask & ones:
                     result = False
                     break
-        elif isinstance(f, And):
-            result = self.eval(f.left, mask) and self.eval(f.right, mask)
-        elif isinstance(f, IDis):
-            result = self.eval(f.left, mask) or self.eval(f.right, mask)
-        elif isinstance(f, Or):
-            result = self._eval_or(f, mask)
-        elif isinstance(f, Diamond):
-            result = self._eval_diamond(f, mask)
-        elif isinstance(f, Box):
-            image = 0
-            for i in _bits(mask):
-                image |= self.succ_mask[i]
-            result = self.eval(f.child, image)
+        elif kind == _AND:
+            left, right = self.kids[i]
+            result = self._eval(left, mask) and self._eval(right, mask)
+        elif kind == _IDIS:
+            left, right = self.kids[i]
+            result = self._eval(left, mask) or self._eval(right, mask)
+        elif kind == _OR:
+            result = self._eval_or(i, mask)
+        elif kind == _DIAMOND:
+            result = self._eval_diamond(self.kids[i][0], mask)
         else:
-            raise ValueError(f"not a team formula: {type(f).__name__}")
-        self.memo[key] = result
+            image = 0
+            for w in _bits(mask):
+                image |= self.succ_mask[w]
+            result = self._eval(self.kids[i][0], image)
+        memo[mask] = result
         return result
 
-    def _eval_or(self, f: Or, mask: int) -> bool:
-        flat_union, nonflat = self.or_chain[f]
+    def _eval_or(self, i: int, mask: int) -> bool:
+        flat_union, nonflat = self.chain[i]
         rest = mask & ~flat_union
         if not nonflat:
             return rest == 0
         if len(nonflat) == 1:
-            return self.eval(nonflat[0], rest)
+            return self._eval(nonflat[0], rest)
         count = rest.bit_count()
         if self.max_split_rows is not None and count > self.max_split_rows:
             noun = "rows" if self.succ is None else "worlds"
@@ -208,24 +266,24 @@ class _TeamEvaluator:
             )
         if (
             len(nonflat) == 2
-            and isinstance(nonflat[0], (Dep, MDep))
-            and isinstance(nonflat[1], (Dep, MDep))
+            and self.kind[nonflat[0]] == _DEP
+            and self.kind[nonflat[1]] == _DEP
             and count >= _TWO_SAT_MIN_ROWS
         ):
             return self._dep_split_2sat(nonflat[0], nonflat[1], rest)
-        return self._or_rest(f, nonflat, 0, rest)
+        return self._or_rest(i, nonflat, 0, rest)
 
-    def _or_rest(self, node: Or, nonflat: tuple[Formula, ...], i: int, mask: int) -> bool:
-        if i == len(nonflat) - 1:
-            return self.eval(nonflat[i], mask)
-        key = (node, i, mask)
+    def _or_rest(self, node: int, nonflat: tuple[int, ...], k: int, mask: int) -> bool:
+        if k == len(nonflat) - 1:
+            return self._eval(nonflat[k], mask)
+        key = (node, k, mask)
         hit = self.memo_rest.get(key)
         if hit is not None:
             return hit
         result = False
         sub = mask
         while True:
-            if self.eval(nonflat[i], sub) and self._or_rest(node, nonflat, i + 1, mask & ~sub):
+            if self._eval(nonflat[k], sub) and self._or_rest(node, nonflat, k + 1, mask & ~sub):
                 result = True
                 break
             if sub == 0:
@@ -234,7 +292,7 @@ class _TeamEvaluator:
         self.memo_rest[key] = result
         return result
 
-    def _dep_split_2sat(self, d1: Formula, d2: Formula, mask: int) -> bool:
+    def _dep_split_2sat(self, d1: int, d2: int, mask: int) -> bool:
         """Can `mask` split into one part per dependence atom?
 
         Variable x_r says member r goes to the part for `d1`; the
@@ -250,11 +308,11 @@ class _TeamEvaluator:
             adj[a ^ 1] |= 1 << b
             adj[b ^ 1] |= 1 << a
 
-        for zeros, ones in self.dep_groups[d1]:
+        for zeros, ones in self.pairs[d1]:
             for u in _bits(zeros & mask):
                 for v in _bits(ones & mask):
                     add_clause(2 * pos[u] + 1, 2 * pos[v] + 1)
-        for zeros, ones in self.dep_groups[d2]:
+        for zeros, ones in self.pairs[d2]:
             for u in _bits(zeros & mask):
                 for v in _bits(ones & mask):
                     add_clause(2 * pos[u], 2 * pos[v])
@@ -271,7 +329,7 @@ class _TeamEvaluator:
                 return False
         return True
 
-    def _eval_diamond(self, f: Diamond, mask: int) -> bool:
+    def _eval_diamond(self, child: int, mask: int) -> bool:
         """Search successor teams as images of successor-choice functions.
 
         Downward closure makes choice images a complete witness set: any
@@ -301,6 +359,6 @@ class _TeamEvaluator:
             if child_mask in seen:
                 continue
             seen.add(child_mask)
-            if self.eval(f.child, child_mask):
+            if self._eval(child, child_mask):
                 return True
         return False

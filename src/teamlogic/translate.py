@@ -195,7 +195,16 @@ class _TableauNode:
         self.children = children
 
 
-def _tableau(fs: frozenset, memo: dict) -> _TableauNode | None:
+class _RenderKeys(dict):
+    """Each formula's rendering, computed on first use: the sort key of
+    the tableau's pick and diamond order."""
+
+    def __missing__(self, f: Formula) -> str:
+        key = self[f] = render(f)
+        return key
+
+
+def _tableau(fs: frozenset, memo: dict, keys: _RenderKeys) -> _TableauNode | None:
     """Satisfiability of a set of plain modal formulas, as a model or None.
 
     Conjunctions expand, disjunctions branch left first, and a fully
@@ -205,13 +214,13 @@ def _tableau(fs: frozenset, memo: dict) -> _TableauNode | None:
     """
     if fs in memo:
         return memo[fs]
-    pick = min((x for x in fs if isinstance(x, (And, Or))), key=render, default=None)
+    pick = min((x for x in fs if isinstance(x, (And, Or))), key=keys.__getitem__, default=None)
     if isinstance(pick, And):
-        result = _tableau(fs - {pick} | {pick.left, pick.right}, memo)
+        result = _tableau(fs - {pick} | {pick.left, pick.right}, memo, keys)
     elif isinstance(pick, Or):
-        result = _tableau(fs - {pick} | {pick.left}, memo)
+        result = _tableau(fs - {pick} | {pick.left}, memo, keys)
         if result is None:
-            result = _tableau(fs - {pick} | {pick.right}, memo)
+            result = _tableau(fs - {pick} | {pick.right}, memo, keys)
     else:
         positive = {x.sym for x in fs if isinstance(x, Atom)}
         negative = {x.sym for x in fs if isinstance(x, NegAtom)}
@@ -224,8 +233,8 @@ def _tableau(fs: frozenset, memo: dict) -> _TableauNode | None:
                 {(s, True) for s in positive} | {(s, False) for s in negative}
             )
             result = _TableauNode(result_literals, ())
-            for g in sorted((x.child for x in fs if isinstance(x, Diamond)), key=render):
-                child = _tableau(frozenset([g, *boxed]), memo)
+            for g in sorted((x.child for x in fs if isinstance(x, Diamond)), key=keys.__getitem__):
+                child = _tableau(frozenset([g, *boxed]), memo, keys)
                 if child is None:
                     result = None
                     break
@@ -304,7 +313,7 @@ def ml_valid(f: Formula) -> Valid | Invalid:
     plain modal formula makes `dual` raise ValueError.
     """
     negated = dual(f)
-    tree = _tableau(frozenset([negated]), {})
+    tree = _tableau(frozenset([negated]), {}, _RenderKeys())
     if tree is None:
         return Valid(witness=None, checked=1)
     syms = formula_symbols(f)

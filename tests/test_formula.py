@@ -1,5 +1,12 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import teamlogic
 from teamlogic import (
     And,
     Atom,
@@ -18,6 +25,7 @@ from teamlogic import (
     fragment_within,
     is_pure_ml,
     nb_subf,
+    parse_modal,
     render,
     size,
     symbols,
@@ -155,3 +163,32 @@ def test_formula_equality_is_structural():
     assert And(Atom(p), Atom(q)) == And(Atom(p), Atom(q))
     assert And(Atom(p), Atom(q)) != And(Atom(q), Atom(p))
     assert len({Atom(p), Atom(p), NegAtom(p)}) == 2
+
+
+def test_cached_hash_does_not_travel():
+    # A node keeps its hash after the first use, but string hashes
+    # differ between interpreters, so the kept hash must stay out of the
+    # pickle: an interpreter with another hash seed has to find the
+    # unpickled formula among freshly parsed keys.
+    text = "<> (p & dep(q, [] r; p)) | !q ior [] dep(; q)"
+    f = parse_modal(text)
+    hash(f)
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    child = (
+        "import pickle, sys\n"
+        "from teamlogic import parse_modal\n"
+        "text, blob, parent_hash = sys.argv[1], bytes.fromhex(sys.argv[2]), int(sys.argv[3])\n"
+        "assert hash(text) != parent_hash, 'the hash seed did not change'\n"
+        "f = pickle.loads(blob)\n"
+        "fresh = parse_modal(text)\n"
+        "assert {fresh: 'found'}.get(f) == 'found'\n"
+        "assert hash(f) == hash(fresh)\n"
+    )
+    src = str(Path(teamlogic.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", child, text, pickle.dumps(f).hex(), str(hash(text))],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teamlogic import (
+    And,
     Atom,
     Box,
     Dep,
@@ -22,6 +23,7 @@ from teamlogic import (
     ml_point_eval,
     mt_eval,
     parse_modal,
+    render,
     team_bisimilar,
 )
 
@@ -190,12 +192,22 @@ def test_team_bisimilar():
 
 
 def test_against_brute_oracle_seeded():
+    # Each case also runs as f & g and f | g, where g is a structurally
+    # equal copy of f made of separate objects, so the evaluator shares
+    # nodes between the two sides. Their teams come from a second
+    # generator, which leaves the original draws as they were.
     rng = random.Random(23)
+    pair_rng = random.Random(24)
     for _ in range(200):
         m = random_model(rng, rng.randint(1, 3), [p, q])
         team = random_subteam(rng, m.worlds)
         f = random_emdl_formula(rng, ["p", "q"], rng.randint(1, 6), 2)
         assert mt_eval(m, team, f, max_split_rows=None) == brute_mt(m, team, f)
+        g = parse_modal(render(f))
+        assert g == f
+        pair_team = random_subteam(pair_rng, m.worlds)
+        for h in (And(f, g), Or(f, g)):
+            assert mt_eval(m, pair_team, h, max_split_rows=None) == brute_mt(m, pair_team, h)
 
 
 def test_idis_formulas_against_oracle():

@@ -24,6 +24,7 @@ from teamlogic import (
     pd_valid,
     pl_pointwise,
     pt_eval,
+    render,
     symbols,
     team_from_dict,
     team_to_dict,
@@ -194,11 +195,21 @@ def test_bruteforce_guard():
 
 
 def test_against_brute_oracle_seeded():
+    # Each case also runs as f & g and f | g, where g is a structurally
+    # equal copy of f made of separate objects, so the evaluator shares
+    # nodes between the two sides. Their teams come from a second
+    # generator, which leaves the original draws as they were.
     rng = random.Random(91)
+    pair_rng = random.Random(92)
     for _ in range(250):
         f = random_pd_formula(rng, ["p", "q"], rng.randint(1, 9))
         team = random_team(rng, ["p", "q"], 4)
         assert pt_eval(team, f, max_split_rows=None) == brute_pt(team, f)
+        g = parse_prop(render(f))
+        assert g == f
+        pair_team = random_team(pair_rng, ["p", "q"], 4)
+        for h in (And(f, g), Or(f, g)):
+            assert pt_eval(pair_team, h, max_split_rows=None) == brute_pt(pair_team, h)
 
 
 def test_two_sat_path_matches_enumeration():
