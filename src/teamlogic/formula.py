@@ -1,12 +1,13 @@
 """Formula ASTs for team-semantics logics.
 
 All nodes are immutable and hashable, so formulas can live in sets and
-serve as dictionary keys. Each node computes its structural hash once,
-on first use, and keeps it; the kept hash is not part of equality and
-is not pickled or copied, because string hashes differ between
-processes. Public formulas are kept in negation normal form: negation
-occurs on proposition symbols only. General negation is written with
-the transient `Not` wrapper, which `to_nnf` eliminates; every other
+serve as dictionary keys. Each node computes its structural hash, the
+class included, once at construction from its children's kept hashes,
+so hashing never recurses; the kept hash is not part of equality and is
+not pickled or copied, because string hashes differ between processes.
+Public formulas are kept in negation normal form: negation occurs on
+proposition symbols only. General negation is written with the
+transient `Not` wrapper, which `to_nnf` eliminates; every other
 operation rejects `Not`.
 
 Two kinds of dependence atom exist. `Dep` ranges over proposition
@@ -50,30 +51,55 @@ def _as_symbol(s) -> PropSymbol:
 
 
 def _node(cls):
-    """A frozen dataclass that computes its structural hash only once.
+    """A frozen dataclass whose structural hash is fixed at construction.
 
-    The hash lives in the instance dict beside the fields, shadowing the
-    class default None, so equality, `repr` and the constructor never
-    see it, and `__getstate__` leaves it out of the pickled and copied
-    state.
+    The hash covers the class name and the fields, whose own hashes are
+    already kept, so computing it never recurses and a formula and its
+    dual do not collide. It lives in the instance dict beside the fields,
+    so equality, `repr` and the constructor's signature never see it.
+    In place of the dataclass's `__init__`, which would set each frozen
+    field through `object.__setattr__`, the class gets one generated the
+    same way that writes the fields and the hash straight into that
+    dict, running the class's own `__post_init__` check in between, so
+    keeping the hash adds little to the cost of building a node. It is
+    installed before `dataclass` runs with `init=False`, which then
+    builds no `__init__` of its own and takes the class docstring from
+    this one. `__getstate__` leaves the hash out of the pickled and
+    copied state, and `__setstate__` computes it afresh from the rebuilt
+    children.
     """
-    cls = dataclass(frozen=True)(cls)
-    structural_hash = cls.__hash__
+    names = list(cls.__annotations__)
+    tag = cls.__name__
+    check = cls.__dict__.get("__post_init__")
+    source = (
+        f"def __init__(self, {', '.join(names)}):\n"
+        "    d = self.__dict__\n"
+        + "".join(f"    d[{n!r}] = {n}\n" for n in names)
+        + ("    check(self)\n" if check is not None else "")
+        + f"    d['_hash'] = hash((tag, {', '.join(f'd[{n!r}]' for n in names)}))\n"
+    )
+    scope = {"tag": tag, "check": check}
+    exec(source, scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__annotations__ = dict(cls.__annotations__)
+    cls = dataclass(frozen=True, init=False)(cls)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self.__dict__["_hash"] = structural_hash(self)
-        return h
+        return self._hash
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_hash", None)
+        del state["_hash"]
         return state
 
-    cls._hash = None
+    def __setstate__(self, state):
+        d = self.__dict__
+        d.update(state)
+        d["_hash"] = hash((tag, *[d[n] for n in names]))
+
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
+    cls.__setstate__ = __setstate__
     return cls
 
 
@@ -233,28 +259,26 @@ def to_nnf(f: Formula) -> Formula:
 
 
 def _nnf(f: Formula, neg: bool) -> Formula:
+    # A subtree without negation comes back as the same object, so an
+    # input already in normal form is not copied node by node.
     if isinstance(f, Atom):
         return NegAtom(f.sym) if neg else f
     if isinstance(f, NegAtom):
         return Atom(f.sym) if neg else f
     if isinstance(f, Not):
         return _nnf(f.child, not neg)
-    if isinstance(f, And):
-        l, r = _nnf(f.left, neg), _nnf(f.right, neg)
-        return Or(l, r) if neg else And(l, r)
-    if isinstance(f, Or):
-        l, r = _nnf(f.left, neg), _nnf(f.right, neg)
-        return And(l, r) if neg else Or(l, r)
-    if isinstance(f, IDis):
-        if neg:
+    if isinstance(f, (And, Or, IDis)):
+        if neg and isinstance(f, IDis):
             raise ValueError("'ior' cannot be negated")
-        return IDis(_nnf(f.left, False), _nnf(f.right, False))
-    if isinstance(f, Diamond):
+        l, r = _nnf(f.left, neg), _nnf(f.right, neg)
+        if neg:
+            return Or(l, r) if isinstance(f, And) else And(l, r)
+        return f if l is f.left and r is f.right else type(f)(l, r)
+    if isinstance(f, (Diamond, Box)):
         c = _nnf(f.child, neg)
-        return Box(c) if neg else Diamond(c)
-    if isinstance(f, Box):
-        c = _nnf(f.child, neg)
-        return Diamond(c) if neg else Box(c)
+        if neg:
+            return Box(c) if isinstance(f, Diamond) else Diamond(c)
+        return f if c is f.child else type(f)(c)
     if isinstance(f, Dep):
         if neg:
             raise ValueError("dependence atoms cannot be negated")
@@ -262,7 +286,11 @@ def _nnf(f: Formula, neg: bool) -> Formula:
     if isinstance(f, MDep):
         if neg:
             raise ValueError("dependence atoms cannot be negated")
-        return MDep(tuple(_nnf(a, False) for a in f.args), _nnf(f.target, False))
+        args = tuple(_nnf(a, False) for a in f.args)
+        target = _nnf(f.target, False)
+        if target is f.target and all(a is b for a, b in zip(args, f.args)):
+            return f
+        return MDep(args, target)
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -199,12 +199,31 @@ def mt_eval(
     disjunction with two or more disjuncts that are not flat must split;
     either raises GuardLimitError rather than start an oversized search.
     """
-    _check_modal_team(f)
+    ev, mask = _team_evaluator(m, team, (f,), max_choices, max_split_rows)
+    return ev.eval(f, mask)
+
+
+def _team_evaluator(
+    m: KripkeStructure,
+    team: Iterable[str],
+    cover: tuple[Formula, ...],
+    max_choices: int | None,
+    max_split_rows: int | None,
+) -> tuple[_TeamEvaluator, int]:
+    """One evaluator over the worlds of `m`, with `team` as a member mask.
+
+    The node check and the symbol check run once, over `cover`. The
+    evaluator then answers for any formula whose nodes and symbols occur
+    in `cover`, each compiled into the one shared node table on first
+    use.
+    """
+    for f in cover:
+        _check_modal_team(f)
     team = frozenset(team)
     bad = sorted(team - set(m.worlds))
     if bad:
         raise ValueError(f"team names unknown worlds: {bad}")
-    syms = formula_symbols(f)
+    syms = frozenset().union(*map(formula_symbols, cover))
     missing = syms - set(m.valuation)
     if missing:
         names = ", ".join(sorted(s.name for s in missing))
@@ -217,11 +236,11 @@ def mt_eval(
             sm |= 1 << widx[w]
         sym_mask[sym] = sm
     succ = [tuple(widx[v] for v in m.successors(w)) for w in m.worlds]
-    ev = _TeamEvaluator(len(m.worlds), sym_mask, succ, f, max_choices, max_split_rows)
+    ev = _TeamEvaluator(len(m.worlds), sym_mask, succ, max_choices, max_split_rows)
     mask = 0
     for w in team:
         mask |= 1 << widx[w]
-    return ev.eval(f, mask)
+    return ev, mask
 
 
 def disjoint_union(a: KripkeStructure, b: KripkeStructure) -> KripkeStructure:

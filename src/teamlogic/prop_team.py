@@ -191,7 +191,7 @@ def pt_eval(team: PropTeam, f: Formula, *, max_split_rows: int | None = DEFAULT_
             if row[j]:
                 m |= 1 << i
         sym_mask[sym] = m
-    ev = _TeamEvaluator(len(rows), sym_mask, None, f, max_split_rows=max_split_rows)
+    ev = _TeamEvaluator(len(rows), sym_mask, None, max_split_rows=max_split_rows)
     return ev.eval(f, ev.full)
 
 
@@ -220,7 +220,7 @@ def pd_valid(f: Formula, *, max_domain: int | None = DEFAULT_MAX_DOMAIN) -> bool
     _check_prop(f)
     domain = tuple(sorted(formula_symbols(f)))
     _check_domain(domain, max_domain)
-    ev = _TeamEvaluator(1 << len(domain), _full_team_columns(domain), None, f, max_split_rows=None)
+    ev = _TeamEvaluator(1 << len(domain), _full_team_columns(domain), None, max_split_rows=None)
     return ev.eval(f, ev.full)
 
 

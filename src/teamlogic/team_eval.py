@@ -4,11 +4,13 @@ A team is a bitmask over a fixed universe of members: the rows of a
 propositional team or the worlds of a Kripke structure. The evaluator
 sees a member count, one mask per symbol (the members where it is 1, or
 where it holds), and for modal teams each member's successor list. One
-instance compiles its root formula into a table of nodes with dense
-integer ids, one id per class of structurally equal subformulas, and
-then serves every subset of its universe, memoizing results per (node
-id, member bitmask), which is what makes whole-powerset sweeps
-affordable.
+instance compiles each formula it is asked about into one shared table
+of nodes with dense integer ids, one id per class of structurally equal
+subformulas, and then serves every subset of its universe, memoizing
+results per (node id, member bitmask), which is what makes
+whole-powerset sweeps affordable. Several formulas over the same
+universe, such as the candidates an Invalid EMDL verdict replays, share
+one instance, its table and its memos.
 
 A dependence-free, `ior`-free subformula is flat: its team truth is a
 subset test against the members satisfying it pointwise, and members
@@ -102,8 +104,10 @@ class _TeamEvaluator:
     lists each member's successors by index, or is None for
     propositional teams, which have no modalities.
 
-    The root formula is compiled once into a table of nodes with dense
-    integer ids, one id per class of structurally equal subformulas.
+    Each formula handed to `eval` is compiled once into a table of nodes
+    with dense integer ids, one id per class of structurally equal
+    subformulas; the table and the memos are shared by every formula the
+    instance evaluates.
     Per id the table keeps the node's kind, its child ids, its
     pointwise mask when flat (else None), a dependence atom's conflict
     pairs, and a non-flat disjunction's chain: the union of its flat
@@ -116,7 +120,6 @@ class _TeamEvaluator:
         n: int,
         sym_mask: dict,
         succ: list[tuple[int, ...]] | None,
-        root: Formula,
         max_choices: int | None = DEFAULT_MAX_CHOICES,
         max_split_rows: int | None = DEFAULT_MAX_SPLIT_ROWS,
     ):
@@ -139,17 +142,20 @@ class _TeamEvaluator:
         self.chain: list[tuple[int, tuple[int, ...]] | None] = []
         self.memo: list[dict[int, bool] | None] = []
         self.memo_rest: dict[tuple[int, int, int], bool] = {}
-        self._compile(root)
 
     def _compile(self, root: Formula) -> None:
-        """Give every subformula of `root` an id, children first."""
+        """Give every subformula of `root` not yet in the table an id,
+        children first."""
+        ids = self.ids
         stack = [(root, False)]
         while stack:
             f, ready = stack.pop()
             if not ready:
+                if f in ids:
+                    continue
                 stack.append((f, True))
                 stack.extend((c, False) for c in reversed(_parts(f)))
-            elif f not in self.ids:
+            elif f not in ids:
                 self._add(f)
 
     def _add(self, f: Formula) -> None:
@@ -214,8 +220,12 @@ class _TeamEvaluator:
         return flat_union, nonflat
 
     def eval(self, f: Formula, mask: int) -> bool:
-        """Team truth of `f`, the root or one of its subformulas, on `mask`."""
-        return self._eval(self.ids[f], mask)
+        """Team truth of `f` on `mask`, compiling `f` on first use."""
+        i = self.ids.get(f)
+        if i is None:
+            self._compile(f)
+            i = self.ids[f]
+        return self._eval(i, mask)
 
     def _eval(self, i: int, mask: int) -> bool:
         m = self.flat[i]

@@ -12,9 +12,18 @@ countermodel. Plain modal validity at the bottom is a tableau check on
 the pointwise negation, and a refuting tableau branch is folded into a
 filtrated countermodel of bounded size.
 
+One decision does its shared work once. The tableaux of all selections
+share one memo of formula sets and one table of render keys; an entry
+depends on its formula set alone, so the verdicts and countermodels are
+those of a fresh memo per selection. Sets of formulas hold a formula
+beside its dual without hash collisions, because each node's kept hash
+includes its class.
+
 Every Invalid verdict returned here has been replayed through the team
-semantics before being handed out; a verdict that fails its replay is a
-bug and raises RuntimeError instead of surfacing.
+semantics before being handed out: each refuted selection and, for
+`emdl_valid`, the original formula, all on one evaluator over the merged
+countermodel. A verdict that fails its replay is a bug and raises
+RuntimeError instead of surfacing.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from .formula import (
     symbols as formula_symbols,
     walk,
 )
-from .kripke import KripkeStructure, disjoint_union, ml_point_eval, mt_eval
+from .kripke import KripkeStructure, _team_evaluator, disjoint_union, ml_point_eval
 
 DEFAULT_MAX_DEP_ARITY = 10
 DEFAULT_MAX_SELECTIONS = 1 << 20
@@ -312,8 +321,18 @@ def ml_valid(f: Formula) -> Valid | Invalid:
     The countermodel is replayed before being returned. Anything but a
     plain modal formula makes `dual` raise ValueError.
     """
+    return _ml_valid(f, {}, _RenderKeys())
+
+
+def _ml_valid(f: Formula, memo: dict, keys: _RenderKeys) -> Valid | Invalid:
+    """`ml_valid` on a tableau memo and render keys that may be shared.
+
+    A memo entry depends on its formula set alone, so the selections of
+    one `ior` formula can share both and still get the verdicts and
+    countermodels a fresh memo gives.
+    """
     negated = dual(f)
-    tree = _tableau(frozenset([negated]), {}, _RenderKeys())
+    tree = _tableau(frozenset([negated]), memo, keys)
     if tree is None:
         return Valid(witness=None, checked=1)
     syms = formula_symbols(f)
@@ -330,25 +349,36 @@ def mliv_valid(
     """Validity for modal logic with team-level disjunction.
 
     The formula is valid exactly when one of its selections is valid as
-    a plain modal formula. Selections are tried in order and the first
-    valid one is returned as witness. When all fail, their countermodels
-    are merged by disjoint union: the combined team refutes every
-    selection at once, hence the formula. The merged countermodel is
-    replayed through the team semantics before being returned.
+    a plain modal formula. Selections are tried in order, on one shared
+    tableau memo, and the first valid one is returned as witness. When
+    all fail, their countermodels are merged by disjoint union: the
+    combined team refutes every selection at once, hence the formula.
+    The merged countermodel is replayed through the team semantics
+    before being returned.
     """
+    return _mliv_valid(f, max_selections, None)
+
+
+def _mliv_valid(
+    f: Formula, max_selections: int | None, original: Formula | None
+) -> Valid | Invalid:
+    """`mliv_valid`, replaying an Invalid verdict also against `original`,
+    the formula `f` was translated from, when one is given."""
     m = count_idis(f)
     if max_selections is not None and (1 << m) > max_selections:
         raise GuardLimitError(
             f"{m} team-level disjunctions give 2^{m} selections, over the "
             f"configured limit"
         )
+    memo: dict = {}
+    keys = _RenderKeys()
     # The first selection walks every node, the dropped side of each
     # `ior` included, so anything foreign is rejected before any check.
     refuted: dict[Formula, tuple[KripkeStructure, str]] = {}
     for sel, candidate in eliminate_idis(f):
         if candidate in refuted:
             continue
-        verdict = ml_valid(candidate)
+        verdict = _ml_valid(candidate, memo, keys)
         if verdict:
             return Valid(witness=sel, checked=len(refuted) + 1)
         refuted[candidate] = (verdict.model, next(iter(verdict.team)))
@@ -361,8 +391,12 @@ def mliv_valid(
     # The formula holds on a team exactly when some selection does, and
     # each selection is flat, so this replay stays linear per selection
     # where evaluating the disjunctions directly would enumerate splits.
-    for candidate in refuted:
-        if mt_eval(model, team, candidate, max_choices=None, max_split_rows=None):
+    # One evaluator serves every replay: `f` covers the nodes and
+    # symbols of every selection, and `original` its own.
+    extra = () if original is None else (original,)
+    ev, mask = _team_evaluator(model, team, (f, *extra), None, None)
+    for g in (*refuted, *extra):
+        if ev.eval(g, mask):
             raise RuntimeError("countermodel failed replay; this is a bug")
     return Invalid(model=model, team=team, checked=len(refuted))
 
@@ -390,9 +424,4 @@ def emdl_valid(
                 "use a modal dependence atom"
             )
     translated = emdl_to_mliv(f, max_dep_arity=max_dep_arity)
-    verdict = mliv_valid(translated, max_selections=max_selections)
-    if verdict:
-        return verdict
-    if mt_eval(verdict.model, verdict.team, f, max_choices=None, max_split_rows=None):
-        raise RuntimeError("countermodel failed replay; this is a bug")
-    return verdict
+    return _mliv_valid(translated, max_selections, f)

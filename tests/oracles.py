@@ -848,7 +848,7 @@ def pd_valid_bruteforce(f: Formula, domain, *, max_domain: int | None = 4) -> bo
         sym: sum(1 << i for i, row in enumerate(rows) if row[j])
         for j, sym in enumerate(domain)
     }
-    ev = _TeamEvaluator(len(rows), sym_mask, None, f)
+    ev = _TeamEvaluator(len(rows), sym_mask, None)
     return all(ev.eval(f, mask) for mask in range(1 << len(rows)))
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +189,56 @@ def test_deep_nesting_is_an_internal_error_not_a_verdict(capsys):
     assert code == 4
     assert out == ""
     assert "internal error: RecursionError" in err
+
+
+def test_long_flat_chains_get_verdicts(tmp_path, capsys):
+    # each node's hash comes from its children's kept hashes, so a long
+    # chain is hashed without recursion and gets a real verdict
+    valid = " | ".join(f"p{i}" for i in range(400)) + " | !p0"
+    code, out, err = run_cli(capsys, "valid", "--logic", "ml", valid)
+    assert (code, out.strip(), err) == (0, "valid", "")
+    chain = " & ".join(f"p{i}" for i in range(600))
+    code, out, err = run_cli(capsys, "valid", "--logic", "ml", "--json", chain)
+    assert (code, err) == (1, "")
+    model = tmp_path / "counter.json"
+    model.write_text(json.dumps(json.loads(out)["countermodel"]))
+    code, out, _ = run_cli(capsys, "mc", "--model", str(model), chain)
+    assert (code, out.strip()) == (1, "false")
+
+
+def test_valid_json_is_independent_of_the_hash_seed():
+    # node hashes, and with them the iteration order of formula sets,
+    # change with PYTHONHASHSEED; verdicts and countermodels must not
+    argvs = [case["argv"] for case in GOLDENS] + [
+        ["valid", "--logic", "emdl", "--json", text]
+        for text in (
+            # 5, 6 and 7 `ior` after unfolding, past C8's cap of 4
+            "dep(p, q; r) & <> dep(; p)",
+            "dep(p; q) & [] dep(q; r) & <> dep(r; p)",
+            "dep(p, q; r) & dep(<> p; q) & dep(; [] r)",
+        )
+    ]
+    child = (
+        "import json, sys\n"
+        "from teamlogic.cli import run\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print(run(argv))\n"
+    )
+    import teamlogic
+
+    src = str(Path(teamlogic.__file__).resolve().parent.parent)
+    outs = []
+    for seed in ("0", "123"):
+        proc = subprocess.run(
+            [sys.executable, "-c", child, json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', proc.stdout))
+    assert outs[0].count("countermodel") == len(argvs)
+    assert outs[0] == outs[1]
 
 
 def test_mc_guard_override(tmp_path, capsys):

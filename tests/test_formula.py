@@ -67,6 +67,11 @@ def test_to_nnf_pushes_negation():
     g = to_nnf(f)
     assert render(g) == "!p | (!q | r)"
     assert g == to_nnf(g)
+    # negation-free subtrees are kept, not copied
+    assert to_nnf(g) is g
+    h = parse_modal("<> dep(p, [] q; r) ior [] (p & !q)")
+    assert to_nnf(h) is h
+    assert to_nnf(And(h, Not(Atom(p)))).left is h
 
 
 def test_to_nnf_modal_duality():
@@ -163,6 +168,16 @@ def test_formula_equality_is_structural():
     assert And(Atom(p), Atom(q)) == And(Atom(p), Atom(q))
     assert And(Atom(p), Atom(q)) != And(Atom(q), Atom(p))
     assert len({Atom(p), Atom(p), NegAtom(p)}) == 2
+
+
+def test_hash_includes_the_class():
+    # a formula and its dual differ in the classes only, and sit side by
+    # side in the tableau's formula sets
+    f = parse_modal("<> (p & [] !q) | [] (!p | <> q)")
+    pairs = [(f, dual(f)), (Atom(p), NegAtom(p)), (Diamond(Atom(p)), Box(Atom(p)))]
+    pairs += [(And(Atom(p), Atom(q)), Or(Atom(p), Atom(q)))]
+    for a, b in pairs:
+        assert hash(a) != hash(b)
 
 
 def test_cached_hash_does_not_travel():

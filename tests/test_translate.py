@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import teamlogic.kripke as kripke
+import teamlogic.translate as translate
 from teamlogic import (
     And,
     Atom,
@@ -18,10 +20,12 @@ from teamlogic import (
     PropSymbol,
     Valid,
     count_idis,
+    disjoint_union,
     dual,
     eliminate_idis,
     emdl_to_mliv,
     emdl_valid,
+    kripke_to_dict,
     ml_point_eval,
     ml_valid,
     mliv_valid,
@@ -291,3 +295,120 @@ def test_dual_negates_pointwise():
         m = random_model(rng, rng.randint(1, 3), [p, q])
         for w in m.worlds:
             assert ml_point_eval(m, w, f) != ml_point_eval(m, w, dual(f))
+
+
+def _mliv_reference(f):
+    """`mliv_valid` from the public API alone: a fresh `ml_valid` per
+    distinct selection, merged by `disjoint_union` in selection order."""
+    refuted = {}
+    for sel, g in eliminate_idis(f):
+        if g in refuted:
+            continue
+        verdict = ml_valid(g)
+        if verdict:
+            return Valid(witness=sel, checked=len(refuted) + 1)
+        refuted[g] = verdict
+    first, *rest = refuted.values()
+    model, points = first.model, list(first.team)
+    for other in rest:
+        model = disjoint_union(model, other.model)
+        points = [f"L:{p}" for p in points] + [f"R:{w}" for w in other.team]
+    return Invalid(model=model, team=frozenset(points), checked=len(refuted))
+
+
+def _same_verdict(got, want) -> bool:
+    if isinstance(want, Valid):
+        return got == want
+    return isinstance(got, Invalid) and (
+        got.checked, kripke_to_dict(got.model, got.team)
+    ) == (want.checked, kripke_to_dict(want.model, want.team))
+
+
+def _uncapped_mliv_formulas(seed, count):
+    """Random plain modal formulas with 5-7 `ior`, past C8's cap of 4."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        f = random_mliv_formula(rng, ["p", "q", "r"], rng.randint(14, 26), 2)
+        if 5 <= count_idis(f) <= 7:
+            out.append(f)
+    return out
+
+
+def test_shared_tableau_memo_matches_fresh_memos():
+    invalid = 0
+    for f in _uncapped_mliv_formulas(71, 40):
+        res = mliv_valid(f)
+        assert _same_verdict(res, _mliv_reference(f)), render(f)
+        if isinstance(res, Valid):
+            continue
+        invalid += 1
+        # each selection is flat, so the team refutes it exactly when one
+        # of its points does; the formula is the `ior` of its selections
+        for _, g in eliminate_idis(f):
+            assert any(not _bml_point(res.model, t, g) for t in res.team), render(f)
+    assert invalid > 10
+
+
+def _union_flipping_first_symbol(a, b):
+    m = disjoint_union(a, b)
+    sym = min(m.valuation)
+    valuation = dict(m.valuation)
+    valuation[sym] = frozenset(m.worlds) - m.valuation[sym]
+    return kripke.KripkeStructure(m.worlds, m.edges, valuation)
+
+
+def test_shared_replay_refuses_a_broken_countermodel(monkeypatch):
+    monkeypatch.setattr(translate, "disjoint_union", _union_flipping_first_symbol)
+    # p & q and p & !q are refuted where p is false; flipping p makes
+    # the merged team satisfy p & !q
+    with pytest.raises(RuntimeError, match="failed replay"):
+        mliv_valid(parse_modal("p & q ior p & !q"))
+    with pytest.raises(RuntimeError, match="failed replay"):
+        emdl_valid(parse_modal("p & dep(; q)"))
+
+
+def test_replay_of_the_original_formula_still_checks(monkeypatch):
+    # a wrong translation: its selections p and q are refuted, but the
+    # original tautology holds on the merged team, which only the replay
+    # of the original formula sees
+    monkeypatch.setattr(translate, "emdl_to_mliv", lambda f, **_: parse_modal("p ior q"))
+    with pytest.raises(RuntimeError, match="failed replay"):
+        emdl_valid(parse_modal("p | !p"))
+
+
+def test_one_replay_evaluator_per_decision(monkeypatch):
+    built = []
+
+    class Counting(kripke._TeamEvaluator):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(kripke, "_TeamEvaluator", Counting)
+    res = emdl_valid(parse_modal("dep(p; q)"))
+    assert isinstance(res, Invalid) and res.checked == 4
+    # four candidates and the original formula, all on one evaluator
+    assert built == [4]
+
+
+def test_selections_share_one_tableau_memo(monkeypatch):
+    f = parse_modal(
+        "(<> p ior [] q) & (p | q ior <> r) & ([] (p ior q) | <> (r ior !p))"
+        " & (q ior r) & <> (p ior !q)"
+    )
+    assert count_idis(f) == 6
+    calls = []
+    tableau = translate._tableau
+
+    def counting(fs, memo, keys):
+        calls.append(fs)
+        return tableau(fs, memo, keys)
+
+    monkeypatch.setattr(translate, "_tableau", counting)
+    res = mliv_valid(f)
+    shared = len(calls)
+    calls.clear()
+    want = _mliv_reference(f)
+    assert isinstance(res, Invalid) and _same_verdict(res, want)
+    assert shared < len(calls)
