@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Union
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 # Reserved words of the surface grammar; they can never name a symbol,
 # otherwise render/parse round trips would break.
@@ -37,7 +37,7 @@ class PropSymbol:
     name: str
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not _IDENT_RE.match(self.name):
+        if not isinstance(self.name, str) or not _IDENT_RE.fullmatch(self.name):
             raise ValueError(f"invalid proposition symbol name: {self.name!r}")
         if self.name in KEYWORDS:
             raise ValueError(f"{self.name!r} is a reserved word")

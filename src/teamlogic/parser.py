@@ -36,6 +36,7 @@ from .formula import (
     Not,
     Or,
     PropSymbol,
+    _IDENT_RE,
     to_nnf,
     walk,
 )
@@ -47,17 +48,17 @@ class _Token(NamedTuple):
     pos: int
 
 
-_PUNCT = [
-    ("<>", "DIA"),
-    ("[]", "BOX"),
-    ("!", "BANG"),
-    ("&", "AMP"),
-    ("|", "PIPE"),
-    ("(", "LPAR"),
-    (")", "RPAR"),
-    (",", "COMMA"),
-    (";", "SEMI"),
-]
+_ONE_CHAR = {
+    "!": "BANG",
+    "&": "AMP",
+    "|": "PIPE",
+    "(": "LPAR",
+    ")": "RPAR",
+    ",": "COMMA",
+    ";": "SEMI",
+}
+_TWO_CHAR = {"<>": "DIA", "[]": "BOX"}
+_KEYWORDS = {"dep": "DEP", "ior": "IOR"}
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -68,26 +69,24 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        for lit, kind in _PUNCT:
-            if text.startswith(lit, i):
-                tokens.append(_Token(kind, lit, i))
-                i += len(lit)
-                break
+        kind = _ONE_CHAR.get(ch)
+        if kind is not None:
+            tokens.append(_Token(kind, ch, i))
+            i += 1
+            continue
+        lit = text[i : i + 2]
+        kind = _TWO_CHAR.get(lit)
+        if kind is not None:
+            tokens.append(_Token(kind, lit, i))
+            i += 2
         else:
-            if ch.isalpha():
-                j = i + 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                if word == "dep":
-                    tokens.append(_Token("DEP", word, i))
-                elif word == "ior":
-                    tokens.append(_Token("IOR", word, i))
-                else:
-                    tokens.append(_Token("IDENT", word, i))
-                i = j
-            else:
+            # a word is a symbol name as `PropSymbol` accepts it, or a keyword
+            match = _IDENT_RE.match(text, i)
+            if match is None:
                 raise ParseError(f"unexpected character {ch!r}", i)
+            word = match.group()
+            tokens.append(_Token(_KEYWORDS.get(word, "IDENT"), word, i))
+            i += len(word)
     tokens.append(_Token("EOF", "", n))
     return tokens
 

@@ -19,9 +19,20 @@ atom, `Dep` over symbols or `MDep` over plain modal formulas, compiles
 to the pairs of member sets that agree on every component and disagree
 on the target. Splitting disjunctions enumerate ordered partitions of
 what the flat disjuncts leave over, which is sound because every
-formula here is downward closed; exactly two dependence atoms over many
-members are decided as a 2-SAT instance on the member-to-disjunct
-assignment instead. The diamond ranges over successor-choice images.
+formula here is downward closed. The diamond ranges over successor-choice
+images.
+
+Dependence atoms are 2-coherent (Kontinen, Studia Logica 2013): truth
+on a team is truth on each of its subteams of at most two members. So
+are flat formulas, and 2-coherence is closed under `&`, the box, and a
+disjunction whose only non-flat disjunct is 2-coherent. Such a node has
+a conflict graph: the members failing alone, plus conflict pairs, kept
+as complete bipartite blocks of member masks, and it holds on a team
+exactly when the team meets no failing member and no pair. Graphs are
+built the first time a split asks for them. A split between two
+disjuncts that both have a graph is one 2-SAT instance on the
+member-to-disjunct assignment; only the diamond, `ior` and disjunctions
+of two or more non-flat disjuncts leave a split to enumeration.
 """
 
 from __future__ import annotations
@@ -34,8 +45,8 @@ from .formula import And, Atom, Box, Dep, Diamond, Formula, IDis, MDep, NegAtom,
 DEFAULT_MAX_CHOICES = 1 << 20
 DEFAULT_MAX_SPLIT_ROWS = 24
 
-# Member count above which a two-dependence-atom split is decided by
-# 2-SAT rather than by subset enumeration.
+# Member count from which a split between two disjuncts with conflict
+# graphs is decided by 2-SAT rather than by subset enumeration.
 _TWO_SAT_MIN_ROWS = 6
 
 
@@ -65,7 +76,7 @@ def _full_team_columns(symbols) -> dict:
     return cols
 
 
-def _conflict_pairs(components: list[int], target: int, full: int) -> list[tuple[int, int]]:
+def _conflict_pairs(components: list[int], target: int, full: int) -> tuple[tuple[int, int], ...]:
     """(zeros, ones) per class of members agreeing on every component.
 
     A team violates the dependence atom exactly when it meets both sides
@@ -79,7 +90,7 @@ def _conflict_pairs(components: list[int], target: int, full: int) -> list[tuple
         zeros, ones = cls & ~target, cls & target
         if zeros and ones:
             pairs.append((zeros, ones))
-    return pairs
+    return tuple(pairs)
 
 
 def _parts(f: Formula) -> tuple[Formula, ...]:
@@ -96,6 +107,9 @@ def _parts(f: Formula) -> tuple[Formula, ...]:
 # Node kinds of the compiled table.
 _ATOM, _NEG, _AND, _OR, _IDIS, _DIAMOND, _BOX, _DEP = range(8)
 
+# Graph slot of a node whose conflict graph is not built yet.
+_PENDING = object()
+
 
 class _TeamEvaluator:
     """Team-semantics evaluation over subsets of `n` members.
@@ -109,10 +123,14 @@ class _TeamEvaluator:
     subformulas; the table and the memos are shared by every formula the
     instance evaluates.
     Per id the table keeps the node's kind, its child ids, its
-    pointwise mask when flat (else None), a dependence atom's conflict
-    pairs, and a non-flat disjunction's chain: the union of its flat
-    disjuncts' masks and the ids of the other disjuncts, left to right.
-    Results are memoized per id in a dict keyed by member mask.
+    pointwise mask when flat (else None), its conflict graph, and a
+    non-flat disjunction's chain: the union of its flat disjuncts' masks
+    and the ids of the other disjuncts, left to right. A graph is a pair
+    (failing members, conflict pairs), each pair a (zeros, ones) couple
+    of masks whose members conflict across it, and None for the nodes
+    given none. A dependence atom's graph, its atom's pairs, is built at
+    compile time, the others on first use. Results are memoized per id
+    in a dict keyed by member mask.
     """
 
     def __init__(
@@ -138,7 +156,7 @@ class _TeamEvaluator:
         self.kind: list[int] = []
         self.kids: list[tuple[int, ...]] = []
         self.flat: list[int | None] = []
-        self.pairs: list[list[tuple[int, int]] | None] = []
+        self.graph: list = []
         self.chain: list[tuple[int, tuple[int, ...]] | None] = []
         self.memo: list[dict[int, bool] | None] = []
         self.memo_rest: dict[tuple[int, int, int], bool] = {}
@@ -161,7 +179,7 @@ class _TeamEvaluator:
     def _add(self, f: Formula) -> None:
         ids, flat = self.ids, self.flat
         kids = tuple(ids[c] for c in _parts(f))
-        pairs = chain = None
+        graph, chain = _PENDING, None
         if isinstance(f, Atom):
             kind, m = _ATOM, self.sym_mask[f.sym]
         elif isinstance(f, NegAtom):
@@ -181,26 +199,26 @@ class _TeamEvaluator:
             if mc is None:
                 m = None
             elif kind == _DIAMOND:
-                m = sum(1 << i for i, sm in enumerate(self.succ_mask) if sm & mc)
+                m = self._pre(mc)
             else:
-                m = sum(1 << i for i, sm in enumerate(self.succ_mask) if not sm & ~mc)
+                m = self.full & ~self._pre(self.full & ~mc)
         elif isinstance(f, IDis):
             kind, m = _IDIS, None
         elif isinstance(f, Dep):
             kind, m = _DEP, None
             components = [self.sym_mask[a] for a in f.args]
-            pairs = _conflict_pairs(components, self.sym_mask[f.target], self.full)
+            graph = 0, _conflict_pairs(components, self.sym_mask[f.target], self.full)
         elif isinstance(f, MDep):
             # components are plain modal formulas, hence flat
             kind, m = _DEP, None
-            pairs = _conflict_pairs([flat[k] for k in kids[:-1]], flat[kids[-1]], self.full)
+            graph = 0, _conflict_pairs([flat[k] for k in kids[:-1]], flat[kids[-1]], self.full)
         else:
             raise ValueError(f"not a team formula: {type(f).__name__}")
         ids[f] = len(self.kind)
         self.kind.append(kind)
         self.kids.append(kids)
         flat.append(m)
-        self.pairs.append(pairs)
+        self.graph.append(graph)
         self.chain.append(chain)
         self.memo.append(None if m is not None else {})
 
@@ -218,6 +236,57 @@ class _TeamEvaluator:
             else:
                 nonflat += (k,)
         return flat_union, nonflat
+
+    def _pre(self, mask: int) -> int:
+        """The members with a successor in `mask`."""
+        return sum(1 << i for i, sm in enumerate(self.succ_mask) if sm & mask)
+
+    def _graph(self, i: int):
+        """Node `i`'s conflict graph, built on first use; None if it has none."""
+        g = self.graph[i]
+        if g is _PENDING:
+            g = self.graph[i] = self._build_graph(i)
+        return g
+
+    def _build_graph(self, i: int):
+        m = self.flat[i]
+        if m is not None:
+            return self.full & ~m, ()
+        kind = self.kind[i]
+        if kind == _AND:
+            left, right = (self._graph(k) for k in self.kids[i])
+            if left is None or right is None:
+                return None
+            return left[0] | right[0], left[1] + right[1]
+        if kind == _OR:
+            flat_union, nonflat = self.chain[i]
+            g = self._graph(nonflat[0]) if len(nonflat) == 1 else None
+            if g is None:
+                return None
+            # members the flat disjuncts absorb neither fail nor conflict
+            keep = ~flat_union
+            failing, pairs = g
+            return failing & keep, tuple(
+                (zeros & keep, ones & keep) for zeros, ones in pairs if zeros & keep and ones & keep
+            )
+        if kind == _BOX:
+            g = self._graph(self.kids[i][0])
+            if g is None:
+                return None
+            # the box holds on a team when its child holds on the image:
+            # a member fails when its successors meet a failing member or
+            # both sides of a pair, and two members conflict when their
+            # successors meet opposite sides of a pair
+            failing, pairs = g
+            failing = self._pre(failing)
+            boxed = []
+            for zeros, ones in pairs:
+                pz, po = self._pre(zeros), self._pre(ones)
+                if pz and po:
+                    failing |= pz & po
+                    boxed.append((pz, po))
+            return failing, tuple(boxed)
+        return None
 
     def eval(self, f: Formula, mask: int) -> bool:
         """Team truth of `f` on `mask`, compiling `f` on first use."""
@@ -238,7 +307,7 @@ class _TeamEvaluator:
         kind = self.kind[i]
         if kind == _DEP:
             result = True
-            for zeros, ones in self.pairs[i]:
+            for zeros, ones in self.graph[i][1]:
                 if mask & zeros and mask & ones:
                     result = False
                     break
@@ -274,13 +343,11 @@ class _TeamEvaluator:
                 f"team of {count} {noun} exceeds the split guard of "
                 f"{self.max_split_rows}; raise max_split_rows to override"
             )
-        if (
-            len(nonflat) == 2
-            and self.kind[nonflat[0]] == _DEP
-            and self.kind[nonflat[1]] == _DEP
-            and count >= _TWO_SAT_MIN_ROWS
-        ):
-            return self._dep_split_2sat(nonflat[0], nonflat[1], rest)
+        if len(nonflat) == 2 and count >= _TWO_SAT_MIN_ROWS:
+            g1 = self._graph(nonflat[0])
+            g2 = self._graph(nonflat[1]) if g1 is not None else None
+            if g2 is not None:
+                return _split_2sat(g1, g2, rest)
         return self._or_rest(i, nonflat, 0, rest)
 
     def _or_rest(self, node: int, nonflat: tuple[int, ...], k: int, mask: int) -> bool:
@@ -301,43 +368,6 @@ class _TeamEvaluator:
             sub = (sub - 1) & mask
         self.memo_rest[key] = result
         return result
-
-    def _dep_split_2sat(self, d1: int, d2: int, mask: int) -> bool:
-        """Can `mask` split into one part per dependence atom?
-
-        Variable x_r says member r goes to the part for `d1`; the
-        complement part gets the rest. A pair violating `d1` must not
-        land together in part one, and a pair violating `d2` must not
-        land together in part two, which is exactly a 2-SAT instance.
-        """
-        pos = {r: i for i, r in enumerate(_bits(mask))}
-        n = len(pos)
-        adj = [0] * (2 * n)  # literal 2i = x_i, literal 2i+1 = not x_i
-
-        def add_clause(a: int, b: int) -> None:
-            adj[a ^ 1] |= 1 << b
-            adj[b ^ 1] |= 1 << a
-
-        for zeros, ones in self.pairs[d1]:
-            for u in _bits(zeros & mask):
-                for v in _bits(ones & mask):
-                    add_clause(2 * pos[u] + 1, 2 * pos[v] + 1)
-        for zeros, ones in self.pairs[d2]:
-            for u in _bits(zeros & mask):
-                for v in _bits(ones & mask):
-                    add_clause(2 * pos[u], 2 * pos[v])
-        reach = list(adj)
-        for k in range(2 * n):
-            rk = reach[k]
-            bit = 1 << k
-            for i in range(2 * n):
-                if reach[i] & bit:
-                    reach[i] |= rk
-        for i in range(n):
-            t, f = 2 * i, 2 * i + 1
-            if reach[t] >> f & 1 and reach[f] >> t & 1:
-                return False
-        return True
 
     def _eval_diamond(self, child: int, mask: int) -> bool:
         """Search successor teams as images of successor-choice functions.
@@ -372,3 +402,50 @@ class _TeamEvaluator:
             if self._eval(child, child_mask):
                 return True
         return False
+
+
+def _split_2sat(g1, g2, mask: int) -> bool:
+    """Can `mask` split into a part for each of two conflict graphs?
+
+    Variable x_r says member r goes to the part of `g1`, and the rest go
+    to the part of `g2`. A member failing `g1` gives the unit clause
+    not x_r, one failing `g2` gives x_r, a pair conflicting in `g1` must
+    not both take x, and one conflicting in `g2` must not both take not
+    x: exactly a 2-SAT instance, decided on its implication graph.
+    Literal x_i is bit i and not x_i is bit n + i, over the dense
+    positions i of the members of `mask`.
+    """
+    pos = {r: i for i, r in enumerate(_bits(mask))}
+    n = len(pos)
+
+    def local(m: int) -> int:
+        out = 0
+        for r in _bits(m & mask):
+            out |= 1 << pos[r]
+        return out
+
+    # In g1's part (x) a conflict implies not x, a shift by n; in g2's
+    # part (not x) it implies x. A failing member conflicts with itself.
+    reach = [0] * (2 * n)
+    for (failing, pairs), to in ((g1, n), (g2, 0)):
+        frm = n - to
+        for r in _bits(failing & mask):
+            reach[pos[r] + frm] |= 1 << (pos[r] + to)
+        for zeros, ones in pairs:
+            lz, lo = local(zeros), local(ones)
+            if not lz or not lo:
+                continue
+            for u in _bits(lz):
+                reach[u + frm] |= lo << to
+            for v in _bits(lo):
+                reach[v + frm] |= lz << to
+    for k in range(2 * n):
+        rk = reach[k]
+        bit = 1 << k
+        for i in range(2 * n):
+            if reach[i] & bit:
+                reach[i] |= rk
+    for i in range(n):
+        if reach[i] >> (n + i) & 1 and reach[n + i] >> i & 1:
+            return False
+    return True

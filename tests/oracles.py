@@ -148,6 +148,37 @@ def _bmt(m: KripkeStructure, team: frozenset, f: Formula) -> bool:
     raise ValueError(f"unexpected node {type(f).__name__}")
 
 
+def _modal_depth(f: Formula) -> int:
+    if isinstance(f, (Diamond, Box)):
+        return 1 + _modal_depth(f.child)
+    if isinstance(f, (And, Or, IDis)):
+        return max(_modal_depth(f.left), _modal_depth(f.right))
+    if isinstance(f, MDep):
+        return max(_modal_depth(g) for g in (*f.args, f.target))
+    return 0
+
+
+def bisim_representatives(m: KripkeStructure, team, f: Formula) -> frozenset:
+    """One point of `team` per class of points d-bisimilar over `f`'s
+    symbols, where d is the modal depth of `f`.
+
+    Team truth of a modal dependence formula of depth d is invariant
+    under team d-bisimulation (Hella, Luosto, Sano and Virtema, "The
+    expressive power of modal dependence logic", AiML 2014), and a team
+    is team-bisimilar to the team of its representatives. So `brute_mt`
+    on the representatives judges a team too wide to split directly.
+    """
+    syms = sorted(symbols(f), key=lambda s: s.name)
+    val = {w: tuple(w in m.valuation[s] for s in syms) for w in m.worlds}
+    kind = dict(val)
+    for _ in range(_modal_depth(f)):
+        kind = {w: (val[w], frozenset(kind[v] for v in _succ_of(m, w))) for w in m.worlds}
+    reps = {}
+    for w in sorted(team):
+        reps.setdefault(kind[w], w)
+    return frozenset(reps.values())
+
+
 # ---------------------------------------------------------------------------
 # seeded random generators
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import teamlogic.team_eval as team_eval
 from teamlogic import (
     And,
     Atom,
@@ -37,6 +38,7 @@ from oracles import (
 
 p = PropSymbol("p")
 q = PropSymbol("q")
+r = PropSymbol("r")
 
 
 def chain():
@@ -220,6 +222,74 @@ def test_idis_formulas_against_oracle():
             random_ml_formula(rng, ["p", "q"], 4, 1),
         )
         assert mt_eval(m, team, f) == brute_mt(m, team, f)
+
+
+def _random_mdep(rng, syms):
+    args = tuple(Atom(s) for s in rng.sample(syms, rng.randint(0, 2)))
+    return MDep(args, Atom(rng.choice(syms)))
+
+
+def _random_literal(rng, syms):
+    return rng.choice((Atom, NegAtom))(rng.choice(syms))
+
+
+# Disjunct shapes with a conflict graph that reach through the box.
+BOXED_SHAPES = [
+    lambda rng, s: Box(_random_mdep(rng, s)),
+    lambda rng, s: Box(Box(_random_mdep(rng, s))),
+    lambda rng, s: Box(And(_random_literal(rng, s), _random_mdep(rng, s))),
+    lambda rng, s: Box(
+        Or(_random_literal(rng, s), And(_random_literal(rng, s), _random_mdep(rng, s)))
+    ),
+    lambda rng, s: And(Box(_random_mdep(rng, s)), _random_mdep(rng, s)),
+    lambda rng, s: _random_mdep(rng, s),
+]
+
+# Disjunct shapes without one: their splits are enumerated.
+NO_GRAPH_SHAPES = [
+    lambda rng, s: Diamond(_random_mdep(rng, s)),
+    lambda rng, s: IDis(_random_literal(rng, s), _random_mdep(rng, s)),
+    lambda rng, s: And(Or(_random_mdep(rng, s), _random_mdep(rng, s)), _random_literal(rng, s)),
+]
+
+
+def _wide_teams(rng, m):
+    full = frozenset(m.worlds)
+    return (random_subteam(rng, m.worlds), full, full - {rng.choice(m.worlds)})
+
+
+def test_boxed_dependence_splits_match_brute_force(monkeypatch):
+    # Splits between boxed dependence atoms over structures with edges
+    # take the 2-SAT route on the full and near-full teams; the brute
+    # oracle enumerates every split and image instead.
+    routed = []
+    split = team_eval._split_2sat
+    monkeypatch.setattr(team_eval, "_split_2sat", lambda *a: routed.append(1) or split(*a))
+    rng = random.Random(31)
+    syms = [p, q, r]
+    for _ in range(150):
+        m = random_model(rng, 7, syms, edge_p=rng.choice((0.2, 0.35)))
+        f = Or(rng.choice(BOXED_SHAPES[:5])(rng, syms), rng.choice(BOXED_SHAPES)(rng, syms))
+        for team in _wide_teams(rng, m):
+            assert mt_eval(m, team, f, max_split_rows=None) == brute_mt(m, team, f)
+    assert len(routed) > 200
+
+
+def test_modal_splits_without_a_conflict_graph_match_brute_force(monkeypatch):
+    enumerated = []
+    rest = team_eval._TeamEvaluator._or_rest
+    monkeypatch.setattr(
+        team_eval._TeamEvaluator, "_or_rest", lambda *a: enumerated.append(1) or rest(*a)
+    )
+    rng = random.Random(37)
+    syms = [p, q]
+    for shape in NO_GRAPH_SHAPES:
+        for _ in range(4):
+            m = random_model(rng, 6, syms, edge_p=0.3)
+            f = Or(shape(rng, syms), rng.choice(BOXED_SHAPES)(rng, syms))
+            for team in _wide_teams(rng, m):
+                assert mt_eval(m, team, f, max_split_rows=None) == brute_mt(m, team, f)
+    assert enumerated
 
 
 @st.composite

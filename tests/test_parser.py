@@ -67,6 +67,24 @@ def test_parse_error_positions():
         parse_prop("")
 
 
+def test_tokenizer_error_positions_are_exact():
+    for parse, text, char, position in [
+        (parse_modal, "<", "<", 0),
+        (parse_modal, "p & [ ] q", "[", 4),
+        (parse_modal, "<> p | < q", "<", 7),
+        (parse_prop, "p ? q", "?", 2),
+        # symbol names are ASCII: a Unicode letter is a syntax error at
+        # its own position, not a bad symbol name
+        (parse_prop, "p & naïve_1", "ï", 6),
+        (parse_modal, "Ω", "Ω", 0),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.position == position
+        assert f"unexpected character {char!r}" in str(info.value)
+    assert parse_prop("x_1 & Y2") == And(Atom(PropSymbol("x_1")), Atom(PropSymbol("Y2")))
+
+
 def test_dep_rejects_nesting_and_team_disjunction():
     with pytest.raises(ParseError):
         parse_modal("dep(dep(p; q); r)")

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import teamlogic.team_eval as team_eval
 from teamlogic import (
     And,
     Assignment,
@@ -212,41 +213,135 @@ def test_against_brute_oracle_seeded():
             assert pt_eval(pair_team, h, max_split_rows=None) == brute_pt(pair_team, h)
 
 
-def test_two_sat_path_matches_enumeration():
-    # two dependence disjuncts over a team of 6 or more rows take the
-    # 2-SAT route; the set oracle enumerates every split instead. The
-    # same split runs as two modal dependence atoms on an edgeless
-    # structure whose worlds are the rows. Besides a random subteam,
-    # each case runs on the full team, the one pd_valid checks, and on
-    # the full team less one row, both of which always take the route.
-    rng = random.Random(17)
-    drop_rng = random.Random(18)
-    dom = (p, q, r)
-    oracle = PropTeamSetOracle(dom)
+def _modal_twin(f):
+    """`f` with each dependence atom made a modal one over the same atoms."""
+    if isinstance(f, (And, Or)):
+        return type(f)(_modal_twin(f.left), _modal_twin(f.right))
+    if isinstance(f, Dep):
+        return MDep(tuple(Atom(a) for a in f.args), Atom(f.target))
+    return f
+
+
+def _random_dep(rng, dom):
+    return Dep(tuple(rng.sample(dom, rng.randint(0, 2))), rng.choice(dom))
+
+
+def _random_literal(rng, dom):
+    return rng.choice((Atom, NegAtom))(rng.choice(dom))
+
+
+# Disjunct shapes with a conflict graph: a dependence atom alone, and
+# wrapped in a conjunction or a disjunction with flat formulas or with
+# a second atom.
+TWO_COHERENT_SHAPES = [
+    lambda rng, dom: _random_dep(rng, dom),
+    lambda rng, dom: And(_random_literal(rng, dom), _random_dep(rng, dom)),
+    lambda rng, dom: Or(_random_literal(rng, dom), _random_dep(rng, dom)),
+    lambda rng, dom: And(_random_dep(rng, dom), _random_dep(rng, dom)),
+    lambda rng, dom: Or(
+        _random_literal(rng, dom), And(_random_dep(rng, dom), _random_literal(rng, dom))
+    ),
+    lambda rng, dom: And(
+        Or(_random_literal(rng, dom), _random_dep(rng, dom)), _random_dep(rng, dom)
+    ),
+    lambda rng, dom: And(
+        Or(_random_literal(rng, dom), And(_random_dep(rng, dom), _random_literal(rng, dom))),
+        _random_literal(rng, dom),
+    ),
+]
+
+
+def _check_against_set_oracle(rng, drop_rng, oracle, m, f):
+    """`f` and its modal twin on an edgeless structure whose worlds are
+    the rows, on a random, the full and a near-full team, against the
+    set oracle, which enumerates every split."""
+    modal = _modal_twin(f)
+    worlds = m.worlds
+    bits = oracle.sets(f)
+    full = (1 << oracle.n_rows) - 1
+    near_full = full & ~(1 << drop_rng.randrange(oracle.n_rows))
+    for mask in (rng.randrange(1 << oracle.n_rows), full, near_full):
+        team = oracle.team_of(mask)
+        expected = bool(bits >> mask & 1)
+        assert pt_eval(team, f, max_split_rows=None) == expected
+        members = {w for i, w in enumerate(worlds) if mask >> i & 1}
+        assert mt_eval(m, members, modal, max_split_rows=None) == expected
+
+
+def _rows_as_worlds(oracle):
     worlds = [f"r{i}" for i in range(oracle.n_rows)]
-    m = KripkeStructure(
+    dom = oracle.domain
+    return KripkeStructure(
         worlds,
         [],
         {s: {w for w, row in zip(worlds, oracle.rows) if row[j]} for j, s in enumerate(dom)},
     )
-    for _ in range(120):
-        args1 = tuple(rng.sample(dom, rng.randint(0, 2)))
-        args2 = tuple(rng.sample(dom, rng.randint(0, 2)))
-        t1, t2 = rng.choice(dom), rng.choice(dom)
-        f = Or(Dep(args1, t1), Dep(args2, t2))
-        modal = Or(
-            MDep(tuple(Atom(a) for a in args1), Atom(t1)),
-            MDep(tuple(Atom(a) for a in args2), Atom(t2)),
-        )
-        bits = oracle.sets(f)
-        full = (1 << oracle.n_rows) - 1
-        near_full = full & ~(1 << drop_rng.randrange(oracle.n_rows))
-        for mask in (rng.randrange(1 << oracle.n_rows), full, near_full):
-            team = oracle.team_of(mask)
-            expected = bool(bits >> mask & 1)
-            assert pt_eval(team, f, max_split_rows=None) == expected
-            members = {w for i, w in enumerate(worlds) if mask >> i & 1}
-            assert mt_eval(m, members, modal, max_split_rows=None) == expected
+
+
+def test_two_sat_path_matches_enumeration(monkeypatch):
+    # Two disjuncts with conflict graphs over 6 or more rows take the
+    # 2-SAT route. Besides a random subteam, each case runs on the full
+    # team, the one pd_valid checks, and on the full team less one row,
+    # which take the route unless flat disjuncts absorb the rows.
+    routed = []
+    split = team_eval._split_2sat
+    monkeypatch.setattr(team_eval, "_split_2sat", lambda *a: routed.append(1) or split(*a))
+    rng = random.Random(17)
+    drop_rng = random.Random(18)
+    dom = (p, q, r)
+    oracle = PropTeamSetOracle(dom)
+    m = _rows_as_worlds(oracle)
+    for _ in range(400):
+        left, right = rng.choice(TWO_COHERENT_SHAPES), rng.choice(TWO_COHERENT_SHAPES)
+        f = Or(left(rng, dom), right(rng, dom))
+        _check_against_set_oracle(rng, drop_rng, oracle, m, f)
+    assert len(routed) > 500
+
+
+def test_splits_without_a_conflict_graph_match_enumeration(monkeypatch):
+    # a disjunct that is a disjunction of two dependence atoms has no
+    # conflict graph, so its splits are enumerated
+    enumerated = []
+    rest = team_eval._TeamEvaluator._or_rest
+    monkeypatch.setattr(
+        team_eval._TeamEvaluator, "_or_rest", lambda *a: enumerated.append(1) or rest(*a)
+    )
+    rng = random.Random(19)
+    drop_rng = random.Random(20)
+    dom = (p, q, r)
+    oracle = PropTeamSetOracle(dom)
+    m = _rows_as_worlds(oracle)
+    for _ in range(30):
+        no_graph = And(Or(_random_dep(rng, dom), _random_dep(rng, dom)), _random_literal(rng, dom))
+        f = Or(no_graph, rng.choice(TWO_COHERENT_SHAPES)(rng, dom))
+        _check_against_set_oracle(rng, drop_rng, oracle, m, f)
+    assert enumerated
+
+
+# The five slowest ops of the benchmark's `prop` corpus (seed 7) while
+# only splits between two bare dependence atoms went to 2-SAT: each is a
+# 16-row split between a dependence atom wrapped in `&` or `|` and a
+# second dependence disjunct.
+SPLIT_HEAVY = [
+    "(((p | dep(j, j; z)) & z) | (p & (!z | dep(f, j, f; f))))",
+    "((dep(; r) & v) | dep(r, u, v; a))",
+    "(dep(z; b) | (((!p | (!p | g)) & dep(; p)) & !b))",
+    "(dep(a, i; d) | ((dep(d; c) | !i) & a))",
+    "((u & dep(o, o, u; d)) | dep(; b))",
+]
+
+
+@pytest.mark.parametrize("text", SPLIT_HEAVY)
+def test_two_coherent_splits_are_never_enumerated(monkeypatch, text):
+    f = parse_prop(text)
+    expected = pd_valid_bruteforce(f, symbols(f))
+    enumerated = []
+    rest = team_eval._TeamEvaluator._or_rest
+    monkeypatch.setattr(
+        team_eval._TeamEvaluator, "_or_rest", lambda *a: enumerated.append(1) or rest(*a)
+    )
+    assert pd_valid(f) == expected
+    assert enumerated == []
 
 
 teams_2 = st.lists(

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import teamlogic.kripke as kripke
+import teamlogic.team_eval as team_eval
 import teamlogic.translate as translate
 from teamlogic import (
     And,
@@ -38,6 +39,7 @@ from teamlogic import (
 
 from oracles import (
     _bml_point,
+    bisim_representatives,
     brute_mt,
     ml_valid_small_models,
     random_emdl_formula,
@@ -412,3 +414,23 @@ def test_selections_share_one_tableau_memo(monkeypatch):
     want = _mliv_reference(f)
     assert isinstance(res, Invalid) and _same_verdict(res, want)
     assert shared < len(calls)
+
+
+def test_replay_splits_two_coherent_disjuncts_by_2sat(monkeypatch):
+    # Each replay of the original formula splits a team of 64 or more
+    # worlds between two disjuncts with conflict graphs, a dependence
+    # atom against a conjunction with a boxed one or a doubly boxed
+    # one. Enumerating those splits ran out of memory or past 20 s;
+    # with enumeration refused, both must reach a verdict by 2-SAT.
+    def refuse(*args):
+        raise AssertionError("split enumerated")
+
+    monkeypatch.setattr(team_eval._TeamEvaluator, "_or_rest", refuse)
+    for text in (
+        "dep(p; q) | dep(p, q; r) & [] dep(; q)",
+        "([][]dep(!p & !p; r & !p)) | dep(p, !p; !p | q)",
+    ):
+        f = parse_modal(text)
+        res = emdl_valid(f)
+        assert isinstance(res, Invalid) and len(res.team) >= 64
+        assert not brute_mt(res.model, bisim_representatives(res.model, res.team, f), f)
