@@ -1,10 +1,20 @@
 """Formula ASTs for team-semantics logics.
 
-All nodes are immutable and hashable, so formulas can live in sets and
-serve as dictionary keys. Each node computes its structural hash, the
-class included, once at construction from its children's kept hashes,
-so hashing never recurses; the kept hash is not part of equality and is
-not pickled or copied, because string hashes differ between processes.
+Formula nodes and proposition symbols are hash-consed (Filliâtre and
+Conchon, "Type-safe modular hash-consing", 2006): a constructor returns
+the one live node with its class and children, found in a weak intern
+table keyed by the class and the children themselves, so a formula
+nobody holds is freed and its table entry goes with it. Structurally
+equal formulas are therefore the same object, and equality and hashing
+are the identity's, with no recursion and no Python-level call. Nodes
+are immutable: assigning a field raises AttributeError, and pickling or
+copying a node rebuilds it through its constructor, which interns it
+again. Each node also keeps its symbols and its `ior` count, computed
+at construction from its children's, and its rendering and non-Boolean
+subformulas once first asked for, filled children first from an
+explicit stack. Nothing here recurses once per tree level, and a
+subformula shared by several formulas does this work once for all.
+
 Public formulas are kept in negation normal form: negation occurs on
 proposition symbols only. General negation is written with the
 transient `Not` wrapper, which `to_nnf` eliminates; every other
@@ -18,8 +28,9 @@ zero arguments, which expresses constancy of the target.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
+import weakref
 from enum import Enum
 from typing import Iterator, Union
 
@@ -29,18 +40,87 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # otherwise render/parse round trips would break.
 KEYWORDS = frozenset({"dep", "ior"})
 
+# The intern table: (class, *fields) -> weak reference to the live node.
+# A key holds the children, which the node holds anyway; its entry goes
+# when the node dies, so the table never keeps anything alive.
+_table: dict = {}
+_new = object.__new__
 
-@dataclass(frozen=True, order=True)
-class PropSymbol:
-    """A proposition symbol; identity and ordering are by name."""
 
-    name: str
+class _Ref(weakref.ref):
+    """An intern table entry: a weak reference that knows its key."""
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not _IDENT_RE.fullmatch(self.name):
-            raise ValueError(f"invalid proposition symbol name: {self.name!r}")
-        if self.name in KEYWORDS:
-            raise ValueError(f"{self.name!r} is a reserved word")
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref, table=_table) -> None:
+    # The key may already belong to a node built after this one died.
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+def _enter(node, key):
+    """Enter a freshly built `node` under `key` and return it."""
+    ref = _Ref(node, _forget)
+    ref.key = key
+    _table[key] = ref
+    return node
+
+
+class _Frozen:
+    """Mixin of the interned classes: assignment is refused, and copies
+    and pickles rebuild through the constructor, which re-interns.
+
+    Each formula class puts it before its layout class, which declares
+    the slots and the constructor. The constructor fills a new node as
+    an instance of the layout class itself, whose slots take plain
+    assignment, and then gives it its own class, which shares the
+    layout: writing through the refusing `__setattr__` instead would
+    cost a call per slot.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} objects are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} objects are immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+@functools.total_ordering
+class PropSymbol(_Frozen):
+    """A proposition symbol: one object per name, ordered by name."""
+
+    __slots__ = ("name", "__weakref__")
+    _fields = ("name",)
+
+    def __new__(cls, name: str):
+        key = (cls, name)
+        ref = _table.get(key) if isinstance(name, str) else None
+        if ref is not None:
+            sym = ref()
+            if sym is not None:
+                return sym
+        if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
+            raise ValueError(f"invalid proposition symbol name: {name!r}")
+        if name in KEYWORDS:
+            raise ValueError(f"{name!r} is a reserved word")
+        sym = _new(cls)
+        object.__setattr__(sym, "name", name)
+        return _enter(sym, key)
+
+    def __lt__(self, other):
+        if not isinstance(other, PropSymbol):
+            return NotImplemented
+        return self.name < other.name
 
     def __str__(self) -> str:
         return self.name
@@ -50,126 +130,171 @@ def _as_symbol(s) -> PropSymbol:
     return s if isinstance(s, PropSymbol) else PropSymbol(s)
 
 
-def _node(cls):
-    """A frozen dataclass whose structural hash is fixed at construction.
+# Rendering precedence levels; higher binds tighter.
+_PREC_IOR = 1
+_PREC_OR = 3
+_PREC_AND = 5
+_PREC_UNARY = 7
+_PREC_ATOM = 9
 
-    The hash covers the class name and the fields, whose own hashes are
-    already kept, so computing it never recurses and a formula and its
-    dual do not collide. It lives in the instance dict beside the fields,
-    so equality, `repr` and the constructor's signature never see it.
-    In place of the dataclass's `__init__`, which would set each frozen
-    field through `object.__setattr__`, the class gets one generated the
-    same way that writes the fields and the hash straight into that
-    dict, running the class's own `__post_init__` check in between, so
-    keeping the hash adds little to the cost of building a node. It is
-    installed before `dataclass` runs with `init=False`, which then
-    builds no `__init__` of its own and takes the class docstring from
-    this one. `__getstate__` leaves the hash out of the pickled and
-    copied state, and `__setstate__` computes it afresh from the rebuilt
-    children.
+
+class _Node:
+    """A formula node.
+
+    Besides its fields a node keeps its symbols and its `ior` count,
+    computed at construction from its children's, and two slots that
+    stay None until first asked for: its rendering, and the non-Boolean
+    subformulas below it (`nb_subf` less the node itself, which a node
+    must not hold). `_prec` is the class's rendering precedence.
     """
-    names = list(cls.__annotations__)
-    tag = cls.__name__
-    check = cls.__dict__.get("__post_init__")
-    source = (
-        f"def __init__(self, {', '.join(names)}):\n"
-        "    d = self.__dict__\n"
-        + "".join(f"    d[{n!r}] = {n}\n" for n in names)
-        + ("    check(self)\n" if check is not None else "")
-        + f"    d['_hash'] = hash((tag, {', '.join(f'd[{n!r}]' for n in names)}))\n"
-    )
-    scope = {"tag": tag, "check": check}
-    exec(source, scope)
-    cls.__init__ = scope["__init__"]
-    cls.__init__.__annotations__ = dict(cls.__annotations__)
-    cls = dataclass(frozen=True, init=False)(cls)
 
-    def __hash__(self):
-        return self._hash
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_hash"]
-        return state
-
-    def __setstate__(self, state):
-        d = self.__dict__
-        d.update(state)
-        d["_hash"] = hash((tag, *[d[n] for n in names]))
-
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    cls.__setstate__ = __setstate__
-    return cls
+    __slots__ = ("__weakref__", "_symbols", "_nior", "_text", "_below")
+    _prec = _PREC_ATOM
 
 
-@_node
-class Atom:
-    sym: PropSymbol
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """`a | b`, reusing `a` or `b` when it holds the other."""
+    return b if a <= b else a if b <= a else a | b
 
 
-@_node
-class NegAtom:
-    sym: PropSymbol
+class _Literal(_Node):
+    __slots__ = ("sym",)
+    _fields = ("sym",)
+
+    def __new__(cls, sym: PropSymbol):
+        key = (cls, sym)
+        ref = _table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(_Literal)
+        node.sym = sym
+        node._symbols = frozenset((sym,))
+        node._nior = 0
+        node._text = node._below = None
+        node.__class__ = cls
+        return _enter(node, key)
 
 
-@_node
-class Not:
+class _Unary(_Node):
+    __slots__ = ("child",)
+    _fields = ("child",)
+    _prec = _PREC_UNARY
+
+    def __new__(cls, child: "Formula"):
+        key = (cls, child)
+        ref = _table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(_Unary)
+        node.child = child
+        node._symbols = child._symbols
+        node._nior = child._nior
+        node._text = node._below = None
+        node.__class__ = cls
+        return _enter(node, key)
+
+
+class _Binary(_Node):
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
+    _ior = 0  # 1 for `ior` itself
+
+    def __new__(cls, left: "Formula", right: "Formula"):
+        key = (cls, left, right)
+        ref = _table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(_Binary)
+        node.left = left
+        node.right = right
+        ls, rs = left._symbols, right._symbols
+        node._symbols = rs if ls <= rs else ls if rs <= ls else ls | rs
+        node._nior = left._nior + right._nior + cls._ior
+        node._text = node._below = None
+        node.__class__ = cls
+        return _enter(node, key)
+
+
+class Atom(_Frozen, _Literal):
+    __slots__ = ()
+
+
+class NegAtom(_Frozen, _Literal):
+    __slots__ = ()
+
+
+class Not(_Frozen, _Unary):
     """General negation; only `to_nnf` understands it."""
 
-    child: "Formula"
+    __slots__ = ()
 
 
-@_node
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(_Frozen, _Binary):
+    __slots__ = ()
+    _prec = _PREC_AND
+    _op = " & "
 
 
-@_node
-class Or:
+class Or(_Frozen, _Binary):
     """Splitting disjunction: the team divides between the disjuncts."""
 
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ()
+    _prec = _PREC_OR
+    _op = " | "
 
 
-@_node
-class IDis:
+class IDis(_Frozen, _Binary):
     """Team-level disjunction (`ior`): the whole team satisfies a side."""
 
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ()
+    _prec = _PREC_IOR
+    _op = " ior "
+    _ior = 1
 
 
-@_node
-class Diamond:
-    child: "Formula"
+class Diamond(_Frozen, _Unary):
+    __slots__ = ()
+    _op = "<> "
 
 
-@_node
-class Box:
-    child: "Formula"
+class Box(_Frozen, _Unary):
+    __slots__ = ()
+    _op = "[] "
 
 
-@_node
-class Dep:
+class _Dependence(_Node):
+    __slots__ = ("args", "target")
+    _fields = ("args", "target")
+
+
+class Dep(_Frozen, _Dependence):
     """Propositional dependence atom dep(args; target) over symbols."""
 
-    args: tuple[PropSymbol, ...]
-    target: PropSymbol
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        for a in self.args:
+    def __new__(cls, args: tuple[PropSymbol, ...], target: PropSymbol):
+        args = tuple(args)
+        key = (cls, args, target)
+        ref = _table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        for a in args:
             if not isinstance(a, PropSymbol):
                 raise TypeError("Dep arguments must be proposition symbols")
-        if not isinstance(self.target, PropSymbol):
+        if not isinstance(target, PropSymbol):
             raise TypeError("Dep target must be a proposition symbol")
+        return _dependence(cls, key, frozenset((*args, target)))
 
 
-@_node
-class MDep:
+class MDep(_Frozen, _Dependence):
     """Modal dependence atom dep(args; target) over plain modal formulas.
 
     Arguments and target must be pure ML: no `ior`, no nested dependence
@@ -177,17 +302,37 @@ class MDep:
     checked at construction time.
     """
 
-    args: tuple["Formula", ...]
-    target: "Formula"
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        for part in (*self.args, self.target):
-            for node in walk(part):
-                if isinstance(node, (IDis, Dep, MDep)):
+    def __new__(cls, args: tuple["Formula", ...], target: "Formula"):
+        args = tuple(args)
+        key = (cls, args, target)
+        ref = _table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        for part in (*args, target):
+            for sub in walk(part):
+                if isinstance(sub, (IDis, Dep, MDep)):
                     raise ValueError(
                         "dependence atom components must be plain modal formulas"
                     )
+        syms = target._symbols
+        for a in args:
+            syms = _union(syms, a._symbols)
+        return _dependence(cls, key, syms)
+
+
+def _dependence(cls, key: tuple, symbols: frozenset):
+    """Build and enter the dependence atom `key` = (cls, args, target)."""
+    node = _new(_Dependence)
+    _, node.args, node.target = key
+    node._symbols = symbols
+    node._nior = 0
+    node._text = node._below = None
+    node.__class__ = cls
+    return _enter(node, key)
 
 
 Formula = Union[Atom, NegAtom, Not, And, Or, IDis, Diamond, Box, Dep, MDep]
@@ -236,16 +381,25 @@ def walk(f: Formula) -> Iterator[Formula]:
             stack.extend(reversed(node.args))
 
 
+def _parts(f: Formula) -> tuple[Formula, ...]:
+    """The direct subformulas of `f`, left to right."""
+    if isinstance(f, _Binary):
+        return (f.left, f.right)
+    if isinstance(f, _Unary):
+        return (f.child,)
+    if isinstance(f, MDep):
+        return (*f.args, f.target)
+    return ()
+
+
 def symbols(f: Formula) -> frozenset[PropSymbol]:
     """The set of proposition symbols occurring in `f`."""
-    out = set()
-    for node in walk(f):
-        if isinstance(node, (Atom, NegAtom)):
-            out.add(node.sym)
-        elif isinstance(node, Dep):
-            out.update(node.args)
-            out.add(node.target)
-    return frozenset(out)
+    return f._symbols
+
+
+def count_idis(f: Formula) -> int:
+    """The number of team-level disjunction (`ior`) occurrences in `f`."""
+    return f._nior
 
 
 def to_nnf(f: Formula) -> Formula:
@@ -301,25 +455,58 @@ def is_pure_ml(f: Formula) -> bool:
     )
 
 
+# The dual's class for each class of plain modal formula.
+_DUAL_CLASS = {Atom: NegAtom, NegAtom: Atom, And: Or, Or: And, Diamond: Box, Box: Diamond}
+
+
 def dual(f: Formula) -> Formula:
     """The negation normal form of the negation of a plain modal formula.
 
     Defined for pure ML only; `dual` is an involution and swaps truth at
     every pointed model.
     """
-    if isinstance(f, Atom):
-        return NegAtom(f.sym)
-    if isinstance(f, NegAtom):
-        return Atom(f.sym)
-    if isinstance(f, And):
-        return Or(dual(f.left), dual(f.right))
-    if isinstance(f, Or):
-        return And(dual(f.left), dual(f.right))
-    if isinstance(f, Diamond):
-        return Box(dual(f.child))
-    if isinstance(f, Box):
-        return Diamond(dual(f.child))
-    raise ValueError("dual is defined for plain modal formulas only")
+    return _dual(f, {})
+
+
+def _dual(f: Formula, memo: dict) -> Formula:
+    """`dual(f)`, through `memo`, a dict from formulas to their duals.
+
+    Callers may share one memo between formulas with common subtrees.
+    No node keeps its dual: a formula and its dual would then hold each
+    other, and neither would be freed before a cyclic collection.
+    """
+    stack = [f]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        cls = _DUAL_CLASS.get(type(node))
+        if cls is None:
+            raise ValueError("dual is defined for plain modal formulas only")
+        if isinstance(node, _Literal):
+            stack.pop()
+            memo[node] = cls(node.sym)
+            continue
+        parts = _parts(node)
+        missing = [c for c in parts if c not in memo]
+        if missing:
+            stack += missing
+        else:
+            stack.pop()
+            memo[node] = cls(*[memo[c] for c in parts])
+    return memo[f]
+
+
+_set_text = _Node.__dict__["_text"].__set__
+_set_below = _Node.__dict__["_below"].__set__
+
+
+def _nb(f: Formula) -> frozenset[Formula]:
+    """`nb_subf` of a node whose `_below` is filled."""
+    if isinstance(f, (Atom, Diamond, Box)):
+        return f._below | {f}
+    return f._below
 
 
 def nb_subf(f: Formula) -> frozenset[Formula]:
@@ -328,30 +515,32 @@ def nb_subf(f: Formula) -> frozenset[Formula]:
     Literals contribute their atom, modal operators contribute themselves
     plus whatever their child contributes, and dependence atoms contribute
     the union over their components. Every formula here is a Boolean
-    combination of its `nb_subf` elements.
+    combination of its `nb_subf` elements. The set below each node is
+    kept on it, filled children first from an explicit stack.
     """
-    out: set[Formula] = set()
-    _nb_subf(f, out)
-    return frozenset(out)
-
-
-def _nb_subf(f: Formula, out: set) -> None:
-    if isinstance(f, (Atom, NegAtom)):
-        out.add(Atom(f.sym))
-    elif isinstance(f, (And, Or, IDis)):
-        _nb_subf(f.left, out)
-        _nb_subf(f.right, out)
-    elif isinstance(f, (Diamond, Box)):
-        out.add(f)
-        _nb_subf(f.child, out)
-    elif isinstance(f, Dep):
-        for s in (*f.args, f.target):
-            out.add(Atom(s))
-    elif isinstance(f, MDep):
-        for part in (*f.args, f.target):
-            _nb_subf(part, out)
-    else:
-        raise ValueError("nb_subf expects a formula in negation normal form")
+    stack = [f] if f._below is None else []
+    while stack:
+        node = stack[-1]
+        parts = _parts(node)
+        missing = [c for c in parts if c._below is None]
+        if missing:
+            stack += missing
+            continue
+        stack.pop()
+        if isinstance(node, Atom):
+            below = frozenset()
+        elif isinstance(node, NegAtom):
+            below = frozenset((Atom(node.sym),))
+        elif isinstance(node, Dep):
+            below = frozenset(Atom(s) for s in (*node.args, node.target))
+        elif isinstance(node, Not):
+            raise ValueError("nb_subf expects a formula in negation normal form")
+        else:
+            below = frozenset()
+            for c in parts:
+                below = _union(below, _nb(c))
+        _set_below(node, below)
+    return _nb(f)
 
 
 def size(f: Formula) -> int:
@@ -406,60 +595,50 @@ def classify(f: Formula) -> Fragment:
     return Fragment.PL
 
 
-# Rendering precedence levels; higher binds tighter.
-_PREC_IOR = 1
-_PREC_OR = 3
-_PREC_AND = 5
-_PREC_UNARY = 7
-_PREC_ATOM = 9
-
-
-def _prec(f: Formula) -> int:
-    if isinstance(f, (Atom, NegAtom, Dep, MDep)):
-        return _PREC_ATOM
-    if isinstance(f, (Diamond, Box)):
-        return _PREC_UNARY
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, IDis):
-        return _PREC_IOR
-    raise ValueError("cannot render a formula containing general negation")
-
-
 def render(f: Formula) -> str:
     """Concrete syntax for `f`; parsing the result reproduces `f` exactly.
 
     Parentheses are emitted only where precedence or left associativity
-    demands them.
+    demands them. The text is kept on every node, filled children first
+    from an explicit stack.
     """
-    return _render(f, 0)
-
-
-def _render(f: Formula, min_prec: int) -> str:
-    if isinstance(f, Atom):
-        return f.sym.name
-    if isinstance(f, NegAtom):
-        return "!" + f.sym.name
-    if isinstance(f, Dep):
-        args = ", ".join(a.name for a in f.args)
-        return f"dep({args}; {f.target.name})"
-    if isinstance(f, MDep):
-        args = ", ".join(_render(a, 0) for a in f.args)
-        return f"dep({args}; {_render(f.target, 0)})"
-    if isinstance(f, Diamond):
-        body = "<> " + _render(f.child, _PREC_UNARY)
-    elif isinstance(f, Box):
-        body = "[] " + _render(f.child, _PREC_UNARY)
-    elif isinstance(f, And):
-        body = _render(f.left, _PREC_AND) + " & " + _render(f.right, _PREC_AND + 1)
-    elif isinstance(f, Or):
-        body = _render(f.left, _PREC_OR) + " | " + _render(f.right, _PREC_OR + 1)
-    elif isinstance(f, IDis):
-        body = _render(f.left, _PREC_IOR) + " ior " + _render(f.right, _PREC_IOR + 1)
-    else:
-        raise ValueError("cannot render a formula containing general negation")
-    if _prec(f) < min_prec:
-        return "(" + body + ")"
-    return body
+    stack = [f] if f._text is None else []
+    while stack:
+        node = stack[-1]
+        if isinstance(node, _Binary):
+            left, right = node.left, node.right
+            lt, rt = left._text, right._text
+            if lt is None or rt is None:
+                stack += [c for c in (right, left) if c._text is None]
+                continue
+            prec = node._prec
+            if left._prec < prec:
+                lt = "(" + lt + ")"
+            if right._prec <= prec:
+                rt = "(" + rt + ")"
+            text = lt + node._op + rt
+        elif isinstance(node, Not):
+            raise ValueError("cannot render a formula containing general negation")
+        elif isinstance(node, _Unary):
+            child = node.child
+            text = child._text
+            if text is None:
+                stack.append(child)
+                continue
+            text = node._op + (text if child._prec >= _PREC_UNARY else "(" + text + ")")
+        elif isinstance(node, Atom):
+            text = node.sym.name
+        elif isinstance(node, NegAtom):
+            text = "!" + node.sym.name
+        elif isinstance(node, Dep):
+            text = f"dep({', '.join(a.name for a in node.args)}; {node.target.name})"
+        else:
+            parts = (*node.args, node.target)
+            missing = [c for c in parts if c._text is None]
+            if missing:
+                stack += missing
+                continue
+            text = f"dep({', '.join(a._text for a in node.args)}; {node.target._text})"
+        stack.pop()
+        _set_text(node, text)
+    return f._text

@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the formula grammar.
+"""Parser for the formula grammar, by precedence climbing on explicit
+stacks, so nesting depth is bounded by memory and not by recursion.
 
 Grammar (ASCII):
 
@@ -21,6 +22,8 @@ normal form exists for it.
 
 from __future__ import annotations
 
+import re
+import string
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -33,12 +36,12 @@ from .formula import (
     Formula,
     IDis,
     MDep,
+    NegAtom,
     Not,
     Or,
     PropSymbol,
     _IDENT_RE,
     to_nnf,
-    walk,
 )
 
 
@@ -48,7 +51,7 @@ class _Token(NamedTuple):
     pos: int
 
 
-_ONE_CHAR = {
+_KINDS = {
     "!": "BANG",
     "&": "AMP",
     "|": "PIPE",
@@ -56,43 +59,72 @@ _ONE_CHAR = {
     ")": "RPAR",
     ",": "COMMA",
     ";": "SEMI",
+    "<>": "DIA",
+    "[]": "BOX",
+    "dep": "DEP",
+    "ior": "IOR",
 }
-_TWO_CHAR = {"<>": "DIA", "[]": "BOX"}
-_KEYWORDS = {"dep": "DEP", "ior": "IOR"}
+
+# Whitespace, then a token: an operator, a word (a symbol name as
+# `PropSymbol` accepts it, or a keyword), or any other single character,
+# which is an error.
+_SCAN = re.compile(r"(\s*)(<>|\[\]|[!&|(),;]|" + _IDENT_RE.pattern + r"|\S)")
+_LETTERS = frozenset(string.ascii_letters)
+# Builds a token without the Python-level constructor of `NamedTuple`.
+_make_token = tuple.__new__
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        kind = _ONE_CHAR.get(ch)
-        if kind is not None:
-            tokens.append(_Token(kind, ch, i))
-            i += 1
-            continue
-        lit = text[i : i + 2]
-        kind = _TWO_CHAR.get(lit)
-        if kind is not None:
-            tokens.append(_Token(kind, lit, i))
-            i += 2
-        else:
-            # a word is a symbol name as `PropSymbol` accepts it, or a keyword
-            match = _IDENT_RE.match(text, i)
-            if match is None:
-                raise ParseError(f"unexpected character {ch!r}", i)
-            word = match.group()
-            tokens.append(_Token(_KEYWORDS.get(word, "IDENT"), word, i))
-            i += len(word)
-    tokens.append(_Token("EOF", "", n))
+    pos = 0
+    for space, word in _SCAN.findall(text):
+        pos += len(space)
+        kind = _KINDS.get(word)
+        if kind is None:
+            if word[0] not in _LETTERS:
+                raise ParseError(f"unexpected character {word!r}", pos)
+            kind = "IDENT"
+        tokens.append(_make_token(_Token, (kind, word, pos)))
+        pos += len(word)
+    tokens.append(_Token("EOF", "", len(text)))
     return tokens
 
 
-def _contains_dep(f: Formula) -> bool:
-    return any(isinstance(n, (Dep, MDep)) for n in walk(f))
+# Binary operator tokens: (precedence, class); higher binds tighter.
+_BINARY = {"AMP": (3, And), "PIPE": (2, Or), "IOR": (1, IDis)}
+_PREFIX = {"BANG": Not, "DIA": Diamond, "BOX": Box}
+
+
+def _shown(tok: _Token) -> str:
+    return tok.text if tok.kind != "EOF" else "end of input"
+
+
+class _Expr:
+    """An expression being parsed: its left operands, each waiting with
+    its operator's precedence and class for a right operand."""
+
+    __slots__ = ("ior", "pending")
+
+    def __init__(self, ior: bool):
+        self.ior = ior  # False in a dependence component: 'ior' ends it
+        self.pending: list[tuple[int, type, Formula]] = []
+
+
+class _DepAtom:
+    """A modal dependence atom being parsed, with the parser's counts of
+    dependence atoms and `ior` nodes when its current component began."""
+
+    __slots__ = ("args", "at_target", "tok", "deps", "iors")
+
+    def __init__(self):
+        self.args: list[Formula] = []
+        self.at_target = False
+        self.tok: _Token | None = None
+        self.deps = self.iors = 0
+
+
+# The frame of an open parenthesis.
+_PAREN = object()
 
 
 class _Parser:
@@ -100,6 +132,13 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.modal = modal
+        # Dependence atoms and `ior` nodes built so far: an operand
+        # contains one exactly when the count grew while it was parsed.
+        self.deps = 0
+        self.iors = 0
+        # `Not` nodes built: '!' on a literal flips it instead, so a
+        # formula without them is in negation normal form already.
+        self.nots = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -112,8 +151,7 @@ class _Parser:
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            shown = tok.text if tok.kind != "EOF" else "end of input"
-            raise ParseError(f"expected {what}, found {shown!r}", tok.pos)
+            raise ParseError(f"expected {what}, found {_shown(tok)!r}", tok.pos)
         return self.advance()
 
     def parse(self) -> Formula:
@@ -121,102 +159,147 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "EOF":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        return to_nnf(f)
+        return to_nnf(f) if self.nots else f
 
     def formula(self) -> Formula:
-        f = self.orexpr()
-        while self.peek().kind == "IOR":
-            tok = self.advance()
-            if not self.modal:
-                raise ParseError("'ior' is not propositional syntax", tok.pos)
-            f = IDis(f, self.orexpr())
-        return f
+        """Parse a `formula` with `frames` as the stack of everything
+        waiting for the operand at hand: prefix operators as (class,
+        token, dependence count), open parentheses, expressions and
+        modal dependence atoms."""
+        frames: list = [_Expr(True)]
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            self.pos += 1
+            kind = tok.kind
+            if kind == "IDENT":
+                value = Atom(PropSymbol(tok.text))
+            elif kind in _PREFIX:
+                if kind != "BANG" and not self.modal:
+                    raise ParseError(f"{tok.text!r} is not propositional syntax", tok.pos)
+                frames.append((_PREFIX[kind], tok, self.deps))
+                continue
+            elif kind == "LPAR":
+                frames += (_PAREN, _Expr(True))
+                continue
+            elif kind == "DEP":
+                self.expect("LPAR", "'(' after 'dep'")
+                if not self.modal:
+                    value = self.prop_dep()
+                else:
+                    frame = _DepAtom()
+                    frames.append(frame)
+                    if self.peek().kind == "SEMI":
+                        self.dep_target(frame, frames)
+                    else:
+                        self.dep_component(frame, frames)
+                    continue
+            else:
+                raise ParseError(f"expected a formula, found {_shown(tok)!r}", tok.pos)
+            # Hand the operand to the frames until one needs another.
+            while True:
+                frame = frames[-1]
+                if type(frame) is tuple:
+                    cls, op, deps = frames.pop()
+                    if cls is not Not:
+                        value = cls(value)
+                    elif self.deps > deps:
+                        raise ParseError("dependence atoms cannot be negated", op.pos)
+                    elif isinstance(value, Atom):
+                        value = NegAtom(value.sym)
+                    elif isinstance(value, NegAtom):
+                        value = Atom(value.sym)
+                    else:
+                        value = Not(value)
+                        self.nots += 1
+                elif type(frame) is _Expr:
+                    tok = tokens[self.pos]
+                    binary = _BINARY.get(tok.kind)
+                    pending = frame.pending
+                    if binary is not None and (frame.ior or tok.kind != "IOR"):
+                        if tok.kind == "IOR" and not self.modal:
+                            raise ParseError("'ior' is not propositional syntax", tok.pos)
+                        self.pos += 1
+                        prec, cls = binary
+                        while pending and pending[-1][0] >= prec:
+                            value = self.reduce(pending.pop(), value)
+                        pending.append((prec, cls, value))
+                        break
+                    while pending:
+                        value = self.reduce(pending.pop(), value)
+                    frames.pop()
+                    if not frames:
+                        return value
+                elif frame is _PAREN:
+                    frames.pop()
+                    self.expect("RPAR", "')'")
+                else:
+                    value = self.dep_part_done(frame, value, frames)
+                    if value is None:
+                        break
+                    frames.pop()
 
-    def orexpr(self) -> Formula:
-        f = self.andexpr()
-        while self.peek().kind == "PIPE":
-            self.advance()
-            f = Or(f, self.andexpr())
-        return f
+    def reduce(self, waiting: tuple[int, type, Formula], right: Formula) -> Formula:
+        _, cls, left = waiting
+        if cls is IDis:
+            self.iors += 1
+        return cls(left, right)
 
-    def andexpr(self) -> Formula:
-        f = self.unary()
-        while self.peek().kind == "AMP":
-            self.advance()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "BANG":
-            self.advance()
-            child = self.unary()
-            if _contains_dep(child):
-                raise ParseError("dependence atoms cannot be negated", tok.pos)
-            return Not(child)
-        if tok.kind in ("DIA", "BOX"):
-            if not self.modal:
-                raise ParseError(
-                    f"{tok.text!r} is not propositional syntax", tok.pos
-                )
-            self.advance()
-            child = self.unary()
-            return Diamond(child) if tok.kind == "DIA" else Box(child)
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "LPAR":
-            self.advance()
-            f = self.formula()
-            self.expect("RPAR", "')'")
-            return f
-        if tok.kind == "DEP":
-            return self.depatom()
-        if tok.kind == "IDENT":
-            self.advance()
-            return Atom(PropSymbol(tok.text))
-        shown = tok.text if tok.kind != "EOF" else "end of input"
-        raise ParseError(f"expected a formula, found {shown!r}", tok.pos)
-
-    def depatom(self) -> Formula:
-        self.expect("DEP", "'dep'")
-        self.expect("LPAR", "'(' after 'dep'")
+    def prop_dep(self) -> Dep:
+        """The rest of a propositional dependence atom after 'dep('."""
         args = []
         if self.peek().kind != "SEMI":
-            args.append(self.deppart())
+            args.append(self.expect("IDENT", "a proposition symbol"))
             while self.peek().kind == "COMMA":
                 self.advance()
-                args.append(self.deppart())
-        tok = self.peek()
-        if tok.kind == "IOR":
-            raise ParseError("'ior' cannot occur inside a dependence atom", tok.pos)
+                args.append(self.expect("IDENT", "a proposition symbol"))
+        self.no_ior()
         self.expect("SEMI", "';' before the dependence target")
-        target = self.deppart()
+        target = self.expect("IDENT", "a proposition symbol")
+        self.dep_close()
+        return Dep(tuple(PropSymbol(t.text) for t in args), PropSymbol(target.text))
+
+    def no_ior(self) -> None:
         tok = self.peek()
         if tok.kind == "IOR":
             raise ParseError("'ior' cannot occur inside a dependence atom", tok.pos)
-        self.expect("RPAR", "')' closing the dependence atom")
-        if self.modal:
-            return MDep(tuple(args), target)
-        return Dep(tuple(a.sym for a in args), target.sym)
 
-    def deppart(self) -> Formula:
-        """One dep component: an identifier, or a formula in the modal grammar."""
-        if not self.modal:
-            tok = self.expect("IDENT", "a proposition symbol")
-            return Atom(PropSymbol(tok.text))
-        tok = self.peek()
-        part = self.orexpr()
-        if self.peek().kind == "IOR":
-            raise ParseError(
-                "'ior' cannot occur inside a dependence atom", self.peek().pos
-            )
-        if _contains_dep(part):
-            raise ParseError("dependence atoms cannot be nested", tok.pos)
-        if any(isinstance(n, IDis) for n in walk(part)):
-            raise ParseError("'ior' cannot occur inside a dependence atom", tok.pos)
-        return to_nnf(part)
+    def dep_close(self) -> None:
+        self.no_ior()
+        self.expect("RPAR", "')' closing the dependence atom")
+        self.deps += 1
+
+    def dep_component(self, frame: _DepAtom, frames: list) -> None:
+        """Open the next component of a modal dependence atom."""
+        frame.tok = self.peek()
+        frame.deps, frame.iors = self.deps, self.iors
+        frames.append(_Expr(False))
+
+    def dep_target(self, frame: _DepAtom, frames: list) -> None:
+        self.no_ior()
+        self.expect("SEMI", "';' before the dependence target")
+        frame.at_target = True
+        self.dep_component(frame, frames)
+
+    def dep_part_done(self, frame: _DepAtom, part: Formula, frames: list) -> Formula | None:
+        """Take a finished component; open the next one and return None,
+        or close the atom and return it."""
+        self.no_ior()
+        if self.deps > frame.deps:
+            raise ParseError("dependence atoms cannot be nested", frame.tok.pos)
+        if self.iors > frame.iors:
+            raise ParseError("'ior' cannot occur inside a dependence atom", frame.tok.pos)
+        part = to_nnf(part)
+        if not frame.at_target:
+            frame.args.append(part)
+            if self.peek().kind == "COMMA":
+                self.advance()
+                self.dep_component(frame, frames)
+            else:
+                self.dep_target(frame, frames)
+            return None
+        self.dep_close()
+        return MDep(tuple(frame.args), part)
 
 
 def parse_prop(text: str) -> Formula:

@@ -5,12 +5,12 @@ propositional team or the worlds of a Kripke structure. The evaluator
 sees a member count, one mask per symbol (the members where it is 1, or
 where it holds), and for modal teams each member's successor list. One
 instance compiles each formula it is asked about into one shared table
-of nodes with dense integer ids, one id per class of structurally equal
-subformulas, and then serves every subset of its universe, memoizing
-results per (node id, member bitmask), which is what makes
-whole-powerset sweeps affordable. Several formulas over the same
-universe, such as the candidates an Invalid EMDL verdict replays, share
-one instance, its table and its memos.
+of nodes with dense integer ids, one id per interned formula node, and
+then serves every subset of its universe, memoizing results per
+(node id, member bitmask), which is what makes whole-powerset sweeps
+affordable. Several formulas over the same universe, such as the
+candidates an Invalid EMDL verdict replays, share one instance, its
+table and its memos.
 
 A dependence-free, `ior`-free subformula is flat: its team truth is a
 subset test against the members satisfying it pointwise, and members
@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import GuardLimitError
-from .formula import And, Atom, Box, Dep, Diamond, Formula, IDis, MDep, NegAtom, Or
+from .formula import And, Atom, Box, Dep, Diamond, Formula, IDis, MDep, NegAtom, Or, _parts
 
 DEFAULT_MAX_CHOICES = 1 << 20
 DEFAULT_MAX_SPLIT_ROWS = 24
@@ -93,17 +93,6 @@ def _conflict_pairs(components: list[int], target: int, full: int) -> tuple[tupl
     return tuple(pairs)
 
 
-def _parts(f: Formula) -> tuple[Formula, ...]:
-    """The direct subformulas of `f`, left to right."""
-    if isinstance(f, (And, Or, IDis)):
-        return (f.left, f.right)
-    if isinstance(f, (Diamond, Box)):
-        return (f.child,)
-    if isinstance(f, MDep):
-        return (*f.args, f.target)
-    return ()
-
-
 # Node kinds of the compiled table.
 _ATOM, _NEG, _AND, _OR, _IDIS, _DIAMOND, _BOX, _DEP = range(8)
 
@@ -119,8 +108,8 @@ class _TeamEvaluator:
     propositional teams, which have no modalities.
 
     Each formula handed to `eval` is compiled once into a table of nodes
-    with dense integer ids, one id per class of structurally equal
-    subformulas; the table and the memos are shared by every formula the
+    with dense integer ids, one id per interned formula node, found by
+    identity; the table and the memos are shared by every formula the
     instance evaluates.
     Per id the table keeps the node's kind, its child ids, its
     pointwise mask when flat (else None), its conflict graph, and a

@@ -12,12 +12,14 @@ countermodel. Plain modal validity at the bottom is a tableau check on
 the pointwise negation, and a refuting tableau branch is folded into a
 filtrated countermodel of bounded size.
 
-One decision does its shared work once. The tableaux of all selections
-share one memo of formula sets and one table of render keys; an entry
-depends on its formula set alone, so the verdicts and countermodels are
-those of a fresh memo per selection. Sets of formulas hold a formula
-beside its dual without hash collisions, because each node's kept hash
-includes its class.
+One decision does its shared work once. Formula nodes are interned, so
+the selections of one formula share every subtree no `ior` sits in,
+and with it the values each node keeps (rendering, symbols,
+non-Boolean subformulas) and the duals taken of it. Their tableaux
+share one memo of formula sets; an entry depends on its formula set
+alone, so the verdicts and countermodels are those of a fresh memo per
+selection, and a formula set hashes and compares its members by
+identity.
 
 Every Invalid verdict returned here has been replayed through the team
 semantics before being handed out: each refuted selection and, for
@@ -43,6 +45,8 @@ from .formula import (
     MDep,
     NegAtom,
     Or,
+    _dual,
+    count_idis,
     dual,
     nb_subf,
     render,
@@ -100,32 +104,58 @@ class Invalid:
         return False
 
 
-def count_idis(f: Formula) -> int:
-    return sum(1 for n in walk(f) if isinstance(n, IDis))
+def _select(f: Formula, choices: tuple[str, ...], memo: dict) -> Formula:
+    """The plain modal formula that `choices` picks out of `f`.
 
-
-def _select(f: Formula, choices: tuple[str, ...], counter: list[int]) -> Formula:
-    if isinstance(f, IDis):
-        i = counter[0]
-        counter[0] += 1
-        # Both sides are walked so occurrences inside the dropped side
-        # keep consuming their preorder positions.
-        left = _select(f.left, choices, counter)
-        right = _select(f.right, choices, counter)
-        return left if choices[i] == "L" else right
-    if isinstance(f, And):
-        return And(_select(f.left, choices, counter), _select(f.right, choices, counter))
-    if isinstance(f, Or):
-        return Or(_select(f.left, choices, counter), _select(f.right, choices, counter))
-    if isinstance(f, Diamond):
-        return Diamond(_select(f.child, choices, counter))
-    if isinstance(f, Box):
-        return Box(_select(f.child, choices, counter))
-    if isinstance(f, (Atom, NegAtom)):
-        return f
-    raise ValueError(
-        f"cannot eliminate team-level disjunction under {type(f).__name__}"
-    )
+    Occurrences of `ior` are numbered in preorder, so a subtree's `ior`
+    hold consecutive positions. Only the nodes above an `ior` are
+    rebuilt: a subtree without `ior` comes back as the same object, and
+    `memo`, shared by the selections of `f`, maps a subtree and the
+    choices at its positions to its selection, so consecutive
+    selections share all they agree on. The side an `ior` drops is
+    skipped, its occurrences counted off its cached count. An explicit
+    stack stands in for recursion; besides subtrees it holds counts to
+    skip, classes to rebuild from the results on `out`, and memo keys
+    under which to keep the result on top.
+    """
+    out: list[Formula] = []
+    todo: list = [f]
+    pos = 0
+    while todo:
+        x = todo.pop()
+        if type(x) is int:
+            pos += x
+        elif type(x) is tuple:
+            memo[x] = out[-1]
+        elif isinstance(x, type):
+            if x is And or x is Or:
+                right = out.pop()
+                out[-1] = x(out[-1], right)
+            else:
+                out[-1] = x(out[-1])
+        elif not x._nior:
+            out.append(x)
+        else:
+            key = (x, choices[pos : pos + x._nior])
+            done = memo.get(key)
+            if done is not None:
+                out.append(done)
+                pos += x._nior
+                continue
+            todo.append(key)
+            if isinstance(x, IDis):
+                i = pos
+                pos += 1
+                if choices[i] == "L":
+                    todo += (x.right._nior, x.left)
+                else:
+                    pos += x.left._nior
+                    todo.append(x.right)
+            elif isinstance(x, (And, Or)):
+                todo += (type(x), x.right, x.left)
+            else:
+                todo += (type(x), x.child)
+    return out[0]
 
 
 def eliminate_idis(f: Formula):
@@ -133,12 +163,19 @@ def eliminate_idis(f: Formula):
 
     The formula is equivalent to the team-level disjunction of every
     yielded formula. Selections are produced lazily in lexicographic
-    order with "L" before "R".
+    order with "L" before "R". Before the first one, every node is
+    visited, the `ior` sides no selection keeps included, so anything
+    but a formula of modal logic with `ior` is rejected up front.
     """
     m = count_idis(f)
+    for node in walk(f):
+        if not isinstance(node, (IDis, And, Or, Diamond, Box, Atom, NegAtom)):
+            raise ValueError(
+                f"cannot eliminate team-level disjunction under {type(node).__name__}"
+            )
+    memo: dict = {}
     for raw in itertools.product("LR", repeat=m):
-        sel = SelectionFunction(raw)
-        yield sel, _select(f, raw, [0])
+        yield SelectionFunction(raw), _select(f, raw, memo)
 
 
 def emdl_to_mliv(f: Formula, *, max_dep_arity: int | None = DEFAULT_MAX_DEP_ARITY) -> Formula:
@@ -204,16 +241,7 @@ class _TableauNode:
         self.children = children
 
 
-class _RenderKeys(dict):
-    """Each formula's rendering, computed on first use: the sort key of
-    the tableau's pick and diamond order."""
-
-    def __missing__(self, f: Formula) -> str:
-        key = self[f] = render(f)
-        return key
-
-
-def _tableau(fs: frozenset, memo: dict, keys: _RenderKeys) -> _TableauNode | None:
+def _tableau(fs: frozenset, memo: dict) -> _TableauNode | None:
     """Satisfiability of a set of plain modal formulas, as a model or None.
 
     Conjunctions expand, disjunctions branch left first, and a fully
@@ -223,13 +251,13 @@ def _tableau(fs: frozenset, memo: dict, keys: _RenderKeys) -> _TableauNode | Non
     """
     if fs in memo:
         return memo[fs]
-    pick = min((x for x in fs if isinstance(x, (And, Or))), key=keys.__getitem__, default=None)
+    pick = min((x for x in fs if isinstance(x, (And, Or))), key=render, default=None)
     if isinstance(pick, And):
-        result = _tableau(fs - {pick} | {pick.left, pick.right}, memo, keys)
+        result = _tableau(fs - {pick} | {pick.left, pick.right}, memo)
     elif isinstance(pick, Or):
-        result = _tableau(fs - {pick} | {pick.left}, memo, keys)
+        result = _tableau(fs - {pick} | {pick.left}, memo)
         if result is None:
-            result = _tableau(fs - {pick} | {pick.right}, memo, keys)
+            result = _tableau(fs - {pick} | {pick.right}, memo)
     else:
         positive = {x.sym for x in fs if isinstance(x, Atom)}
         negative = {x.sym for x in fs if isinstance(x, NegAtom)}
@@ -242,8 +270,8 @@ def _tableau(fs: frozenset, memo: dict, keys: _RenderKeys) -> _TableauNode | Non
                 {(s, True) for s in positive} | {(s, False) for s in negative}
             )
             result = _TableauNode(result_literals, ())
-            for g in sorted((x.child for x in fs if isinstance(x, Diamond)), key=keys.__getitem__):
-                child = _tableau(frozenset([g, *boxed]), memo, keys)
+            for g in sorted((x.child for x in fs if isinstance(x, Diamond)), key=render):
+                child = _tableau(frozenset([g, *boxed]), memo)
                 if child is None:
                     result = None
                     break
@@ -321,18 +349,18 @@ def ml_valid(f: Formula) -> Valid | Invalid:
     The countermodel is replayed before being returned. Anything but a
     plain modal formula makes `dual` raise ValueError.
     """
-    return _ml_valid(f, {}, _RenderKeys())
+    return _ml_valid(f, {}, {})
 
 
-def _ml_valid(f: Formula, memo: dict, keys: _RenderKeys) -> Valid | Invalid:
-    """`ml_valid` on a tableau memo and render keys that may be shared.
+def _ml_valid(f: Formula, memo: dict, duals: dict) -> Valid | Invalid:
+    """`ml_valid` on a tableau memo and a `_dual` memo that may be shared.
 
     A memo entry depends on its formula set alone, so the selections of
     one `ior` formula can share both and still get the verdicts and
-    countermodels a fresh memo gives.
+    countermodels fresh memos give.
     """
-    negated = dual(f)
-    tree = _tableau(frozenset([negated]), memo, keys)
+    negated = _dual(f, duals)
+    tree = _tableau(frozenset([negated]), memo)
     if tree is None:
         return Valid(witness=None, checked=1)
     syms = formula_symbols(f)
@@ -371,14 +399,12 @@ def _mliv_valid(
             f"configured limit"
         )
     memo: dict = {}
-    keys = _RenderKeys()
-    # The first selection walks every node, the dropped side of each
-    # `ior` included, so anything foreign is rejected before any check.
+    duals: dict = {}
     refuted: dict[Formula, tuple[KripkeStructure, str]] = {}
     for sel, candidate in eliminate_idis(f):
         if candidate in refuted:
             continue
-        verdict = _ml_valid(candidate, memo, keys)
+        verdict = _ml_valid(candidate, memo, duals)
         if verdict:
             return Valid(witness=sel, checked=len(refuted) + 1)
         refuted[candidate] = (verdict.model, next(iter(verdict.team)))
@@ -413,15 +439,10 @@ def emdl_valid(
     selection, and an Invalid verdict is replayed against the original
     formula on the merged countermodel before being returned.
     """
-    for node in walk(f):
-        if isinstance(node, IDis):
-            raise ValueError(
-                "team-level disjunction is not part of the dependence fragment"
-            )
-        if isinstance(node, Dep):
-            raise ValueError(
-                "propositional dependence atoms do not apply to worlds; "
-                "use a modal dependence atom"
-            )
+    if count_idis(f):
+        raise ValueError(
+            "team-level disjunction is not part of the dependence fragment"
+        )
+    # a propositional dependence atom is rejected by the unfolding
     translated = emdl_to_mliv(f, max_dep_arity=max_dep_arity)
     return _mliv_valid(translated, max_selections, f)

@@ -182,10 +182,17 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "internal error: RuntimeError: countermodel failed replay" in err
 
 
-def test_deep_nesting_is_an_internal_error_not_a_verdict(capsys):
+def test_deep_nesting_gets_a_verdict(capsys):
+    # the parser keeps its own stacks, so nesting costs no recursion
     code, out, err = run_cli(
-        capsys, "valid", "--logic", "pd", "(" * 2000 + "p" + ")" * 2000
+        capsys, "valid", "--logic", "pd", "(" * 10000 + "p" + ")" * 10000
     )
+    assert (code, out.strip(), err) == (1, "invalid", "")
+
+
+def test_recursion_past_the_limit_is_an_internal_error(capsys):
+    # the normal form is still taken recursively, one level per box
+    code, out, err = run_cli(capsys, "valid", "--logic", "ml", "[]" * 2000 + "p")
     assert code == 4
     assert out == ""
     assert "internal error: RecursionError" in err
@@ -234,6 +241,43 @@ def test_valid_json_is_independent_of_the_hash_seed():
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', proc.stdout))
+    assert outs[0].count("countermodel") == len(argvs)
+    assert outs[0] == outs[1]
+
+
+def test_valid_json_is_independent_of_node_addresses():
+    # formulas hash by identity, so the iteration order of formula sets
+    # follows memory addresses; one child first interns and keeps a few
+    # thousand unrelated formulas, which moves every later node
+    argvs = [case["argv"] for case in GOLDENS] + [
+        ["valid", "--logic", "emdl", "--json", text]
+        for text in (
+            "dep(p, q; r) & <> dep(; p)",
+            "dep(p; q) & [] dep(q; r) & <> dep(r; p)",
+            "dep(p, q; r) & dep(<> p; q) & dep(; [] r)",
+        )
+    ]
+    child = (
+        "import json, sys\n"
+        "from teamlogic import parse_modal\n"
+        "from teamlogic.cli import run\n"
+        "junk = [parse_modal(f'<> a{i} & [] (!b{i} | c{i % 7})') for i in range(int(sys.argv[2]))]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print(run(argv))\n"
+    )
+    import teamlogic
+
+    src = str(Path(teamlogic.__file__).resolve().parent.parent)
+    outs = []
+    for junk in ("0", "3000"):
+        proc = subprocess.run(
+            [sys.executable, "-c", child, json.dumps(argvs), junk],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', proc.stdout))

@@ -1,3 +1,5 @@
+import copy
+import gc
 import os
 import pickle
 import subprocess
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import teamlogic
+from teamlogic import formula
 from teamlogic import (
     And,
     Atom,
@@ -22,6 +25,7 @@ from teamlogic import (
     PropSymbol,
     classify,
     dual,
+    eliminate_idis,
     fragment_within,
     is_pure_ml,
     nb_subf,
@@ -172,7 +176,8 @@ def test_formula_equality_is_structural():
 
 def test_hash_includes_the_class():
     # a formula and its dual differ in the classes only, and sit side by
-    # side in the tableau's formula sets
+    # side in the tableau's formula sets; being distinct interned nodes,
+    # they hash by distinct identities
     f = parse_modal("<> (p & [] !q) | [] (!p | <> q)")
     pairs = [(f, dual(f)), (Atom(p), NegAtom(p)), (Diamond(Atom(p)), Box(Atom(p)))]
     pairs += [(And(Atom(p), Atom(q)), Or(Atom(p), Atom(q)))]
@@ -181,10 +186,10 @@ def test_hash_includes_the_class():
 
 
 def test_cached_hash_does_not_travel():
-    # A node keeps its hash after the first use, but string hashes
-    # differ between interpreters, so the kept hash must stay out of the
-    # pickle: an interpreter with another hash seed has to find the
-    # unpickled formula among freshly parsed keys.
+    # A node hashes by identity, and identities differ between
+    # interpreters, so unpickling must rebuild the formula through its
+    # constructors: an interpreter with another hash seed has to find
+    # the unpickled formula, interned again, among freshly parsed keys.
     text = "<> (p & dep(q, [] r; p)) | !q ior [] dep(; q)"
     f = parse_modal(text)
     hash(f)
@@ -207,3 +212,80 @@ def test_cached_hash_does_not_travel():
         env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+TEXT = "<> (p & dep(q, [] r; p)) | !q ior [] dep(; q)"
+
+
+def test_equal_formulas_are_one_object():
+    assert parse_modal(TEXT) is parse_modal(TEXT)
+    assert And(Atom(p), Atom(q)) is And(Atom(p), Atom(q))
+    assert Dep([p, q], r) is Dep((p, q), r)
+    assert PropSymbol("p") is p
+    assert Diamond(Atom(p)) is not Box(Atom(p))
+
+
+def test_pickle_and_copy_give_back_the_interned_node():
+    f = parse_modal(TEXT)
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert pickle.loads(pickle.dumps(p)) is p
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+
+
+def test_nodes_reject_assignment():
+    f = And(Atom(p), Atom(q))
+    with pytest.raises(AttributeError):
+        f.left = Atom(r)
+    with pytest.raises(AttributeError):
+        f.extra = 1
+    with pytest.raises(AttributeError):
+        del f.right
+    with pytest.raises(AttributeError):
+        p.name = "q"
+    assert f.left is Atom(p)
+
+
+def test_symbols_sort_by_name_not_by_creation():
+    late = [PropSymbol(name) for name in ("zz9", "mm5", "aa1")]
+    assert sorted(late) == [PropSymbol("aa1"), PropSymbol("mm5"), PropSymbol("zz9")]
+    assert max(late).name == "zz9"
+
+
+def test_dropped_formulas_leave_the_intern_table():
+    # Nothing a node keeps may lead back to it, or a formula would
+    # outlive its last user until a cyclic collection; with the
+    # collector off, dropping the formulas must empty their entries.
+    gc.collect()
+    before = len(formula._table)
+    gc.disable()
+    try:
+        fs = []
+        for i in range(10000):
+            a, b = Atom(PropSymbol(f"u{i}")), Atom(PropSymbol(f"v{i % 10}"))
+            f = Or(Diamond(And(a, NegAtom(b.sym))), Box(Or(b, a)))
+            fs.append(f)
+            render(f), nb_subf(f), symbols(f), dual(f)
+        g = parse_modal("(<> u1 ior [] v1) & (u2 | v2 ior <> u3)")
+        fs.append([h for _, h in eliminate_idis(g)])
+        assert len(formula._table) > before + 10000
+        del f, fs, g, a, b
+        assert len(formula._table) == before
+    finally:
+        gc.enable()
+    gc.collect()
+    assert len(formula._table) == before
+
+
+def test_selections_share_the_ior_free_subtrees():
+    # only the nodes above an `ior` are rebuilt in a selection
+    plain = parse_modal("[] (p | <> q) & !r")
+    f = And(IDis(Diamond(Atom(p)), Box(Atom(q))), plain)
+    picks = [g for _, g in eliminate_idis(f)]
+    assert [render(g) for g in picks] == [
+        "<> p & ([] (p | <> q) & !r)",
+        "[] q & ([] (p | <> q) & !r)",
+    ]
+    for g in picks:
+        assert g.right is plain
+        assert g.left is f.left.left or g.left is f.left.right

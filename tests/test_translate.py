@@ -403,9 +403,9 @@ def test_selections_share_one_tableau_memo(monkeypatch):
     calls = []
     tableau = translate._tableau
 
-    def counting(fs, memo, keys):
+    def counting(fs, memo):
         calls.append(fs)
-        return tableau(fs, memo, keys)
+        return tableau(fs, memo)
 
     monkeypatch.setattr(translate, "_tableau", counting)
     res = mliv_valid(f)
