@@ -142,30 +142,26 @@ def kripke_to_dict(m: KripkeStructure, team: Iterable[str] | None = None) -> dic
 
 
 def ml_point_eval(m: KripkeStructure, w: str, f: Formula) -> bool:
-    """Classical single-world modal truth; plain modal formulas only."""
+    """Classical single-world modal truth; plain modal formulas only.
+
+    Every node and symbol of `f` is checked before anything is
+    evaluated, so no answer short-circuits past an undeclared symbol.
+    A plain modal formula is flat: the team evaluator's compile gives
+    each of its distinct subformulas the mask of worlds where it holds,
+    children first from an explicit stack, in time linear in the size
+    of `f` times the number of worlds, and the answer is a test of the
+    singleton team.
+    """
     if w not in m._succ:
         raise ValueError(f"unknown world: {w}")
-    return _ml_eval(m, w, f)
-
-
-def _ml_eval(m: KripkeStructure, w: str, f: Formula) -> bool:
-    if isinstance(f, Atom):
-        if f.sym not in m.valuation:
-            raise ValueError(f"symbol {f.sym} is missing from the valuation")
-        return w in m.valuation[f.sym]
-    if isinstance(f, NegAtom):
-        if f.sym not in m.valuation:
-            raise ValueError(f"symbol {f.sym} is missing from the valuation")
-        return w not in m.valuation[f.sym]
-    if isinstance(f, And):
-        return _ml_eval(m, w, f.left) and _ml_eval(m, w, f.right)
-    if isinstance(f, Or):
-        return _ml_eval(m, w, f.left) or _ml_eval(m, w, f.right)
-    if isinstance(f, Diamond):
-        return any(_ml_eval(m, v, f.child) for v in m._succ[w])
-    if isinstance(f, Box):
-        return all(_ml_eval(m, v, f.child) for v in m._succ[w])
-    raise ValueError(f"not a plain modal formula: {type(f).__name__}")
+    for node in walk(f):
+        if isinstance(node, (Atom, NegAtom)):
+            if node.sym not in m.valuation:
+                raise ValueError(f"symbol {node.sym} is missing from the valuation")
+        elif not isinstance(node, (And, Or, Diamond, Box)):
+            raise ValueError(f"not a plain modal formula: {type(node).__name__}")
+    ev, (mask,) = _team_evaluator(m, ([w],), (f,), None, None)
+    return ev.eval(f, mask)
 
 
 _MT_NODES = (Atom, NegAtom, And, Or, IDis, Diamond, Box, MDep)
@@ -199,18 +195,19 @@ def mt_eval(
     disjunction with two or more disjuncts that are not flat must split;
     either raises GuardLimitError rather than start an oversized search.
     """
-    ev, mask = _team_evaluator(m, team, (f,), max_choices, max_split_rows)
+    ev, (mask,) = _team_evaluator(m, (team,), (f,), max_choices, max_split_rows)
     return ev.eval(f, mask)
 
 
 def _team_evaluator(
     m: KripkeStructure,
-    team: Iterable[str],
+    teams: Iterable[Iterable[str]],
     cover: tuple[Formula, ...],
     max_choices: int | None,
     max_split_rows: int | None,
-) -> tuple[_TeamEvaluator, int]:
-    """One evaluator over the worlds of `m`, with `team` as a member mask.
+) -> tuple[_TeamEvaluator, list[int]]:
+    """One evaluator over the worlds of `m`, and each of `teams` as a
+    member mask.
 
     The node check and the symbol check run once, over `cover`. The
     evaluator then answers for any formula whose nodes and symbols occur
@@ -219,16 +216,21 @@ def _team_evaluator(
     """
     for f in cover:
         _check_modal_team(f)
-    team = frozenset(team)
-    bad = sorted(team - set(m.worlds))
-    if bad:
-        raise ValueError(f"team names unknown worlds: {bad}")
+    widx = {w: i for i, w in enumerate(m.worlds)}
+    masks = []
+    for team in map(frozenset, teams):
+        mask = 0
+        for w in team:
+            i = widx.get(w)
+            if i is None:
+                raise ValueError(f"team names unknown worlds: {sorted(team - widx.keys())}")
+            mask |= 1 << i
+        masks.append(mask)
     syms = frozenset().union(*map(formula_symbols, cover))
     missing = syms - set(m.valuation)
     if missing:
         names = ", ".join(sorted(s.name for s in missing))
         raise ValueError(f"symbols missing from the valuation: {names}")
-    widx = {w: i for i, w in enumerate(m.worlds)}
     sym_mask = {}
     for sym in syms:
         sm = 0
@@ -237,10 +239,7 @@ def _team_evaluator(
         sym_mask[sym] = sm
     succ = [tuple(widx[v] for v in m.successors(w)) for w in m.worlds]
     ev = _TeamEvaluator(len(m.worlds), sym_mask, succ, max_choices, max_split_rows)
-    mask = 0
-    for w in team:
-        mask |= 1 << widx[w]
-    return ev, mask
+    return ev, masks
 
 
 def disjoint_union(a: KripkeStructure, b: KripkeStructure) -> KripkeStructure:

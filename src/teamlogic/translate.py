@@ -19,13 +19,18 @@ non-Boolean subformulas) and the duals taken of it. Their tableaux
 share one memo of formula sets; an entry depends on its formula set
 alone, so the verdicts and countermodels are those of a fresh memo per
 selection, and a formula set hashes and compares its members by
-identity.
+identity. A refuted selection leaves a piece on integer worlds, its
+filtration computed on bitmasks, and the pieces of all refuted
+selections become one `KripkeStructure` with string world names, built
+once per decision with the names a chain of `disjoint_union`s would
+give.
 
 Every Invalid verdict returned here has been replayed through the team
-semantics before being handed out: each refuted selection and, for
-`emdl_valid`, the original formula, all on one evaluator over the merged
-countermodel. A verdict that fails its replay is a bug and raises
-RuntimeError instead of surfacing.
+semantics before being handed out, on one evaluator that reads the
+returned structure: each refuted selection at its own piece's root and
+on the whole team and, for `emdl_valid`, the original formula on the
+team. A verdict that fails its replay is a bug and raises RuntimeError
+instead of surfacing.
 """
 
 from __future__ import annotations
@@ -53,7 +58,8 @@ from .formula import (
     symbols as formula_symbols,
     walk,
 )
-from .kripke import KripkeStructure, _team_evaluator, disjoint_union, ml_point_eval
+from .kripke import KripkeStructure, _team_evaluator, ml_point_eval
+from .team_eval import _bits
 
 DEFAULT_MAX_DEP_ARITY = 10
 DEFAULT_MAX_SELECTIONS = 1 << 20
@@ -282,62 +288,145 @@ def _tableau(fs: frozenset, memo: dict) -> _TableauNode | None:
     return result
 
 
-def _model_from_tableau(root: _TableauNode, syms) -> tuple[KripkeStructure, str]:
-    order: list[_TableauNode] = []
-    index: dict[int, int] = {}
-    queue = [root]
-    while queue:
-        node = queue.pop(0)
-        if id(node) in index:
-            continue
-        index[id(node)] = len(order)
-        order.append(node)
-        queue.extend(node.children)
-    worlds = [f"t{i}" for i in range(len(order))]
-    edges = []
-    for i, node in enumerate(order):
-        for child in node.children:
-            edges.append((worlds[i], worlds[index[id(child)]]))
-    valuation = {
-        sym: frozenset(
-            worlds[i] for i, node in enumerate(order) if (sym, True) in node.literals
-        )
-        for sym in syms
-    }
-    return KripkeStructure(worlds, edges, valuation), worlds[0]
+def _world_mask(f: Formula, mask: dict, val: dict, succ: list[int], full: int) -> int:
+    """The worlds where the plain modal formula `f` holds, as a bitmask.
 
-
-def _filtrate(m: KripkeStructure, root: str, sig: list[Formula]) -> tuple[KripkeStructure, str]:
-    """Quotient a model by agreement on the formulas in `sig`.
-
-    Literal and modal subformulas determine all Boolean combinations
-    pointwise, so agreement on them is agreement on every subformula,
-    and the quotient keeps their truth values. Classes are numbered by
-    first appearance in world order, the root's class first.
+    `val` maps each symbol to its worlds and `succ` lists each world's
+    successors, both as masks under `full`. The pass runs children
+    first from an explicit stack and keeps every subformula's mask in
+    `mask`, which calls on one structure share. `ml_point_eval` runs on
+    the team evaluator's compile instead, so the replay in `ml_valid`
+    does not go through this pass.
     """
-    world_order = [root] + [w for w in m.worlds if w != root]
-    profiles: dict[str, tuple] = {
-        w: tuple(ml_point_eval(m, w, s) for s in sig) for w in world_order
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if g in mask:
+            continue
+        cls = type(g)
+        if cls is Atom:
+            mask[g] = val[g.sym]
+        elif cls is NegAtom:
+            mask[g] = full & ~val[g.sym]
+        elif cls is And or cls is Or:
+            left, right = mask.get(g.left), mask.get(g.right)
+            if left is None or right is None:
+                todo += (g, g.right, g.left)
+            else:
+                mask[g] = left & right if cls is And else left | right
+        else:
+            child = mask.get(g.child)
+            if child is None:
+                todo += (g, g.child)
+                continue
+            # Diamond: the pre-image; Box: the complement of the
+            # pre-image of the complement
+            if cls is Box:
+                child = full & ~child
+            pre = 0
+            for i, image in enumerate(succ):
+                if image & child:
+                    pre |= 1 << i
+            mask[g] = full & ~pre if cls is Box else pre
+    return mask[f]
+
+
+def _ml_valid(f: Formula, memo: dict, duals: dict) -> tuple | None:
+    """Refute a plain modal formula: None when it is valid, else the
+    piece of a countermodel.
+
+    The tableau runs on the pointwise negation, with a tableau memo and
+    a `_dual` memo that may be shared: a memo entry depends on its
+    formula set alone, so the selections of one `ior` formula can share
+    both and still get the verdicts and pieces fresh memos give.
+
+    An open tableau is a DAG of worlds, numbered breadth first from its
+    root, with one bitmask of worlds per symbol (where a positive
+    literal puts it) and per world (its successors). The filtration
+    refines the partition of all worlds by the mask of every literal and
+    modal subformula of the negation, the symbols' first, each modal
+    one from `_world_mask` on one memo, and stops early once every world
+    is a class alone. These subformulas determine every Boolean
+    combination pointwise, so the quotient keeps the truth of every
+    subformula, and it has at most two to their number classes. Classes
+    are numbered by their lowest world, the root's class first.
+
+    A piece is (class count, class edges, symbol -> classes where it
+    holds), with an entry for every symbol of `f`.
+    """
+    negated = _dual(f, duals)
+    tree = _tableau(frozenset([negated]), memo)
+    if tree is None:
+        return None
+    index = {tree: 0}
+    order = [tree]
+    succ = []
+    for node in order:
+        image = 0
+        for child in node.children:
+            j = index.get(child)
+            if j is None:
+                j = index[child] = len(order)
+                order.append(child)
+            image |= 1 << j
+        succ.append(image)
+    val = dict.fromkeys(formula_symbols(f), 0)
+    for i, node in enumerate(order):
+        for sym, positive in node.literals:
+            if positive:
+                val[sym] |= 1 << i
+    n = len(order)
+    full = (1 << n) - 1
+    classes = [full]
+    if n > 1:
+        # Every symbol of `f` has its atom among the non-Boolean
+        # subformulas. Once every world is a class alone, the rest can
+        # split nothing.
+        for m in val.values():
+            classes = [part for c in classes for part in (c & m, c & ~m) if part]
+        mask: dict[Formula, int] = {}
+        for g in nb_subf(negated):
+            if len(classes) == n:
+                break
+            if type(g) is not Atom:
+                m = _world_mask(g, mask, val, succ, full)
+                classes = [part for c in classes for part in (c & m, c & ~m) if part]
+        classes.sort(key=lambda c: c & -c)
+    edges = []
+    for k, c in enumerate(classes):
+        image = 0
+        for i in _bits(c):
+            image |= succ[i]
+        edges += [(k, l) for l, d in enumerate(classes) if d & image]
+    valuation = {
+        sym: [k for k, c in enumerate(classes) if c & m] for sym, m in val.items()
     }
-    class_of: dict[str, int] = {}
-    first_seen: dict[tuple, int] = {}
-    for w in world_order:
-        p = profiles[w]
-        if p not in first_seen:
-            first_seen[p] = len(first_seen)
-        class_of[w] = first_seen[p]
-    names = [f"w{i}" for i in range(len(first_seen))]
-    edges = {
-        (names[class_of[u]], names[class_of[v]]) for u, v in m.edges
-    }
-    valuation = {}
-    for sym in m.valuation:
-        # Every symbol occurs in some literal, so its atom is in sig.
-        pos = sig.index(Atom(sym))
-        valuation[sym] = frozenset(
-            names[c] for p, c in first_seen.items() if p[pos]
-        )
-    return KripkeStructure(names, edges, valuation), names[class_of[root]]
+    return len(classes), edges, valuation
+
+
+def _merge(pieces: list[tuple]) -> tuple[KripkeStructure, list[str]]:
+    """One structure holding the pieces side by side, and their roots.
+
+    World i of piece j of k is named `"L:" * (k-1-j) + ("R:" if j else
+    "") + f"w{i}"`, as in the nested disjoint union
+    `(..((P0 + P1) + P2) ..) + P(k-1)`, built here once instead of
+    re-prefixed and re-validated at every step. Every symbol of every
+    piece is declared, and holds in no world of a piece without it.
+    """
+    k = len(pieces)
+    worlds: list[str] = []
+    edges: list[tuple[str, str]] = []
+    valuation: dict = {}
+    roots = []
+    for j, (n, piece_edges, piece_valuation) in enumerate(pieces):
+        prefix = "L:" * (k - 1 - j) + ("R:" if j else "")
+        names = [f"{prefix}w{i}" for i in range(n)]
+        roots.append(names[0])
+        worlds += names
+        edges += [(names[u], names[v]) for u, v in piece_edges]
+        for sym, holds in piece_valuation.items():
+            valuation.setdefault(sym, []).extend([names[c] for c in holds])
+    return KripkeStructure(worlds, edges, valuation), roots
 
 
 def ml_valid(f: Formula) -> Valid | Invalid:
@@ -345,27 +434,15 @@ def ml_valid(f: Formula) -> Valid | Invalid:
 
     Searches a tableau for the pointwise negation; a closed tableau
     means valid, and an open branch is folded into a countermodel whose
-    size is at most two to the number of literal and modal subformulas.
-    The countermodel is replayed before being returned. Anything but a
+    size is at most two to the number of literal and modal subformulas,
+    with worlds w0, w1, ... and w0 its root. The countermodel is
+    replayed by `ml_point_eval` before being returned. Anything but a
     plain modal formula makes `dual` raise ValueError.
     """
-    return _ml_valid(f, {}, {})
-
-
-def _ml_valid(f: Formula, memo: dict, duals: dict) -> Valid | Invalid:
-    """`ml_valid` on a tableau memo and a `_dual` memo that may be shared.
-
-    A memo entry depends on its formula set alone, so the selections of
-    one `ior` formula can share both and still get the verdicts and
-    countermodels fresh memos give.
-    """
-    negated = _dual(f, duals)
-    tree = _tableau(frozenset([negated]), memo)
-    if tree is None:
+    piece = _ml_valid(f, {}, {})
+    if piece is None:
         return Valid(witness=None, checked=1)
-    syms = formula_symbols(f)
-    raw_model, raw_root = _model_from_tableau(tree, syms)
-    model, root = _filtrate(raw_model, raw_root, list(nb_subf(negated)))
+    model, (root,) = _merge([piece])
     if ml_point_eval(model, root, f):
         raise RuntimeError("countermodel failed replay; this is a bug")
     return Invalid(model=model, team=frozenset([root]), checked=1)
@@ -391,7 +468,14 @@ def _mliv_valid(
     f: Formula, max_selections: int | None, original: Formula | None
 ) -> Valid | Invalid:
     """`mliv_valid`, replaying an Invalid verdict also against `original`,
-    the formula `f` was translated from, when one is given."""
+    the formula `f` was translated from, when one is given.
+
+    Each distinct refuted selection leaves one piece, and one structure
+    is built from all of them (`_merge`). The replay reads that
+    structure alone, on one evaluator: each selection must fail at its
+    own piece's root and on the team of all roots, and `original` on
+    that team.
+    """
     m = count_idis(f)
     if max_selections is not None and (1 << m) > max_selections:
         raise GuardLimitError(
@@ -400,28 +484,29 @@ def _mliv_valid(
         )
     memo: dict = {}
     duals: dict = {}
-    refuted: dict[Formula, tuple[KripkeStructure, str]] = {}
+    refuted: dict[Formula, tuple] = {}
     for sel, candidate in eliminate_idis(f):
         if candidate in refuted:
             continue
-        verdict = _ml_valid(candidate, memo, duals)
-        if verdict:
+        piece = _ml_valid(candidate, memo, duals)
+        if piece is None:
             return Valid(witness=sel, checked=len(refuted) + 1)
-        refuted[candidate] = (verdict.model, next(iter(verdict.team)))
-    (model, root), *rest = refuted.values()
-    points = [root]
-    for other_model, other_root in rest:
-        model = disjoint_union(model, other_model)
-        points = [f"L:{p}" for p in points] + [f"R:{other_root}"]
-    team = frozenset(points)
+        refuted[candidate] = piece
+    model, roots = _merge(list(refuted.values()))
+    team = frozenset(roots)
     # The formula holds on a team exactly when some selection does, and
     # each selection is flat, so this replay stays linear per selection
     # where evaluating the disjunctions directly would enumerate splits.
     # One evaluator serves every replay: `f` covers the nodes and
     # symbols of every selection, and `original` its own.
     extra = () if original is None else (original,)
-    ev, mask = _team_evaluator(model, team, (f, *extra), None, None)
-    for g in (*refuted, *extra):
+    ev, (mask, *root_masks) = _team_evaluator(
+        model, (team, *([r] for r in roots)), (f, *extra), None, None
+    )
+    for g, root_mask in zip(refuted, root_masks):
+        if ev.eval(g, root_mask) or ev.eval(g, mask):
+            raise RuntimeError("countermodel failed replay; this is a bug")
+    for g in extra:
         if ev.eval(g, mask):
             raise RuntimeError("countermodel failed replay; this is a bug")
     return Invalid(model=model, team=team, checked=len(refuted))

@@ -7,8 +7,10 @@ two defining conditions over every subset of worlds, and the vectorized
 oracles propagate whole satisfying-team sets per structure. The one
 exception is `pd_valid_bruteforce`, which checks the package's team
 evaluator on every team to cross-check that validity needs only the
-team of all assignments. Corpus generators enumerate formula spaces
-bottom up by AST size.
+team of all assignments. The reference countermodels for `ml_valid`
+and `mliv_valid` take the package's tableau as given and rebuild
+everything after it on string worlds. Corpus generators enumerate
+formula spaces bottom up by AST size.
 """
 
 from __future__ import annotations
@@ -938,3 +940,95 @@ def ml_valid_small_models(
             if not np.all(truth(f, atom_mask) == full):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference countermodels for `ml_valid` and `mliv_valid`
+
+
+def reference_tableau_model(root, syms) -> tuple[KripkeStructure, str]:
+    """The structure an open tableau describes, worlds t0, t1, ... in
+    breadth-first order from the root."""
+    order = []
+    index: dict[int, int] = {}
+    queue = [root]
+    while queue:
+        node = queue.pop(0)
+        if id(node) in index:
+            continue
+        index[id(node)] = len(order)
+        order.append(node)
+        queue.extend(node.children)
+    worlds = [f"t{i}" for i in range(len(order))]
+    edges = [
+        (worlds[i], worlds[index[id(child)]])
+        for i, node in enumerate(order)
+        for child in node.children
+    ]
+    valuation = {
+        sym: frozenset(
+            worlds[i] for i, node in enumerate(order) if (sym, True) in node.literals
+        )
+        for sym in syms
+    }
+    return KripkeStructure(worlds, edges, valuation), worlds[0]
+
+
+def _reference_filtrate(m: KripkeStructure, root: str, sig) -> tuple[KripkeStructure, str]:
+    """Quotient by agreement on `sig`, judged world by world with
+    `_bml_point`; classes w0, w1, ... by first appearance, root first."""
+    world_order = [root] + [w for w in m.worlds if w != root]
+    first_seen: dict[tuple, int] = {}
+    class_of = {}
+    for w in world_order:
+        profile = tuple(_bml_point(m, w, s) for s in sig)
+        class_of[w] = first_seen.setdefault(profile, len(first_seen))
+    names = [f"w{i}" for i in range(len(first_seen))]
+    edges = {(names[class_of[u]], names[class_of[v]]) for u, v in m.edges}
+    valuation = {}
+    for sym in m.valuation:
+        pos = sig.index(Atom(sym))
+        valuation[sym] = frozenset(names[c] for p, c in first_seen.items() if p[pos])
+    return KripkeStructure(names, edges, valuation), names[class_of[root]]
+
+
+def reference_ml_countermodel(f: Formula, memo: dict) -> tuple[KripkeStructure, str] | None:
+    """A filtrated countermodel of plain modal `f` and its root, or None
+    when `f` is valid.
+
+    The package's tableau (on `memo`) finds the open branch; the model,
+    the filtration by the non-Boolean subformulas of the negation and
+    the world names are rebuilt here on strings, sharing no code with
+    the package's construction on bitmasks.
+    """
+    from teamlogic import dual, nb_subf
+    from teamlogic.translate import _tableau
+
+    negated = dual(f)
+    tree = _tableau(frozenset([negated]), memo)
+    if tree is None:
+        return None
+    model, root = reference_tableau_model(tree, symbols(f))
+    return _reference_filtrate(model, root, list(nb_subf(negated)))
+
+
+def reference_mliv_valid(f: Formula):
+    """`mliv_valid` with the reference countermodels, merged by a chain
+    of `disjoint_union`s in selection order."""
+    from teamlogic import Invalid, Valid, disjoint_union, eliminate_idis
+
+    memo: dict = {}
+    refuted: dict = {}
+    for sel, g in eliminate_idis(f):
+        if g in refuted:
+            continue
+        found = reference_ml_countermodel(g, memo)
+        if found is None:
+            return Valid(witness=sel, checked=len(refuted) + 1)
+        refuted[g] = found
+    (model, root), *rest = refuted.values()
+    points = [root]
+    for other, other_root in rest:
+        model = disjoint_union(model, other)
+        points = [f"L:{p}" for p in points] + [f"R:{other_root}"]
+    return Invalid(model=model, team=frozenset(points), checked=len(refuted))

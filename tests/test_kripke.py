@@ -94,6 +94,35 @@ def test_point_evaluation():
         ml_point_eval(m, "w0", MDep((), Atom(p)))
 
 
+def test_point_evaluation_checks_the_whole_formula():
+    m = chain()
+    # p holds at w0, so neither answer depends on the right disjunct;
+    # r is undeclared and the dependence atom is not plain modal logic
+    with pytest.raises(ValueError, match="symbol r is missing from the valuation"):
+        ml_point_eval(m, "w0", parse_modal("p | r"))
+    with pytest.raises(ValueError, match="not a plain modal formula: MDep"):
+        ml_point_eval(m, "w0", Or(Atom(p), MDep((), Atom(p))))
+    with pytest.raises(ValueError, match="unknown world: w9"):
+        ml_point_eval(m, "w9", Atom(p))
+
+
+def _nest(op, f, times):
+    for _ in range(times):
+        f = op(f)
+    return f
+
+
+def test_point_evaluation_is_linear_and_needs_no_recursion():
+    worlds = ["a", "b", "c"]
+    clique = KripkeStructure(worlds, [(u, v) for u in worlds for v in worlds], {p: set()})
+    # evaluating once per successor took 3^40 steps here
+    assert not ml_point_eval(clique, "a", _nest(Diamond, Atom(p), 40))
+    assert ml_point_eval(clique, "a", _nest(Diamond, Or(Atom(p), NegAtom(p)), 40))
+    # far past the recursion limit
+    assert not ml_point_eval(clique, "a", _nest(Box, Atom(p), 2000))
+    assert ml_point_eval(clique, "a", _nest(Box, NegAtom(p), 2000))
+
+
 def test_team_clauses_frozen_examples():
     m = chain()
     assert mt_eval(m, {"w0", "w2"}, parse_modal("p"))

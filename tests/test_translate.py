@@ -35,6 +35,7 @@ from teamlogic import (
     parse_modal,
     render,
     size,
+    symbols,
 )
 
 from oracles import (
@@ -45,6 +46,9 @@ from oracles import (
     random_emdl_formula,
     random_ml_formula,
     random_mliv_formula,
+    reference_mliv_valid,
+    reference_ml_countermodel,
+    reference_tableau_model,
 )
 
 p = PropSymbol("p")
@@ -352,22 +356,44 @@ def test_shared_tableau_memo_matches_fresh_memos():
     assert invalid > 10
 
 
-def _union_flipping_first_symbol(a, b):
-    m = disjoint_union(a, b)
+_merge = translate._merge
+
+
+def _merge_flipping_first_symbol(pieces):
+    m, roots = _merge(pieces)
     sym = min(m.valuation)
     valuation = dict(m.valuation)
     valuation[sym] = frozenset(m.worlds) - m.valuation[sym]
-    return kripke.KripkeStructure(m.worlds, m.edges, valuation)
+    return kripke.KripkeStructure(m.worlds, m.edges, valuation), roots
 
 
 def test_shared_replay_refuses_a_broken_countermodel(monkeypatch):
-    monkeypatch.setattr(translate, "disjoint_union", _union_flipping_first_symbol)
+    monkeypatch.setattr(translate, "_merge", _merge_flipping_first_symbol)
     # p & q and p & !q are refuted where p is false; flipping p makes
     # the merged team satisfy p & !q
     with pytest.raises(RuntimeError, match="failed replay"):
         mliv_valid(parse_modal("p & q ior p & !q"))
     with pytest.raises(RuntimeError, match="failed replay"):
         emdl_valid(parse_modal("p & dep(; q)"))
+
+
+def test_replay_checks_each_selection_at_its_own_root(monkeypatch):
+    # p is refuted at the first piece's root and q at the second's. With
+    # p made true at the first root only, the team of both roots still
+    # refutes p and q, so only the check at each selection's own root
+    # sees the broken merge.
+    def flip_p_at_first_root(pieces):
+        m, roots = _merge(pieces)
+        valuation = dict(m.valuation)
+        valuation[p] = m.valuation[p] | {roots[0]}
+        return kripke.KripkeStructure(m.worlds, m.edges, valuation), roots
+
+    f = parse_modal("p ior q")
+    monkeypatch.setattr(translate, "_merge", flip_p_at_first_root)
+    m, _ = flip_p_at_first_root([translate._ml_valid(g, {}, {}) for _, g in eliminate_idis(f)])
+    assert not mt_eval(m, m.worlds, Atom(p)) and not mt_eval(m, m.worlds, Atom(q))
+    with pytest.raises(RuntimeError, match="failed replay"):
+        mliv_valid(f)
 
 
 def test_replay_of_the_original_formula_still_checks(monkeypatch):
@@ -392,6 +418,59 @@ def test_one_replay_evaluator_per_decision(monkeypatch):
     assert isinstance(res, Invalid) and res.checked == 4
     # four candidates and the original formula, all on one evaluator
     assert built == [4]
+
+
+def test_one_structure_per_decision(monkeypatch):
+    built = []
+    init = kripke.KripkeStructure.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(kripke.KripkeStructure, "__init__", counting)
+    res = emdl_valid(parse_modal("dep(p; q)"))
+    assert isinstance(res, Invalid) and res.checked == 4
+    # one structure for the four pieces, none per piece or per merge
+    assert len(built) == 1
+
+
+def test_ml_countermodels_match_the_reference_construction():
+    # Random formulas seldom give the filtration two worlds to merge
+    # (under 1% at budget 6-20), so past 300 formulas the draw goes on,
+    # with larger budgets, until ten merges have been compared.
+    rng = random.Random(79)
+    drawn = invalid = merged = 0
+    while drawn < 300 or merged < 10:
+        drawn += 1
+        budget = rng.randint(1, 9) if drawn <= 300 else rng.randint(6, 20)
+        f = random_ml_formula(rng, ["p", "q", "r"], budget, rng.randint(0, 2))
+        found = reference_ml_countermodel(f, {})
+        if found is None:
+            assert _same_verdict(ml_valid(f), Valid(witness=None, checked=1)), render(f)
+            continue
+        model, root = found
+        want = Invalid(model=model, team=frozenset([root]), checked=1)
+        assert _same_verdict(ml_valid(f), want), render(f)
+        invalid += 1
+        tree = translate._tableau(frozenset([dual(f)]), {})
+        merged += len(reference_tableau_model(tree, symbols(f))[0].worlds) > len(model.worlds)
+    assert invalid > 100
+
+
+def test_mliv_countermodels_match_the_reference_construction():
+    rng = random.Random(83)
+    invalid = 0
+    formulas = 0
+    while formulas < 40:
+        f = random_mliv_formula(rng, ["p", "q", "r"], rng.randint(14, 30), 2)
+        if not 5 <= count_idis(f) <= 9:
+            continue
+        formulas += 1
+        res = mliv_valid(f)
+        assert _same_verdict(res, reference_mliv_valid(f)), render(f)
+        invalid += isinstance(res, Invalid)
+    assert invalid > 10
 
 
 def test_selections_share_one_tableau_memo(monkeypatch):
