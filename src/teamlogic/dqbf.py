@@ -32,10 +32,9 @@ from .formula import (
     Or,
     PropSymbol,
     _as_symbol,
+    _nnf,
     render,
     symbols as formula_symbols,
-    to_nnf,
-    walk,
 )
 from .parser import parse_prop
 from .prop_team import pl_pointwise
@@ -46,13 +45,12 @@ DEFAULT_MAX_QBF_VARS = 24
 
 
 def _check_matrix(matrix: Formula, declared: set[PropSymbol]) -> Formula:
-    matrix = to_nnf(matrix)
-    for node in walk(matrix):
-        if not isinstance(node, (Atom, NegAtom, And, Or)):
-            raise ValueError(
-                f"matrix must be a plain propositional formula, not contain "
-                f"{type(node).__name__}"
-            )
+    matrix, bad = _nnf(matrix, (Atom, NegAtom, And, Or))
+    if bad is not None:
+        raise ValueError(
+            f"matrix must be a plain propositional formula, not contain "
+            f"{bad.__name__}"
+        )
     free = formula_symbols(matrix) - declared
     if free:
         names = ", ".join(sorted(s.name for s in free))
@@ -230,21 +228,41 @@ def _surely_false(
     return f[-1]
 
 
+_FREE = 2
+
+
 def dqbf_eval(
     inst: DqbfInstance, *, max_table_bits: int | None = DEFAULT_MAX_TABLE_BITS
 ) -> SkolemWitness | None:
     """Decide an instance by searching Skolem tables.
 
-    The search fixes table bits one at a time in lexicographic order over
-    their concatenation (existentials in declaration order, entries in
-    index order, 0 before 1), so a true instance always yields the same,
-    least witness. After each bit the matrix is evaluated three-valued
-    on all universal assignments at once; as soon as some assignment is
-    false whatever the unfixed bits become, the search backtracks, since
-    no table below that prefix can be a witness.
+    The search fixes table bits in lexicographic order over their
+    concatenation (existentials in declaration order, entries in index
+    order, 0 before 1), so a true instance always yields the same, least
+    witness. The matrix is evaluated three-valued on all universal
+    assignments at once (`_surely_false`).
+
+    After each decision, every existential with unfixed entries is
+    probed twice: with all of them fixed to 0, then to 1. Each universal
+    assignment reads exactly one entry of each table, and the evaluation
+    works assignment by assignment, so an entry with an assignment
+    surely false under 0 is forced to 1, and the reverse. An entry
+    forced both ways refutes the prefix, as does, through its entry, an
+    assignment already surely false. Probing repeats until it forces
+    nothing new; the search then branches on the lowest unfixed bit.
+    Forced bits cut only subtrees that hold no witness, so the first
+    witness found is still the least one. Backtracking undoes fixed bits
+    through a trail.
+
+    Before probing, each prefix is completed with every unfixed bit 0 and
+    evaluated once. That completion is the least candidate under the
+    prefix, so when it is a witness it is the one the search would reach
+    first, and the search stops there. On an instance that needs few
+    corrections this saves the probing, which costs two evaluations per
+    existential with unfixed entries, per round.
 
     `max_table_bits` bounds the size of the tables, not the search work:
-    pruning usually cuts the 2^bits candidates far down, but a false
+    propagation usually cuts the 2^bits candidates far down, but a false
     instance can still need exponentially many steps.
     """
     n = len(inst.universals)
@@ -264,44 +282,107 @@ def dqbf_eval(
     slot = {u: i for i, u in enumerate(inst.universals)}
     # (slot, rows) per table bit, in search order.
     bits: list[tuple[int, int]] = []
+    # (slot, first bit, table size) per existential.
+    spans: list[tuple[int, int, int]] = []
     for k, (sym, deps) in enumerate(inst.existentials):
         slot[sym] = n + k
-        for entry in range(1 << len(deps)):
+        spans.append((n + k, len(bits), sizes[k]))
+        for entry in range(sizes[k]):
             m = full
             for t, d in enumerate(deps):
                 bit = entry >> (len(deps) - 1 - t) & 1
                 m &= cols[d] if bit else ~cols[d] & full
             bits.append((n + k, m))
     program = _compile_matrix(inst.matrix, slot)
-    if not bits and _surely_false(program, ones, zeros):
-        return None
-    chosen: list[int] = []
-    value = 0
-    while len(chosen) < total_bits:
-        v, rows = bits[len(chosen)]
-        fixed = ones if value else zeros
-        fixed[v] |= rows
-        if not _surely_false(program, ones, zeros):
-            chosen.append(value)
-            value = 0
+    value = bytearray([_FREE]) * total_bits
+    trail: list[int] = []
+
+    def fix(i: int, b: int) -> None:
+        v, rows = bits[i]
+        (ones if b else zeros)[v] |= rows
+        value[i] = b
+        trail.append(i)
+
+    def force(first: int, size: int, refuted: int, b: int) -> bool:
+        # Fix to b every entry read by a row in `refuted`; False when one
+        # of them was just fixed the other way.
+        for i in range(first, first + size):
+            if refuted & bits[i][1]:
+                if value[i] != _FREE:
+                    return False
+                fix(i, b)
+        return True
+
+    def propagate() -> bool:
+        # Probe the existentials in turn until a full round forces
+        # nothing; False when the current prefix is refuted.
+        k = quiet = 0
+        while quiet < len(spans):
+            v, first, size = spans[k]
+            k = (k + 1) % len(spans)
+            quiet += 1
+            free = full & ~(ones[v] | zeros[v])
+            if not free:
+                continue
+            zeros[v] |= free
+            f0 = _surely_false(program, ones, zeros)
+            zeros[v] ^= free
+            ones[v] |= free
+            f1 = _surely_false(program, ones, zeros)
+            ones[v] ^= free
+            if f0 | f1:
+                if not (force(first, size, f0, 1) and force(first, size, f1, 0)):
+                    return False
+                quiet = 1
+        return True
+
+    def completes() -> bool:
+        # Whether the prefix with every unfixed bit set to 0 is a witness.
+        saved = zeros[n:]
+        for v, _, _ in spans:
+            zeros[v] = full & ~ones[v]
+        holds = not _surely_false(program, ones, zeros)
+        zeros[n:] = saved
+        return holds
+
+    # A prefix that propagation keeps has no surely-false row: one would
+    # force its entries both ways, and a forced entry takes the value
+    # its probe did not refute. No single unfixed bit, set either way,
+    # makes one either, or it would have been forced. So every decision
+    # keeps this, and a prefix fixing every bit is a witness. An instance
+    # without existentials has no bits to probe: its one candidate is
+    # the matrix itself, which `completes` evaluates.
+    #
+    # Each decision is (bit, trail length before it), its bit set to 0.
+    # When that fails, the bit is forced to 1 one level up: it stays on
+    # the trail, and the bits below it stay fixed, so the scan for the
+    # next decision resumes there and runs forward only.
+    decisions: list[tuple[int, int]] = []
+    pos = 0
+    while not completes():
+        if bits and propagate():
+            while pos < total_bits and value[pos] != _FREE:
+                pos += 1
+            if pos == total_bits:
+                break
+            decisions.append((pos, len(trail)))
+            fix(pos, 0)
             continue
-        fixed[v] ^= rows
-        # Both values refuted at this depth: undo the choices above it
-        # until one can still switch from 0 to 1.
-        while value:
-            if not chosen:
-                return None
-            value = chosen.pop()
-            v, rows = bits[len(chosen)]
-            (ones if value else zeros)[v] ^= rows
-        value = 1
-    tables = {}
-    off = 0
-    for (sym, _), size in zip(inst.existentials, sizes):
-        tables[sym] = tuple(chosen[off : off + size])
-        off += size
+        if not decisions:
+            return None
+        pos, mark = decisions.pop()
+        while len(trail) > mark:
+            i = trail.pop()
+            v, rows = bits[i]
+            (ones if value[i] else zeros)[v] ^= rows
+            value[i] = _FREE
+        fix(pos, 1)
+    table_bits = [0 if b == _FREE else b for b in value]
     return SkolemWitness(
-        tables=tables,
+        tables={
+            sym: tuple(table_bits[first : first + size])
+            for (sym, _), (_, first, size) in zip(inst.existentials, spans)
+        },
         constraints={sym: deps for sym, deps in inst.existentials},
     )
 

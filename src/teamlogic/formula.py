@@ -409,43 +409,76 @@ def to_nnf(f: Formula) -> Formula:
     usual dual pairs. A negation reaching a dependence atom or `ior` is
     an error: neither has a negation normal form in these grammars.
     """
-    return _nnf(f, False)
+    return _nnf(f)[0]
 
 
-def _nnf(f: Formula, neg: bool) -> Formula:
-    # A subtree without negation comes back as the same object, so an
-    # input already in normal form is not copied node by node.
-    if isinstance(f, Atom):
-        return NegAtom(f.sym) if neg else f
-    if isinstance(f, NegAtom):
-        return Atom(f.sym) if neg else f
-    if isinstance(f, Not):
-        return _nnf(f.child, not neg)
-    if isinstance(f, (And, Or, IDis)):
-        if neg and isinstance(f, IDis):
-            raise ValueError("'ior' cannot be negated")
-        l, r = _nnf(f.left, neg), _nnf(f.right, neg)
+def _nnf(f: Formula, allowed: tuple | None = None) -> tuple[Formula, type | None]:
+    """`to_nnf(f)`, and the class of the first node of the result, in
+    preorder, that is not one of `allowed` (None if there is none or
+    `allowed` is None).
+
+    Built from an explicit stack, with one memo per polarity, so a
+    subtree shared under the same number of negations is done once. A
+    subtree without negation comes back as the same object, so a formula
+    without `Not` is its own answer and the parts already in normal form
+    are not copied node by node. Errors come in the order a left-to-right
+    recursion meets them.
+    """
+    if allowed is None:
+        allowed = _NNF_CLASSES
+    memos: tuple[dict, dict] = ({}, {})
+    bad = None
+    done: list[Formula] = []  # results of the finished subtrees, in order
+    # (node, negated, None) to visit a node; (node, negated, its parts)
+    # once its parts' results are the last ones in `done`.
+    stack: list[tuple] = [(f, False, None)]
+    while stack:
+        node, neg, parts = stack.pop()
+        cls = type(node)
+        if parts is not None:
+            kids = tuple(done[-len(parts):])
+            del done[-len(parts):]
+            if neg:
+                new = _DUAL_CLASS[cls](*kids)
+            elif kids == parts:
+                new = node
+            elif cls is MDep:
+                new = MDep(kids[:-1], kids[-1])
+            else:
+                new = cls(*kids)
+            memos[neg][node] = new
+            done.append(new)
+            continue
+        if cls is Not:
+            stack.append((node.child, not neg, None))
+            continue
+        if cls not in _NNF_CLASSES:
+            raise TypeError(f"not a formula: {node!r}")
+        out = cls
         if neg:
-            return Or(l, r) if isinstance(f, And) else And(l, r)
-        return f if l is f.left and r is f.right else type(f)(l, r)
-    if isinstance(f, (Diamond, Box)):
-        c = _nnf(f.child, neg)
-        if neg:
-            return Box(c) if isinstance(f, Diamond) else Diamond(c)
-        return f if c is f.child else type(f)(c)
-    if isinstance(f, Dep):
-        if neg:
-            raise ValueError("dependence atoms cannot be negated")
-        return f
-    if isinstance(f, MDep):
-        if neg:
-            raise ValueError("dependence atoms cannot be negated")
-        args = tuple(_nnf(a, False) for a in f.args)
-        target = _nnf(f.target, False)
-        if target is f.target and all(a is b for a, b in zip(args, f.args)):
-            return f
-        return MDep(args, target)
-    raise TypeError(f"not a formula: {f!r}")
+            out = _DUAL_CLASS.get(cls)
+            if out is None:
+                if cls is IDis:
+                    raise ValueError("'ior' cannot be negated")
+                raise ValueError("dependence atoms cannot be negated")
+        if out not in allowed and bad is None:
+            bad = out
+        if cls is Atom or cls is NegAtom or cls is Dep:
+            # a negated Dep raised above
+            done.append(out(node.sym) if neg else node)
+            continue
+        seen = memos[neg].get(node)
+        if seen is not None:
+            done.append(seen)
+            continue
+        parts = _parts(node)
+        stack.append((node, neg, parts))
+        for c in reversed(parts):
+            stack.append((c, neg, None))
+    return done[0], bad
+
+
+_NNF_CLASSES = frozenset({Atom, NegAtom, And, Or, IDis, Diamond, Box, Dep, MDep})
 
 
 def is_pure_ml(f: Formula) -> bool:

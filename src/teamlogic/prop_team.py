@@ -153,21 +153,32 @@ def pl_pointwise(s, f: Formula) -> bool:
 
 
 def _pl_eval(env: dict, f: Formula) -> bool:
-    if isinstance(f, Atom):
-        if f.sym not in env:
-            raise ValueError(f"symbol {f.sym} is outside the assignment domain")
-        return env[f.sym] == 1
-    if isinstance(f, NegAtom):
-        if f.sym not in env:
-            raise ValueError(f"symbol {f.sym} is outside the assignment domain")
-        return env[f.sym] == 0
-    if isinstance(f, And):
-        return _pl_eval(env, f.left) and _pl_eval(env, f.right)
-    if isinstance(f, Or):
-        return _pl_eval(env, f.left) or _pl_eval(env, f.right)
-    if isinstance(f, Dep):
-        raise ValueError("dependence atoms have no pointwise truth")
-    raise ValueError(f"not a plain propositional formula: {type(f).__name__}")
+    # Left to right with short-circuiting, on an explicit stack of the
+    # binary nodes above the current one, each marked with whether its
+    # right side is the one under way.
+    stack: list[tuple[Formula, bool]] = []
+    while True:
+        while isinstance(f, (And, Or)):
+            stack.append((f, False))
+            f = f.left
+        if isinstance(f, (Atom, NegAtom)):
+            if f.sym not in env:
+                raise ValueError(f"symbol {f.sym} is outside the assignment domain")
+            value = env[f.sym] == (1 if isinstance(f, Atom) else 0)
+        elif isinstance(f, Dep):
+            raise ValueError("dependence atoms have no pointwise truth")
+        else:
+            raise ValueError(f"not a plain propositional formula: {type(f).__name__}")
+        while stack:
+            node, right = stack.pop()
+            # A left side that decides its node (false under &, true
+            # under |) is the node's value, and so is a right side.
+            if not right and value != isinstance(node, Or):
+                stack.append((node, True))
+                f = node.right
+                break
+        else:
+            return value
 
 
 def pt_eval(team: PropTeam, f: Formula, *, max_split_rows: int | None = DEFAULT_MAX_SPLIT_ROWS) -> bool:

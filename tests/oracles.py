@@ -4,12 +4,14 @@ Almost everything here recomputes semantics straight from the
 definitions and shares no evaluation code with the package: splits
 enumerate subsets explicitly, successor teams are checked against their
 two defining conditions over every subset of worlds, and the vectorized
-oracles propagate whole satisfying-team sets per structure. The one
-exception is `pd_valid_bruteforce`, which checks the package's team
-evaluator on every team to cross-check that validity needs only the
-team of all assignments. The reference countermodels for `ml_valid`
-and `mliv_valid` take the package's tableau as given and rebuild
-everything after it on string worlds. Corpus generators enumerate
+oracles propagate whole satisfying-team sets per structure. The
+exceptions say what they share. `pd_valid_bruteforce` checks the
+package's team evaluator on every team to cross-check that validity
+needs only the team of all assignments. The reference countermodels for
+`ml_valid` and `mliv_valid` take the package's tableau as given and
+rebuild everything after it on string worlds. `dqbf_least_witness_kleene`
+runs the package's three-valued matrix evaluation under the plain prefix
+search, without `dqbf_eval`'s propagation. Corpus generators enumerate
 formula spaces bottom up by AST size.
 """
 
@@ -562,6 +564,71 @@ def dqbf_least_witness_bruteforce(inst) -> dict | None:
                 for (sym, deps), off in zip(existentials, offsets)
             }
     return None
+
+
+def dqbf_least_witness_kleene(inst, max_evals: int | None = None) -> dict | None:
+    """`dqbf_least_witness_bruteforce` by the plain prefix search.
+
+    Table bits are fixed one at a time in search order, 0 before 1, and
+    the search backtracks as soon as the package's three-valued matrix
+    evaluation (`dqbf._surely_false`) finds a row false whatever the
+    unfixed bits become. It makes no other inference, so it reaches
+    instances of some 20 table bits, past the brute force, while sharing
+    only the matrix evaluation with `dqbf_eval`. Its work still grows
+    exponentially on some instances: past `max_evals` evaluations it
+    raises GuardLimitError.
+    """
+    from teamlogic import dqbf
+    from teamlogic.team_eval import _full_team_columns
+
+    n = len(inst.universals)
+    full = (1 << (1 << n)) - 1
+    cols = _full_team_columns(inst.universals)
+    ones = [cols[u] for u in inst.universals] + [0] * len(inst.existentials)
+    zeros = [full ^ c for c in ones[:n]] + [0] * len(inst.existentials)
+    slot = {u: i for i, u in enumerate(inst.universals)}
+    bits = []
+    for k, (sym, deps) in enumerate(inst.existentials):
+        slot[sym] = n + k
+        for entry in range(1 << len(deps)):
+            m = full
+            for t, d in enumerate(deps):
+                bit = entry >> (len(deps) - 1 - t) & 1
+                m &= cols[d] if bit else ~cols[d] & full
+            bits.append((n + k, m))
+    program = dqbf._compile_matrix(inst.matrix, slot)
+    if not bits and dqbf._surely_false(program, ones, zeros):
+        return None
+    chosen: list[int] = []
+    value = 0
+    evals = 0
+    while len(chosen) < len(bits):
+        evals += 1
+        if max_evals is not None and evals > max_evals:
+            raise GuardLimitError(f"prefix search past {max_evals} evaluations")
+        v, rows = bits[len(chosen)]
+        fixed = ones if value else zeros
+        fixed[v] |= rows
+        if not dqbf._surely_false(program, ones, zeros):
+            chosen.append(value)
+            value = 0
+            continue
+        fixed[v] ^= rows
+        # Both values refuted at this depth: undo the choices above it
+        # until one can still switch from 0 to 1.
+        while value:
+            if not chosen:
+                return None
+            value = chosen.pop()
+            v, rows = bits[len(chosen)]
+            (ones if value else zeros)[v] ^= rows
+        value = 1
+    tables = {}
+    off = 0
+    for sym, deps in inst.existentials:
+        tables[sym] = tuple(chosen[off : off + (1 << len(deps))])
+        off += 1 << len(deps)
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_deep_nesting_gets_a_verdict(capsys):
 
 
 def test_recursion_past_the_limit_is_an_internal_error(capsys):
-    # the normal form is still taken recursively, one level per box
+    # the tableau still recurses, one level per box
     code, out, err = run_cli(capsys, "valid", "--logic", "ml", "[]" * 2000 + "p")
     assert code == 4
     assert out == ""

@@ -33,9 +33,12 @@ from teamlogic import (
 from oracles import (
     dedup_pool_by_table,
     dqbf_least_witness_bruteforce,
+    dqbf_least_witness_kleene,
     nnf_pool,
     random_dep_free_prop,
 )
+from teamlogic import dqbf
+from teamlogic.cli import run
 
 a1, a2 = PropSymbol("a1"), PropSymbol("a2")
 b1, b2 = PropSymbol("b1"), PropSymbol("b2")
@@ -129,6 +132,128 @@ def test_witness_is_least_on_random_instances():
         assert (None if w is None else w.tables) == expected, inst
         verdicts.append(expected is not None)
     assert 100 <= sum(verdicts) <= 400
+
+
+
+def _three_cnf(rng, universals, existentials, n_clauses):
+    # every clause holds an existential, so no clause refutes the
+    # instance before the search starts
+    names = list(universals) + [e for e, _ in existentials]
+    clauses = []
+    for _ in range(n_clauses):
+        e = rng.choice(existentials)[0]
+        picked = [e] + rng.sample([v for v in names if v is not e], 2)
+        lits = [Atom(v) if rng.random() < 0.5 else NegAtom(v) for v in picked]
+        clauses.append(Or(Or(lits[0], lits[1]), lits[2]))
+    matrix = clauses[0]
+    for c in clauses[1:]:
+        matrix = And(matrix, c)
+    return DqbfInstance(universals, existentials, matrix)
+
+
+def _wide_instance(rng):
+    # 13-24 table bits, past the brute force
+    while True:
+        universals = [PropSymbol(f"u{i}") for i in range(rng.randint(2, 5))]
+        deps = [
+            rng.sample(universals, rng.randint(0, len(universals)))
+            for _ in range(rng.randint(1, 5))
+        ]
+        if 13 <= sum(1 << len(d) for d in deps) <= 24:
+            break
+    existentials = [(PropSymbol(f"e{j}"), d) for j, d in enumerate(deps)]
+    n_vars = len(universals) + len(existentials)
+    return _three_cnf(rng, universals, existentials, rng.randint(n_vars + 2, 2 * n_vars + 2))
+
+
+def test_witness_is_least_past_the_brute_force():
+    # The plain prefix search in the oracles is the reference. Its work
+    # is exponential on some instances; those past its budget are only
+    # replayed, and their number is bounded.
+    rng = random.Random(20141017)
+    compared = []
+    skipped = 0
+    while len(compared) < 200:
+        inst = _wide_instance(rng)
+        w = dqbf_eval(inst)
+        if w is not None:
+            assert replay_witness(inst, w)
+        try:
+            expected = dqbf_least_witness_kleene(inst, max_evals=5000)
+        except GuardLimitError:
+            skipped += 1
+            continue
+        assert (None if w is None else w.tables) == expected, inst
+        compared.append(expected is not None)
+    assert skipped <= 40
+    assert 40 <= sum(compared) <= 160
+
+
+def test_propagation_cuts_the_evaluations(monkeypatch):
+    # A false U4/E4 instance on which the plain prefix search makes
+    # 17678 matrix evaluations; forced bits refute it in 9.
+    rng = random.Random(2014)
+    universals = [PropSymbol(f"a{i}") for i in range(1, 5)]
+    while True:
+        existentials = [
+            (PropSymbol(f"e{i}"), rng.sample(universals, 2)) for i in range(1, 5)
+        ]
+        inst = _three_cnf(rng, universals, existentials, 8)
+        if dqbf_least_witness_kleene(inst) is None:
+            break
+    calls = _count_evaluations(monkeypatch)
+    assert dqbf_eval(inst) is None
+    assert len(calls) <= 16
+    calls.clear()
+    assert dqbf_least_witness_kleene(inst) is None
+    assert len(calls) > 1000
+
+
+def test_least_completion_is_tried_before_probing(monkeypatch):
+    # 24 existentials without dependencies, chained by e1 -> e2 -> ...:
+    # all 0 is the least witness, found in one evaluation; probing every
+    # existential at both values first would take at least 48
+    es = [PropSymbol(f"e{i}") for i in range(1, 25)]
+    matrix = Or(NegAtom(es[0]), Atom(es[1]))
+    for x, y in zip(es[1:], es[2:]):
+        matrix = And(matrix, Or(NegAtom(x), Atom(y)))
+    inst = DqbfInstance([], [(e, ()) for e in es], matrix)
+    calls = _count_evaluations(monkeypatch)
+    assert dqbf_eval(inst).tables == {e: (0,) for e in es}
+    assert len(calls) == 1
+    # with e1 required, each later bit is forced to 1 in turn
+    inst = DqbfInstance([], [(e, ()) for e in es], And(Atom(es[0]), matrix))
+    calls.clear()
+    assert dqbf_eval(inst).tables == {e: (1,) for e in es}
+    assert len(calls) <= 2 * 24 + 1
+
+
+def _count_evaluations(monkeypatch) -> list:
+    """Count the matrix evaluations from here on, one entry per call."""
+    calls = []
+    surely_false = dqbf._surely_false
+
+    def counting(program, ones, zeros):
+        calls.append(None)
+        return surely_false(program, ones, zeros)
+
+    monkeypatch.setattr(dqbf, "_surely_false", counting)
+    return calls
+
+
+def test_thousand_clause_matrix_needs_no_recursion(tmp_path, capsys):
+    # the matrix is a chain of 1000 conjunctions; its normal form, the
+    # search and the replay all run without recursion
+    text = "forall a1\nexists e1 {a1}\nmatrix " + " & ".join(["(a1 | !a1 | e1)"] * 1000)
+    inst = parse_dqbf(text)
+    w = dqbf_eval(inst)
+    assert w.tables == {PropSymbol("e1"): (0, 0)}
+    assert replay_witness(inst, w)
+    path = tmp_path / "chain.dqbf"
+    path.write_text(text)
+    code = run(["dqbf-eval", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out.splitlines()[0], err) == (0, "true", "")
 
 
 def test_deep_search_needs_no_recursion():

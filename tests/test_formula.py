@@ -92,6 +92,17 @@ def test_to_nnf_rejects_negated_dependence():
         to_nnf(Not(IDis(Atom(p), Atom(q))))
 
 
+def test_to_nnf_needs_no_recursion():
+    chain = Atom(p)
+    for i in range(5000):
+        chain = And(chain, Box(NegAtom(PropSymbol(f"p{i % 7}"))))
+    # negation-free input comes back as is, negated input is rewritten
+    assert to_nnf(chain) is chain
+    g = to_nnf(Not(Not(Not(chain))))
+    assert isinstance(g, Or) and g.right is Diamond(Atom(PropSymbol("p1")))
+    assert to_nnf(Not(g)) is chain
+
+
 def test_dual_is_involution_on_pure_ml():
     f = Box(Or(Atom(p), And(NegAtom(q), Diamond(Atom(p)))))
     assert is_pure_ml(f)
