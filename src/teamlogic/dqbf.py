@@ -32,6 +32,7 @@ from .formula import (
     Or,
     PropSymbol,
     _as_symbol,
+    _fold,
     _nnf,
     render,
     symbols as formula_symbols,
@@ -183,25 +184,19 @@ def _compile_matrix(
 
     Instruction (_POS or _NEG, v, 0) reads variable slot v, positively
     or negated; (_AND or _OR, x, y) combines the results of instructions
-    x and y. Built with an explicit stack, so depth costs no recursion.
+    x and y. Built by `_fold`, so depth costs no recursion, and a
+    subformula the matrix shares is one instruction.
     """
     program: list[tuple[int, int, int]] = []
-    results: list[int] = []
-    stack: list[tuple[Formula, bool]] = [(matrix, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, (Atom, NegAtom)):
-            program.append((_POS if isinstance(node, Atom) else _NEG, slot[node.sym], 0))
-        elif expanded:
-            y = results.pop()
-            x = results.pop()
-            program.append((_AND if isinstance(node, And) else _OR, x, y))
+
+    def emit(node: Formula, kids: list[int]) -> int:
+        if kids:
+            program.append((_AND if type(node) is And else _OR, *kids))
         else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-            continue
-        results.append(len(program) - 1)
+            program.append((_POS if type(node) is Atom else _NEG, slot[node.sym], 0))
+        return len(program) - 1
+
+    _fold(matrix, emit, {})
     return program
 
 

@@ -12,8 +12,10 @@ copying a node rebuilds it through its constructor, which interns it
 again. Each node also keeps its symbols and its `ior` count, computed
 at construction from its children's, and its rendering and non-Boolean
 subformulas once first asked for, filled children first from an
-explicit stack. Nothing here recurses once per tree level, and a
-subformula shared by several formulas does this work once for all.
+explicit stack; passes giving each node a value made from its
+children's alone run on one fold, `_fold`. Nothing here recurses once
+per tree level, and a subformula shared by several formulas does this
+work once for all.
 
 Public formulas are kept in negation normal form: negation occurs on
 proposition symbols only. General negation is written with the
@@ -392,6 +394,32 @@ def _parts(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
+def _fold(f: Formula, visit, done: dict):
+    """Fold `f` bottom-up: `done[g] = visit(g, [done[c] for c in _parts(g)])`
+    for every node `g` of `f` not yet in `done`, and return `done[f]`.
+
+    Nodes are visited children first, left to right, from an explicit
+    stack; a node shared by several parents, or already in `done` from
+    an earlier fold, is visited at most once.
+    """
+    # a node to visit, or a (node, its parts) pair once they are done
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:
+            g, parts = g
+        else:
+            if g in done:
+                continue
+            parts = _parts(g)
+            if parts:
+                stack.append((g, parts))
+                stack += reversed(parts)
+                continue
+        done[g] = visit(g, [done[c] for c in parts])
+    return done[f]
+
+
 def symbols(f: Formula) -> frozenset[PropSymbol]:
     """The set of proposition symbols occurring in `f`."""
     return f._symbols
@@ -508,27 +536,14 @@ def _dual(f: Formula, memo: dict) -> Formula:
     No node keeps its dual: a formula and its dual would then hold each
     other, and neither would be freed before a cyclic collection.
     """
-    stack = [f]
-    while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        cls = _DUAL_CLASS.get(type(node))
-        if cls is None:
-            raise ValueError("dual is defined for plain modal formulas only")
-        if isinstance(node, _Literal):
-            stack.pop()
-            memo[node] = cls(node.sym)
-            continue
-        parts = _parts(node)
-        missing = [c for c in parts if c not in memo]
-        if missing:
-            stack += missing
-        else:
-            stack.pop()
-            memo[node] = cls(*[memo[c] for c in parts])
-    return memo[f]
+    return _fold(f, _dual_node, memo)
+
+
+def _dual_node(f: Formula, kids: list) -> Formula:
+    cls = _DUAL_CLASS.get(type(f))
+    if cls is None:
+        raise ValueError("dual is defined for plain modal formulas only")
+    return cls(f.sym) if isinstance(f, _Literal) else cls(*kids)
 
 
 _set_text = _Node.__dict__["_text"].__set__
@@ -578,17 +593,16 @@ def nb_subf(f: Formula) -> frozenset[Formula]:
 
 def size(f: Formula) -> int:
     """Number of AST nodes; a dependence atom counts itself plus components."""
-    if isinstance(f, (Atom, NegAtom)):
-        return 1
-    if isinstance(f, (And, Or, IDis)):
-        return 1 + size(f.left) + size(f.right)
-    if isinstance(f, (Diamond, Box)):
-        return 1 + size(f.child)
+    return _fold(f, _size_node, {})
+
+
+def _size_node(f: Formula, kids: list) -> int:
+    # a shared subtree counts once per occurrence, as in the tree
     if isinstance(f, Dep):
         return 1 + len(f.args) + 1
-    if isinstance(f, MDep):
-        return 1 + sum(size(a) for a in f.args) + size(f.target)
-    raise ValueError("size expects a formula in negation normal form")
+    if isinstance(f, Not) or not isinstance(f, _Node):
+        raise ValueError("size expects a formula in negation normal form")
+    return 1 + sum(kids)
 
 
 def classify(f: Formula) -> Fragment:

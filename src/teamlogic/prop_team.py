@@ -152,10 +152,12 @@ def pl_pointwise(s, f: Formula) -> bool:
     return _pl_eval(env, f)
 
 
-def _pl_eval(env: dict, f: Formula) -> bool:
+def _pl_eval(env: dict, f: Formula, deps_hold: bool = False) -> bool:
     # Left to right with short-circuiting, on an explicit stack of the
     # binary nodes above the current one, each marked with whether its
-    # right side is the one under way.
+    # right side is the one under way. With `deps_hold`, dependence atoms
+    # read as true, which gives team truth on the singleton {env}: it
+    # satisfies every dependence atom, and splits only into itself and {}.
     stack: list[tuple[Formula, bool]] = []
     while True:
         while isinstance(f, (And, Or)):
@@ -166,7 +168,9 @@ def _pl_eval(env: dict, f: Formula) -> bool:
                 raise ValueError(f"symbol {f.sym} is outside the assignment domain")
             value = env[f.sym] == (1 if isinstance(f, Atom) else 0)
         elif isinstance(f, Dep):
-            raise ValueError("dependence atoms have no pointwise truth")
+            if not deps_hold:
+                raise ValueError("dependence atoms have no pointwise truth")
+            value = True
         else:
             raise ValueError(f"not a plain propositional formula: {type(f).__name__}")
         while stack:
@@ -254,23 +258,6 @@ def pd_sat(
         return PropTeam(domain, ())
     _check_domain(domain, max_domain)
     for bits in itertools.product((0, 1), repeat=len(domain)):
-        if _singleton_holds(dict(zip(domain, bits)), f):
+        if _pl_eval(dict(zip(domain, bits)), f, deps_hold=True):
             return PropTeam(domain, (bits,))
     return None
-
-
-def _singleton_holds(env: dict, f: Formula) -> bool:
-    """Team truth of `f` on the team whose only member is `env`.
-
-    A dependence atom holds on every team of at most one member, and a
-    singleton splits only into itself and the empty team, which
-    satisfies everything; so this is classical truth with every
-    dependence atom read as true.
-    """
-    if isinstance(f, Dep):
-        return True
-    if isinstance(f, And):
-        return _singleton_holds(env, f.left) and _singleton_holds(env, f.right)
-    if isinstance(f, Or):
-        return _singleton_holds(env, f.left) or _singleton_holds(env, f.right)
-    return _pl_eval(env, f)

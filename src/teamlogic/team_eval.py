@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import GuardLimitError
-from .formula import And, Atom, Box, Dep, Diamond, Formula, IDis, MDep, NegAtom, Or, _parts
+from .formula import And, Atom, Box, Dep, Diamond, Formula, IDis, MDep, NegAtom, Or, _fold
 
 DEFAULT_MAX_CHOICES = 1 << 20
 DEFAULT_MAX_SPLIT_ROWS = 24
@@ -107,19 +107,20 @@ class _TeamEvaluator:
     lists each member's successors by index, or is None for
     propositional teams, which have no modalities.
 
-    Each formula handed to `eval` is compiled once into a table of nodes
-    with dense integer ids, one id per interned formula node, found by
-    identity; the table and the memos are shared by every formula the
-    instance evaluates.
-    Per id the table keeps the node's kind, its child ids, its
-    pointwise mask when flat (else None), its conflict graph, and a
-    non-flat disjunction's chain: the union of its flat disjuncts' masks
-    and the ids of the other disjuncts, left to right. A graph is a pair
-    (failing members, conflict pairs), each pair a (zeros, ones) couple
-    of masks whose members conflict across it, and None for the nodes
-    given none. A dependence atom's graph, its atom's pairs, is built at
-    compile time, the others on first use. Results are memoized per id
-    in a dict keyed by member mask.
+    Each formula handed to `eval` or `point_mask` is compiled once into
+    a table of nodes with dense integer ids, one id per interned formula
+    node, found by identity: `_fold` enters its nodes children first,
+    left to right, through `_add`, and `ids` is the fold's map from
+    nodes to ids. The table and the memos are shared by every formula
+    the instance evaluates. Per id the table keeps the node's kind, its
+    child ids, its pointwise mask when flat (else None), its conflict
+    graph, and a non-flat disjunction's chain: the union of its flat
+    disjuncts' masks and the ids of the other disjuncts, left to right.
+    A graph is a pair (failing members, conflict pairs), each pair a
+    (zeros, ones) couple of masks whose members conflict across it, and
+    None for the nodes given none. A dependence atom's graph, its atom's
+    pairs, is built at compile time, the others on first use. Results
+    are memoized per id in a dict keyed by member mask.
     """
 
     def __init__(
@@ -150,24 +151,10 @@ class _TeamEvaluator:
         self.memo: list[dict[int, bool] | None] = []
         self.memo_rest: dict[tuple[int, int, int], bool] = {}
 
-    def _compile(self, root: Formula) -> None:
-        """Give every subformula of `root` not yet in the table an id,
-        children first."""
-        ids = self.ids
-        stack = [(root, False)]
-        while stack:
-            f, ready = stack.pop()
-            if not ready:
-                if f in ids:
-                    continue
-                stack.append((f, True))
-                stack.extend((c, False) for c in reversed(_parts(f)))
-            elif f not in ids:
-                self._add(f)
-
-    def _add(self, f: Formula) -> None:
-        ids, flat = self.ids, self.flat
-        kids = tuple(ids[c] for c in _parts(f))
+    def _add(self, f: Formula, kids: list[int]) -> int:
+        """Enter `f`, whose children have the ids `kids`; return its id."""
+        flat = self.flat
+        kids = tuple(kids)
         graph, chain = _PENDING, None
         if isinstance(f, Atom):
             kind, m = _ATOM, self.sym_mask[f.sym]
@@ -203,13 +190,13 @@ class _TeamEvaluator:
             graph = 0, _conflict_pairs([flat[k] for k in kids[:-1]], flat[kids[-1]], self.full)
         else:
             raise ValueError(f"not a team formula: {type(f).__name__}")
-        ids[f] = len(self.kind)
         self.kind.append(kind)
         self.kids.append(kids)
         flat.append(m)
         self.graph.append(graph)
         self.chain.append(chain)
         self.memo.append(None if m is not None else {})
+        return len(self.kind) - 1
 
     def _or_chain(self, kids: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         """Flatten nested disjunctions: flat union, other disjuncts in order."""
@@ -277,13 +264,18 @@ class _TeamEvaluator:
             return failing, tuple(boxed)
         return None
 
+    def _id(self, f: Formula) -> int:
+        """The id of `f`, entering its nodes not yet in the table."""
+        i = self.ids.get(f)
+        return _fold(f, self._add, self.ids) if i is None else i
+
     def eval(self, f: Formula, mask: int) -> bool:
         """Team truth of `f` on `mask`, compiling `f` on first use."""
-        i = self.ids.get(f)
-        if i is None:
-            self._compile(f)
-            i = self.ids[f]
-        return self._eval(i, mask)
+        return self._eval(self._id(f), mask)
+
+    def point_mask(self, f: Formula) -> int:
+        """The members where the flat formula `f` holds pointwise."""
+        return self.flat[self._id(f)]
 
     def _eval(self, i: int, mask: int) -> bool:
         m = self.flat[i]

@@ -20,10 +20,10 @@ share one memo of formula sets; an entry depends on its formula set
 alone, so the verdicts and countermodels are those of a fresh memo per
 selection, and a formula set hashes and compares its members by
 identity. A refuted selection leaves a piece on integer worlds, its
-filtration computed on bitmasks, and the pieces of all refuted
-selections become one `KripkeStructure` with string world names, built
-once per decision with the names a chain of `disjoint_union`s would
-give.
+filtration computed from the pointwise masks of one team evaluator
+over those worlds, and the pieces of all refuted selections become one
+`KripkeStructure` with string world names, built once per decision
+with the names a chain of `disjoint_union`s would give.
 
 Every Invalid verdict returned here has been replayed through the team
 semantics before being handed out, on one evaluator that reads the
@@ -51,6 +51,7 @@ from .formula import (
     NegAtom,
     Or,
     _dual,
+    _fold,
     count_idis,
     dual,
     nb_subf,
@@ -59,7 +60,7 @@ from .formula import (
     walk,
 )
 from .kripke import KripkeStructure, _team_evaluator, ml_point_eval
-from .team_eval import _bits
+from .team_eval import _TeamEvaluator, _bits
 
 DEFAULT_MAX_DEP_ARITY = 10
 DEFAULT_MAX_SELECTIONS = 1 << 20
@@ -194,47 +195,42 @@ def emdl_to_mliv(f: Formula, *, max_dep_arity: int | None = DEFAULT_MAX_DEP_ARIT
     team-level disjunction and no dependence atoms, and it is
     team-equivalent to the input.
     """
-
-    def unfold(f: Formula) -> Formula:
-        if isinstance(f, (Atom, NegAtom)):
-            return f
-        if isinstance(f, And):
-            return And(unfold(f.left), unfold(f.right))
-        if isinstance(f, Or):
-            return Or(unfold(f.left), unfold(f.right))
-        if isinstance(f, Diamond):
-            return Diamond(unfold(f.child))
-        if isinstance(f, Box):
-            return Box(unfold(f.child))
-        if isinstance(f, MDep):
-            n = len(f.args)
-            if max_dep_arity is not None and n > max_dep_arity:
-                raise GuardLimitError(
-                    f"dependence atom of arity {n} exceeds the guard of "
-                    f"{max_dep_arity}; its unfolding has 2^{n} disjuncts"
-                )
-            constant_target = IDis(f.target, dual(f.target))
-            negated = [dual(arg) for arg in f.args]
-            disjuncts = []
-            for pattern in itertools.product((True, False), repeat=n):
-                conj: Formula | None = None
-                for arg, neg, positive in zip(f.args, negated, pattern):
-                    lit = arg if positive else neg
-                    conj = lit if conj is None else And(conj, lit)
-                branch = constant_target if conj is None else And(conj, constant_target)
-                disjuncts.append(branch)
-            out = disjuncts[0]
-            for d in disjuncts[1:]:
-                out = Or(out, d)
-            return out
-        if isinstance(f, Dep):
+    # Nodes are checked in preorder first: the fold below works children
+    # first, and a guard tripping there must not hide a bad node above.
+    for node in walk(f):
+        if isinstance(node, Dep):
             raise ValueError(
                 "propositional dependence atoms do not apply to worlds; "
                 "use a modal dependence atom"
             )
-        raise ValueError(f"not a modal dependence formula: {type(f).__name__}")
+        if not isinstance(node, (Atom, NegAtom, And, Or, Diamond, Box, MDep)):
+            raise ValueError(f"not a modal dependence formula: {type(node).__name__}")
 
-    return unfold(f)
+    def unfold(g: Formula, kids: list) -> Formula:
+        if not isinstance(g, MDep):
+            return type(g)(*kids) if kids else g
+        n = len(g.args)
+        if max_dep_arity is not None and n > max_dep_arity:
+            raise GuardLimitError(
+                f"dependence atom of arity {n} exceeds the guard of "
+                f"{max_dep_arity}; its unfolding has 2^{n} disjuncts"
+            )
+        constant_target = IDis(g.target, dual(g.target))
+        negated = [dual(arg) for arg in g.args]
+        disjuncts = []
+        for pattern in itertools.product((True, False), repeat=n):
+            conj: Formula | None = None
+            for arg, neg, positive in zip(g.args, negated, pattern):
+                lit = arg if positive else neg
+                conj = lit if conj is None else And(conj, lit)
+            branch = constant_target if conj is None else And(conj, constant_target)
+            disjuncts.append(branch)
+        out = disjuncts[0]
+        for d in disjuncts[1:]:
+            out = Or(out, d)
+        return out
+
+    return _fold(f, unfold, {})
 
 
 class _TableauNode:
@@ -288,49 +284,6 @@ def _tableau(fs: frozenset, memo: dict) -> _TableauNode | None:
     return result
 
 
-def _world_mask(f: Formula, mask: dict, val: dict, succ: list[int], full: int) -> int:
-    """The worlds where the plain modal formula `f` holds, as a bitmask.
-
-    `val` maps each symbol to its worlds and `succ` lists each world's
-    successors, both as masks under `full`. The pass runs children
-    first from an explicit stack and keeps every subformula's mask in
-    `mask`, which calls on one structure share. `ml_point_eval` runs on
-    the team evaluator's compile instead, so the replay in `ml_valid`
-    does not go through this pass.
-    """
-    todo = [f]
-    while todo:
-        g = todo.pop()
-        if g in mask:
-            continue
-        cls = type(g)
-        if cls is Atom:
-            mask[g] = val[g.sym]
-        elif cls is NegAtom:
-            mask[g] = full & ~val[g.sym]
-        elif cls is And or cls is Or:
-            left, right = mask.get(g.left), mask.get(g.right)
-            if left is None or right is None:
-                todo += (g, g.right, g.left)
-            else:
-                mask[g] = left & right if cls is And else left | right
-        else:
-            child = mask.get(g.child)
-            if child is None:
-                todo += (g, g.child)
-                continue
-            # Diamond: the pre-image; Box: the complement of the
-            # pre-image of the complement
-            if cls is Box:
-                child = full & ~child
-            pre = 0
-            for i, image in enumerate(succ):
-                if image & child:
-                    pre |= 1 << i
-            mask[g] = full & ~pre if cls is Box else pre
-    return mask[f]
-
-
 def _ml_valid(f: Formula, memo: dict, duals: dict) -> tuple | None:
     """Refute a plain modal formula: None when it is valid, else the
     piece of a countermodel.
@@ -342,14 +295,15 @@ def _ml_valid(f: Formula, memo: dict, duals: dict) -> tuple | None:
 
     An open tableau is a DAG of worlds, numbered breadth first from its
     root, with one bitmask of worlds per symbol (where a positive
-    literal puts it) and per world (its successors). The filtration
+    literal puts it) and one successor list per world. The filtration
     refines the partition of all worlds by the mask of every literal and
     modal subformula of the negation, the symbols' first, each modal
-    one from `_world_mask` on one memo, and stops early once every world
-    is a class alone. These subformulas determine every Boolean
-    combination pointwise, so the quotient keeps the truth of every
-    subformula, and it has at most two to their number classes. Classes
-    are numbered by their lowest world, the root's class first.
+    one read from one team evaluator over these worlds (`point_mask`),
+    and stops early once every world is a class alone. These
+    subformulas determine every Boolean combination pointwise, so the
+    quotient keeps the truth of every subformula, and it has at most two
+    to their number classes. Classes are numbered by their lowest world,
+    the root's class first.
 
     A piece is (class count, class edges, symbol -> classes where it
     holds), with an entry for every symbol of `f`.
@@ -362,41 +316,37 @@ def _ml_valid(f: Formula, memo: dict, duals: dict) -> tuple | None:
     order = [tree]
     succ = []
     for node in order:
-        image = 0
         for child in node.children:
-            j = index.get(child)
-            if j is None:
-                j = index[child] = len(order)
+            if child not in index:
+                index[child] = len(order)
                 order.append(child)
-            image |= 1 << j
-        succ.append(image)
+        succ.append([index[c] for c in node.children])
     val = dict.fromkeys(formula_symbols(f), 0)
     for i, node in enumerate(order):
         for sym, positive in node.literals:
             if positive:
                 val[sym] |= 1 << i
     n = len(order)
-    full = (1 << n) - 1
-    classes = [full]
+    ev = _TeamEvaluator(n, val, succ, None, None)
+    classes = [ev.full]
     if n > 1:
         # Every symbol of `f` has its atom among the non-Boolean
         # subformulas. Once every world is a class alone, the rest can
         # split nothing.
         for m in val.values():
             classes = [part for c in classes for part in (c & m, c & ~m) if part]
-        mask: dict[Formula, int] = {}
         for g in nb_subf(negated):
             if len(classes) == n:
                 break
             if type(g) is not Atom:
-                m = _world_mask(g, mask, val, succ, full)
+                m = ev.point_mask(g)
                 classes = [part for c in classes for part in (c & m, c & ~m) if part]
         classes.sort(key=lambda c: c & -c)
     edges = []
     for k, c in enumerate(classes):
         image = 0
         for i in _bits(c):
-            image |= succ[i]
+            image |= ev.succ_mask[i]
         edges += [(k, l) for l, d in enumerate(classes) if d & image]
     valuation = {
         sym: [k for k, c in enumerate(classes) if c & m] for sym, m in val.items()

@@ -188,6 +188,15 @@ def test_deep_nesting_gets_a_verdict(capsys):
         capsys, "valid", "--logic", "pd", "(" * 10000 + "p" + ")" * 10000
     )
     assert (code, out.strip(), err) == (1, "invalid", "")
+    # nor does unfolding a dependence atom under 3000 boxes
+    code, out, err = run_cli(capsys, "translate", "[]" * 3000 + "dep(p; q)")
+    unfolded = "p & (q ior !q) | !p & (q ior !q)"
+    assert (code, out.strip(), err) == (0, "[] " * 3000 + f"({unfolded})", "")
+    # nor a singleton check through 1500 conjuncts
+    chain = " & ".join(["dep(;p)"] + ["(p | dep(;p))"] * 1499)
+    code, out, err = run_cli(capsys, "sat", "--nonempty", chain)
+    team = '{"domain": ["p"], "rows": [[0]]}'
+    assert (code, out.splitlines(), err) == (0, ["sat", team], "")
 
 
 def test_recursion_past_the_limit_is_an_internal_error(capsys):

@@ -28,6 +28,7 @@ from teamlogic import (
     render_dqbf,
     render_qbf,
     replay_witness,
+    walk,
 )
 
 from oracles import (
@@ -254,6 +255,21 @@ def test_thousand_clause_matrix_needs_no_recursion(tmp_path, capsys):
     code = run(["dqbf-eval", str(path)])
     out, err = capsys.readouterr()
     assert (code, out.splitlines()[0], err) == (0, "true", "")
+
+
+def test_shared_matrix_subformulas_compile_once():
+    # the repeated clause is one interned node, so one instruction
+    clause = "(!a1 | b1 | !a2)"
+    inst = parse_dqbf(
+        "forall a1 a2\nexists b1 {a1} b2 {a1, a2}\n"
+        f"matrix {clause} & (a1 | !b1) & (b2 | !a2) & {clause} & (b2 | a1)"
+    )
+    slot = {s: i for i, s in enumerate((a1, a2, b1, b2))}
+    program = dqbf._compile_matrix(inst.matrix, slot)
+    nodes = list(walk(inst.matrix))
+    assert len(program) == len(set(nodes)) < len(nodes)
+    w = dqbf_eval(inst)
+    assert w is not None and w.tables == dqbf_least_witness_kleene(inst)
 
 
 def test_deep_search_needs_no_recursion():

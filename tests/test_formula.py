@@ -110,6 +110,12 @@ def test_dual_is_involution_on_pure_ml():
     assert not is_pure_ml(Dep((), p))
     with pytest.raises(ValueError):
         dual(Dep((), p))
+    # a 5000-deep chain costs no recursion
+    deep = Atom(p)
+    for _ in range(5000):
+        deep = Box(deep)
+    g = dual(deep)
+    assert isinstance(g, Diamond) and dual(g) is deep
 
 
 def test_size_counts_dependence_symbols():
@@ -119,6 +125,11 @@ def test_size_counts_dependence_symbols():
     assert size(And(Atom(p), Atom(q))) == 3
     # modal dependence atoms charge their component subtrees
     assert size(MDep((Atom(p),), Diamond(Atom(q)))) == 4
+    # a 5000-deep chain costs no recursion
+    deep = Atom(p)
+    for _ in range(5000):
+        deep = Box(deep)
+    assert size(deep) == 5001
 
 
 def test_nb_subf_collects_atoms_and_modal_subformulas():

@@ -106,6 +106,13 @@ def test_translation_arity_guard():
     with pytest.raises(GuardLimitError):
         emdl_to_mliv(MDep(args, Atom(p)))
     assert emdl_to_mliv(MDep(args, Atom(p)), max_dep_arity=None) is not None
+    # the leftmost atom over the guard is the one reported, and a bad
+    # node above it is reported first
+    wider = MDep((*args, Atom(p)), Atom(p))
+    with pytest.raises(GuardLimitError, match="arity 11"):
+        emdl_to_mliv(And(MDep(args, Atom(p)), wider))
+    with pytest.raises(ValueError, match="IDis"):
+        emdl_to_mliv(IDis(wider, Atom(p)))
 
 
 def test_ml_valid_theorems():
