@@ -121,6 +121,8 @@ def _cmd_mc(args, report: _Report) -> int:
     if (args.team is None) == (args.model is None):
         raise ValueError("mc needs exactly one of --team (propositional) or --model")
     if args.team is not None:
+        if args.max_choices is not None:
+            raise ValueError("--max-choices applies to --model only")
         team = team_from_dict(_load_json(args.team))
         f = parse_prop(_read_text(args, "formula"))
         result = pt_eval(
@@ -159,6 +161,10 @@ def _cmd_sat(args, report: _Report) -> int:
 
 
 def _cmd_valid(args, report: _Report) -> int:
+    if args.max_team is not None and args.logic not in ("pl", "pd"):
+        raise ValueError("--max-team applies to --logic pl and pd only")
+    if args.max_selections is not None and args.logic not in ("mdl", "emdl"):
+        raise ValueError("--max-selections applies to --logic mdl and emdl only")
     text = _read_text(args, "formula")
     if args.logic in ("pl", "pd"):
         f = parse_prop(text)

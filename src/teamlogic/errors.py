@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the list check of the JSON readers."""
 
 from __future__ import annotations
 
@@ -19,3 +19,10 @@ class GuardLimitError(RuntimeError):
     Guards are refusal bounds for exponential enumerations; callers can
     raise them explicitly where they know what they are doing.
     """
+
+
+def _expect_list(value, what: str):
+    """`value` if it is a list or tuple: a string is not read as its characters."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, not {type(value).__name__}")
+    return value

@@ -315,11 +315,10 @@ class MDep(_Frozen, _Dependence):
             if node is not None:
                 return node
         for part in (*args, target):
-            for sub in walk(part):
-                if isinstance(sub, (IDis, Dep, MDep)):
-                    raise ValueError(
-                        "dependence atom components must be plain modal formulas"
-                    )
+            if _foreign(part, _PLAIN | {Not}) is not None:
+                raise ValueError(
+                    "dependence atom components must be plain modal formulas"
+                )
         syms = target._symbols
         for a in args:
             syms = _union(syms, a._symbols)
@@ -338,6 +337,41 @@ def _dependence(cls, key: tuple, symbols: frozenset):
 
 
 Formula = Union[Atom, NegAtom, Not, And, Or, IDis, Diamond, Box, Dep, MDep]
+
+_PLAIN = frozenset({Atom, NegAtom, And, Or, Diamond, Box})
+
+# Per logic, the name a refusal gives it and the node classes its
+# deciders admit. Each public entry checks its formula against one row
+# once, through `_admit`; the stages behind it take that as given.
+_ADMITTED = {
+    "pd": ("propositional team", frozenset({Atom, NegAtom, And, Or, Dep})),
+    "ml": ("plain modal", _PLAIN),
+    "ml-ior": ("modal ior", _PLAIN | {IDis}),
+    "emdl": ("modal dependence", _PLAIN | {MDep}),
+    "modal-team": ("modal team", _PLAIN | {IDis, MDep}),
+}
+
+
+def _foreign(f: Formula, admitted: frozenset):
+    """The first node of `f` in preorder whose class `admitted` lacks, or None."""
+    return next((node for node in walk(f) if type(node) not in admitted), None)
+
+
+def _admit(f: Formula, logic: str) -> Formula:
+    """`f`, if `logic` admits the class of its every node; otherwise
+    ValueError names the first node outside, in preorder, before any
+    later stage can trip a guard."""
+    name, admitted = _ADMITTED[logic]
+    node = _foreign(f, admitted)
+    if node is None:
+        return f
+    if type(node) is Dep:
+        raise ValueError(
+            "propositional dependence atoms do not apply to worlds; "
+            "use a modal dependence atom"
+        )
+    raise ValueError(f"not a {name} formula: {type(node).__name__}")
+
 
 class Fragment(Enum):
     """Syntactic fragments, ordered by inclusion where comparable."""
@@ -511,9 +545,7 @@ _NNF_CLASSES = frozenset({Atom, NegAtom, And, Or, IDis, Diamond, Box, Dep, MDep}
 
 def is_pure_ml(f: Formula) -> bool:
     """True when `f` uses only atoms, their negations, and/or/diamond/box."""
-    return all(
-        isinstance(n, (Atom, NegAtom, And, Or, Diamond, Box)) for n in walk(f)
-    )
+    return _foreign(f, _PLAIN) is None
 
 
 # The dual's class for each class of plain modal formula.
@@ -526,11 +558,11 @@ def dual(f: Formula) -> Formula:
     Defined for pure ML only; `dual` is an involution and swaps truth at
     every pointed model.
     """
-    return _dual(f, {})
+    return _dual(_admit(f, "ml"), {})
 
 
 def _dual(f: Formula, memo: dict) -> Formula:
-    """`dual(f)`, through `memo`, a dict from formulas to their duals.
+    """`dual(f)` of an admitted `f`, through `memo`, a dict to the duals.
 
     Callers may share one memo between formulas with common subtrees.
     No node keeps its dual: a formula and its dual would then hold each
@@ -540,9 +572,7 @@ def _dual(f: Formula, memo: dict) -> Formula:
 
 
 def _dual_node(f: Formula, kids: list) -> Formula:
-    cls = _DUAL_CLASS.get(type(f))
-    if cls is None:
-        raise ValueError("dual is defined for plain modal formulas only")
+    cls = _DUAL_CLASS[type(f)]
     return cls(f.sym) if isinstance(f, _Literal) else cls(*kids)
 
 

@@ -9,27 +9,17 @@ Modal dependence atoms are evaluated pointwise on their components,
 which are plain modal formulas and therefore flat. Model checking hands
 the worlds, as bitmasks per symbol and successor lists, to the
 evaluator in `team_eval`.
+
+Each public entry checks its formula against its logic's row of the
+admission table in `formula`; `_team_evaluator` checks only symbols.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .formula import (
-    And,
-    Atom,
-    Box,
-    Dep,
-    Diamond,
-    Formula,
-    IDis,
-    MDep,
-    NegAtom,
-    Or,
-    _as_symbol,
-    symbols as formula_symbols,
-    walk,
-)
+from .errors import _expect_list
+from .formula import Formula, _admit, _as_symbol, symbols as formula_symbols
 from .team_eval import DEFAULT_MAX_CHOICES, DEFAULT_MAX_SPLIT_ROWS, _TeamEvaluator
 
 
@@ -99,11 +89,19 @@ class KripkeStructure:
         )
 
 
+def _world_names(value, what: str) -> list[str]:
+    """`value`, which must be a list of strings, as a list."""
+    if any(not isinstance(w, str) for w in _expect_list(value, what)):
+        raise ValueError(f"{what} must be a list of strings")
+    return list(value)
+
+
 def kripke_from_dict(data: dict) -> tuple[KripkeStructure, frozenset[str]]:
     """Read the JSON object form and return the structure with its team.
 
     Expected keys: "worlds", "edges", "valuation", and optionally "team".
-    A missing team means the team of all worlds.
+    A missing team means the team of all worlds. The worlds, each edge,
+    each symbol's worlds and the team are lists of strings.
     """
     if not isinstance(data, dict):
         raise ValueError("structure must be a JSON object")
@@ -111,14 +109,19 @@ def kripke_from_dict(data: dict) -> tuple[KripkeStructure, frozenset[str]]:
         if key not in data:
             raise ValueError(f"structure object needs a '{key}' key")
     edges = []
-    for e in data["edges"]:
-        e = tuple(e)
+    for e in _expect_list(data["edges"], "edges"):
+        e = _world_names(e, "an edge")
         if len(e) != 2:
-            raise ValueError(f"edge {list(e)} must have exactly two endpoints")
-        edges.append(e)
-    m = KripkeStructure(data["worlds"], edges, data["valuation"])
+            raise ValueError(f"edge {e} must have exactly two endpoints")
+        edges.append(tuple(e))
+    if not isinstance(data["valuation"], dict):
+        raise ValueError("valuation must be a JSON object")
+    valuation = {
+        s: _world_names(ws, f"the valuation of {s}") for s, ws in data["valuation"].items()
+    }
+    m = KripkeStructure(_world_names(data["worlds"], "worlds"), edges, valuation)
     if "team" in data:
-        team = list(data["team"])
+        team = _world_names(data["team"], "team")
         if len(set(team)) != len(team):
             raise ValueError("team has duplicate worlds")
         bad = sorted(set(team) - set(m.worlds))
@@ -144,7 +147,7 @@ def kripke_to_dict(m: KripkeStructure, team: Iterable[str] | None = None) -> dic
 def ml_point_eval(m: KripkeStructure, w: str, f: Formula) -> bool:
     """Classical single-world modal truth; plain modal formulas only.
 
-    Every node and symbol of `f` is checked before anything is
+    The nodes of `f`, then its symbols, are checked before anything is
     evaluated, so no answer short-circuits past an undeclared symbol.
     A plain modal formula is flat: the team evaluator's compile gives
     each of its distinct subformulas the mask of worlds where it holds,
@@ -154,30 +157,8 @@ def ml_point_eval(m: KripkeStructure, w: str, f: Formula) -> bool:
     """
     if w not in m._succ:
         raise ValueError(f"unknown world: {w}")
-    for node in walk(f):
-        if isinstance(node, (Atom, NegAtom)):
-            if node.sym not in m.valuation:
-                raise ValueError(f"symbol {node.sym} is missing from the valuation")
-        elif not isinstance(node, (And, Or, Diamond, Box)):
-            raise ValueError(f"not a plain modal formula: {type(node).__name__}")
-    ev, (mask,) = _team_evaluator(m, ([w],), (f,), None, None)
+    ev, (mask,) = _team_evaluator(m, ([w],), (_admit(f, "ml"),), None, None)
     return ev.eval(f, mask)
-
-
-_MT_NODES = (Atom, NegAtom, And, Or, IDis, Diamond, Box, MDep)
-
-
-def _check_modal_team(f: Formula) -> None:
-    for node in walk(f):
-        if not isinstance(node, _MT_NODES):
-            if isinstance(node, Dep):
-                raise ValueError(
-                    "propositional dependence atoms do not apply to worlds; "
-                    "use a modal dependence atom"
-                )
-            raise ValueError(
-                f"not a modal team formula: contains {type(node).__name__}"
-            )
 
 
 def mt_eval(
@@ -195,6 +176,7 @@ def mt_eval(
     disjunction with two or more disjuncts that are not flat must split;
     either raises GuardLimitError rather than start an oversized search.
     """
+    _admit(f, "modal-team")
     ev, (mask,) = _team_evaluator(m, (team,), (f,), max_choices, max_split_rows)
     return ev.eval(f, mask)
 
@@ -209,13 +191,11 @@ def _team_evaluator(
     """One evaluator over the worlds of `m`, and each of `teams` as a
     member mask.
 
-    The node check and the symbol check run once, over `cover`. The
-    evaluator then answers for any formula whose nodes and symbols occur
-    in `cover`, each compiled into the one shared node table on first
-    use.
+    The formulas of `cover` are taken as admitted by their caller. The
+    symbol check runs once, over `cover`; the evaluator then answers for
+    any formula whose nodes and symbols occur in `cover`, each compiled
+    into the one shared node table on first use.
     """
-    for f in cover:
-        _check_modal_team(f)
     widx = {w: i for i, w in enumerate(m.worlds)}
     masks = []
     for team in map(frozenset, teams):
@@ -230,7 +210,8 @@ def _team_evaluator(
     missing = syms - set(m.valuation)
     if missing:
         names = ", ".join(sorted(s.name for s in missing))
-        raise ValueError(f"symbols missing from the valuation: {names}")
+        s, verb = ("", "is") if len(missing) == 1 else ("s", "are")
+        raise ValueError(f"symbol{s} {names} {verb} missing from the valuation")
     sym_mask = {}
     for sym in syms:
         sm = 0

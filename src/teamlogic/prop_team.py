@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import GuardLimitError
+from .errors import GuardLimitError, _expect_list
 from .formula import (
     And,
     Atom,
@@ -23,9 +23,9 @@ from .formula import (
     NegAtom,
     Or,
     PropSymbol,
+    _admit,
     _as_symbol,
     symbols as formula_symbols,
-    walk,
 )
 from .team_eval import DEFAULT_MAX_SPLIT_ROWS, _full_team_columns, _TeamEvaluator
 
@@ -77,13 +77,14 @@ class PropTeam:
         if list(domain) != sorted(set(domain)):
             raise ValueError("team domain must be sorted and duplicate free")
         self.domain: tuple[PropSymbol, ...] = domain
-        rows = frozenset(tuple(r) for r in rows)
+        # checked before hashing: a row may hold a list
+        rows = [tuple(r) for r in rows]
         for r in rows:
             if len(r) != len(domain):
                 raise ValueError("row width does not match the team domain")
-            if any(b not in (0, 1) for b in r):
-                raise ValueError("row values must be 0 or 1")
-        self.rows: frozenset[tuple[int, ...]] = rows
+            if any(type(b) is not int or b not in (0, 1) for b in r):
+                raise ValueError("row values must be the integers 0 or 1")
+        self.rows: frozenset[tuple[int, ...]] = frozenset(rows)
 
     def assignments(self) -> tuple[Assignment, ...]:
         return tuple(Assignment(self.domain, r) for r in sorted(self.rows))
@@ -107,19 +108,18 @@ class PropTeam:
 
 
 def team_from_dict(data: dict) -> PropTeam:
-    """Read the JSON object form: {"domain": [...], "rows": [[...], ...]}."""
+    """Read the JSON object form: {"domain": [...], "rows": [[...], ...]},
+    with lists for lists; `PropTeam` takes the integers 0 and 1 only."""
     if not isinstance(data, dict) or "domain" not in data or "rows" not in data:
         raise ValueError("team object needs 'domain' and 'rows' keys")
-    file_domain = [_as_symbol(s) for s in data["domain"]]
+    file_domain = [_as_symbol(s) for s in _expect_list(data["domain"], "team domain")]
     if len(set(file_domain)) != len(file_domain):
         raise ValueError("team domain has duplicate symbols")
     raw_rows = []
-    for row in data["rows"]:
-        row = tuple(row)
+    for row in _expect_list(data["rows"], "team rows"):
+        row = tuple(_expect_list(row, "a team row"))
         if len(row) != len(file_domain):
             raise ValueError("row width does not match the team domain")
-        if any(b not in (0, 1) for b in row):
-            raise ValueError("row values must be 0 or 1")
         if row in raw_rows:
             raise ValueError(f"duplicate row {list(row)}")
         raw_rows.append(row)
@@ -133,14 +133,6 @@ def team_to_dict(team: PropTeam) -> dict:
         "domain": [s.name for s in team.domain],
         "rows": [list(r) for r in sorted(team.rows)],
     }
-
-
-def _check_prop(f: Formula) -> None:
-    for node in walk(f):
-        if not isinstance(node, (Atom, NegAtom, And, Or, Dep)):
-            raise ValueError(
-                f"not a propositional team formula: contains {type(node).__name__}"
-            )
 
 
 def pl_pointwise(s, f: Formula) -> bool:
@@ -193,7 +185,7 @@ def pt_eval(team: PropTeam, f: Formula, *, max_split_rows: int | None = DEFAULT_
     that are not flat is refused when it must divide more than 24 rows,
     because evaluation enumerates team partitions.
     """
-    _check_prop(f)
+    _admit(f, "pd")
     missing = formula_symbols(f) - set(team.domain)
     if missing:
         names = ", ".join(sorted(s.name for s in missing))
@@ -232,7 +224,7 @@ def pd_valid(f: Formula, *, max_domain: int | None = DEFAULT_MAX_DOMAIN) -> bool
     validity. The team's symbol columns are built in closed form, with
     no rows.
     """
-    _check_prop(f)
+    _admit(f, "pd")
     domain = tuple(sorted(formula_symbols(f)))
     _check_domain(domain, max_domain)
     ev = _TeamEvaluator(1 << len(domain), _full_team_columns(domain), None, max_split_rows=None)
@@ -252,7 +244,7 @@ def pd_sat(
     satisfying team exists exactly when a singleton does, so the search
     ranges over single assignments in lexicographic order.
     """
-    _check_prop(f)
+    _admit(f, "pd")
     domain = tuple(sorted(formula_symbols(f)))
     if not require_nonempty:
         return PropTeam(domain, ())

@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import GuardLimitError
-from .formula import And, Atom, Box, Dep, Diamond, Formula, IDis, MDep, NegAtom, Or, _fold
+from .formula import And, Atom, Box, Dep, Diamond, Formula, IDis, NegAtom, Or, _fold
 
 DEFAULT_MAX_CHOICES = 1 << 20
 DEFAULT_MAX_SPLIT_ROWS = 24
@@ -184,12 +184,10 @@ class _TeamEvaluator:
             kind, m = _DEP, None
             components = [self.sym_mask[a] for a in f.args]
             graph = 0, _conflict_pairs(components, self.sym_mask[f.target], self.full)
-        elif isinstance(f, MDep):
-            # components are plain modal formulas, hence flat
+        else:
+            # an MDep (callers admit their formulas): flat components
             kind, m = _DEP, None
             graph = 0, _conflict_pairs([flat[k] for k in kids[:-1]], flat[kids[-1]], self.full)
-        else:
-            raise ValueError(f"not a team formula: {type(f).__name__}")
         self.kind.append(kind)
         self.kids.append(kids)
         flat.append(m)

@@ -25,6 +25,10 @@ over those worlds, and the pieces of all refuted selections become one
 `KripkeStructure` with string world names, built once per decision
 with the names a chain of `disjoint_union`s would give.
 
+Each public entry checks its formula against its logic's row of the
+admission table in `formula`. `ml_valid` decides a plain modal formula
+as the one selection of an `ior` formula, on the same path.
+
 Every Invalid verdict returned here has been replayed through the team
 semantics before being handed out, on one evaluator that reads the
 returned structure: each refuted selection at its own piece's root and
@@ -43,23 +47,21 @@ from .formula import (
     And,
     Atom,
     Box,
-    Dep,
     Diamond,
     Formula,
     IDis,
     MDep,
     NegAtom,
     Or,
+    _admit,
     _dual,
     _fold,
     count_idis,
-    dual,
     nb_subf,
     render,
     symbols as formula_symbols,
-    walk,
 )
-from .kripke import KripkeStructure, _team_evaluator, ml_point_eval
+from .kripke import KripkeStructure, _team_evaluator
 from .team_eval import _TeamEvaluator, _bits
 
 DEFAULT_MAX_DEP_ARITY = 10
@@ -170,18 +172,13 @@ def eliminate_idis(f: Formula):
 
     The formula is equivalent to the team-level disjunction of every
     yielded formula. Selections are produced lazily in lexicographic
-    order with "L" before "R". Before the first one, every node is
-    visited, the `ior` sides no selection keeps included, so anything
+    order with "L" before "R". Before the first one, the whole formula
+    is checked, the `ior` sides no selection keeps included, so anything
     but a formula of modal logic with `ior` is rejected up front.
     """
-    m = count_idis(f)
-    for node in walk(f):
-        if not isinstance(node, (IDis, And, Or, Diamond, Box, Atom, NegAtom)):
-            raise ValueError(
-                f"cannot eliminate team-level disjunction under {type(node).__name__}"
-            )
+    _admit(f, "ml-ior")
     memo: dict = {}
-    for raw in itertools.product("LR", repeat=m):
+    for raw in itertools.product("LR", repeat=count_idis(f)):
         yield SelectionFunction(raw), _select(f, raw, memo)
 
 
@@ -195,16 +192,11 @@ def emdl_to_mliv(f: Formula, *, max_dep_arity: int | None = DEFAULT_MAX_DEP_ARIT
     team-level disjunction and no dependence atoms, and it is
     team-equivalent to the input.
     """
-    # Nodes are checked in preorder first: the fold below works children
-    # first, and a guard tripping there must not hide a bad node above.
-    for node in walk(f):
-        if isinstance(node, Dep):
-            raise ValueError(
-                "propositional dependence atoms do not apply to worlds; "
-                "use a modal dependence atom"
-            )
-        if not isinstance(node, (Atom, NegAtom, And, Or, Diamond, Box, MDep)):
-            raise ValueError(f"not a modal dependence formula: {type(node).__name__}")
+    # Nodes, components included, are checked in preorder first: the fold
+    # below works children first, and a guard there must not hide a bad
+    # node above.
+    _admit(f, "emdl")
+    duals: dict = {}
 
     def unfold(g: Formula, kids: list) -> Formula:
         if not isinstance(g, MDep):
@@ -215,8 +207,8 @@ def emdl_to_mliv(f: Formula, *, max_dep_arity: int | None = DEFAULT_MAX_DEP_ARIT
                 f"dependence atom of arity {n} exceeds the guard of "
                 f"{max_dep_arity}; its unfolding has 2^{n} disjuncts"
             )
-        constant_target = IDis(g.target, dual(g.target))
-        negated = [dual(arg) for arg in g.args]
+        constant_target = IDis(g.target, _dual(g.target, duals))
+        negated = [_dual(arg, duals) for arg in g.args]
         disjuncts = []
         for pattern in itertools.product((True, False), repeat=n):
             conj: Formula | None = None
@@ -299,7 +291,8 @@ def _ml_valid(f: Formula, memo: dict, duals: dict) -> tuple | None:
     refines the partition of all worlds by the mask of every literal and
     modal subformula of the negation, the symbols' first, each modal
     one read from one team evaluator over these worlds (`point_mask`),
-    and stops early once every world is a class alone. These
+    built only when there are two worlds or more, and stops early once
+    every world is a class alone. These
     subformulas determine every Boolean combination pointwise, so the
     quotient keeps the truth of every subformula, and it has at most two
     to their number classes. Classes are numbered by their lowest world,
@@ -327,9 +320,9 @@ def _ml_valid(f: Formula, memo: dict, duals: dict) -> tuple | None:
             if positive:
                 val[sym] |= 1 << i
     n = len(order)
-    ev = _TeamEvaluator(n, val, succ, None, None)
-    classes = [ev.full]
+    classes = [(1 << n) - 1]
     if n > 1:
+        ev = _TeamEvaluator(n, val, succ, None, None)
         # Every symbol of `f` has its atom among the non-Boolean
         # subformulas. Once every world is a class alone, the rest can
         # split nothing.
@@ -346,7 +339,8 @@ def _ml_valid(f: Formula, memo: dict, duals: dict) -> tuple | None:
     for k, c in enumerate(classes):
         image = 0
         for i in _bits(c):
-            image |= ev.succ_mask[i]
+            for j in succ[i]:
+                image |= 1 << j
         edges += [(k, l) for l, d in enumerate(classes) if d & image]
     valuation = {
         sym: [k for k, c in enumerate(classes) if c & m] for sym, m in val.items()
@@ -382,20 +376,16 @@ def _merge(pieces: list[tuple]) -> tuple[KripkeStructure, list[str]]:
 def ml_valid(f: Formula) -> Valid | Invalid:
     """Validity of a plain modal formula.
 
-    Searches a tableau for the pointwise negation; a closed tableau
-    means valid, and an open branch is folded into a countermodel whose
-    size is at most two to the number of literal and modal subformulas,
-    with worlds w0, w1, ... and w0 its root. The countermodel is
-    replayed by `ml_point_eval` before being returned. Anything but a
-    plain modal formula makes `dual` raise ValueError.
+    Anything but a plain modal formula raises ValueError. The formula
+    is decided as the one selection of an `ior` formula: a tableau
+    searches for its pointwise negation, a closed tableau means valid (a
+    `Valid` without witness), and an open branch is folded into a
+    countermodel of at most two to the number of literal and modal
+    subformulas worlds, w0, w1, ... with w0 its root, replayed before
+    being returned.
     """
-    piece = _ml_valid(f, {}, {})
-    if piece is None:
-        return Valid(witness=None, checked=1)
-    model, (root,) = _merge([piece])
-    if ml_point_eval(model, root, f):
-        raise RuntimeError("countermodel failed replay; this is a bug")
-    return Invalid(model=model, team=frozenset([root]), checked=1)
+    verdict = _mliv_valid(_admit(f, "ml"), None, None)
+    return Valid(witness=None, checked=verdict.checked) if verdict else verdict
 
 
 def mliv_valid(
@@ -474,10 +464,5 @@ def emdl_valid(
     selection, and an Invalid verdict is replayed against the original
     formula on the merged countermodel before being returned.
     """
-    if count_idis(f):
-        raise ValueError(
-            "team-level disjunction is not part of the dependence fragment"
-        )
-    # a propositional dependence atom is rejected by the unfolding
     translated = emdl_to_mliv(f, max_dep_arity=max_dep_arity)
     return _mliv_valid(translated, max_selections, f)

@@ -40,8 +40,7 @@ from teamlogic import (
     is_pure_ml,
     symbols,
 )
-from teamlogic.formula import _as_symbol
-from teamlogic.prop_team import _check_prop
+from teamlogic.formula import _admit, _as_symbol
 from teamlogic.team_eval import _TeamEvaluator
 
 
@@ -933,7 +932,7 @@ def pd_valid_bruteforce(f: Formula, domain, *, max_domain: int | None = 4) -> bo
     This enumerates all 2^(2^|domain|) teams and is the definitional
     cross-check for pd_valid; the domain guard defaults to 4 symbols.
     """
-    _check_prop(f)
+    _admit(f, "pd")
     domain = tuple(sorted({_as_symbol(s) for s in domain}))
     if max_domain is not None and len(domain) > max_domain:
         raise GuardLimitError(

@@ -87,6 +87,7 @@ def report(tag, ok, detail):
     assert ok, f"{tag} failed: {detail}"
 
 
+@pytest.mark.slow
 def test_c01_pd_validity_oracle_equivalence():
     started = time.time()
     checked = 0
@@ -271,6 +272,7 @@ def _check_translation(f, oracles, spot_rng=None):
     return bad
 
 
+@pytest.mark.slow
 def test_c05_translation_equivalence():
     started = time.time()
     oracles = {w: TeamSetOracle(w, ("p", "q")) for w in (1, 2, 3)}

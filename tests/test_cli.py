@@ -310,6 +310,71 @@ def test_mc_guard_override(tmp_path, capsys):
     assert code in (0, 1)
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["valid", "--logic", "ml", "--max-team", "0", "p | !p"], "--max-team"),
+        (["valid", "--logic", "mdl", "--max-team", "0", "dep(; p)"], "--max-team"),
+        (["valid", "--logic", "emdl", "--max-team", "5", "p"], "--max-team"),
+        (["valid", "--logic", "pl", "--max-selections", "0", "p | !p"], "--max-selections"),
+        (["valid", "--logic", "pd", "--max-selections", "0", "dep(; p)"], "--max-selections"),
+        (["valid", "--logic", "ml", "--max-selections", "-1", "p"], "--max-selections"),
+        (["mc", "--team", "TEAM", "--max-choices", "0", "p"], "--max-choices"),
+    ],
+)
+def test_guard_flags_that_do_not_apply_are_usage_errors(tmp_path, capsys, argv, flag):
+    team = tmp_path / "t.json"
+    team.write_text(json.dumps({"domain": ["p"], "rows": [[1]]}))
+    argv = [str(team) if a == "TEAM" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert flag in err
+
+
+def test_guard_flags_that_apply_still_work(tmp_path, capsys):
+    assert run_cli(capsys, "valid", "--logic", "pd", "--max-team", "0", "p")[0] == 3
+    assert run_cli(capsys, "valid", "--logic", "emdl", "--max-selections", "1", "dep(; p)")[0] == 3
+    model = tmp_path / "m.json"
+    data = {"worlds": ["a", "b"], "edges": [["a", "a"], ["a", "b"]], "valuation": {"p": ["b"]}}
+    model.write_text(json.dumps({**data, "team": ["a"]}))
+    code, _, err = run_cli(capsys, "mc", "--model", str(model), "--max-choices", "1", "<> dep(; p)")
+    assert code == 3 and "successor choices" in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"worlds": "ab", "edges": [["a", "b"]], "valuation": {"p": ["b"]}},
+        {"worlds": ["a", "b"], "edges": ["ab"], "valuation": {"p": ["b"]}},
+        {"worlds": ["a", "b"], "edges": "ab", "valuation": {"p": ["b"]}},
+        {"worlds": ["a", "b"], "edges": [], "valuation": {"p": "b"}},
+        {"worlds": ["a", "b"], "edges": [], "valuation": [["p", "b"]]},
+        {"worlds": ["a", "b"], "edges": [], "valuation": {"p": ["b"]}, "team": "a"},
+    ],
+    ids=["worlds", "edge", "edges", "valuation-entry", "valuation", "team"],
+)
+def test_mc_model_with_a_string_for_a_list_is_a_usage_error(tmp_path, capsys, data):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "mc", "--model", str(model), "p")
+    assert code == 2 and out == ""
+    assert "must be a" in err
+
+
+def test_mc_team_rows_take_the_integers_0_and_1_only(tmp_path, capsys):
+    team = tmp_path / "t.json"
+    for data in (
+        {"domain": "pq", "rows": [[0, 1]]},
+        {"domain": ["p"], "rows": [[True]]},
+        {"domain": ["p"], "rows": ["1"]},
+        {"domain": ["p"], "rows": [[1.0]]},
+        {"domain": ["p"], "rows": [[[0]]]},
+        {"domain": ["p"], "rows": [[{}]]},
+    ):
+        team.write_text(json.dumps(data))
+        assert run_cli(capsys, "mc", "--team", str(team), "p")[0] == 2
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

@@ -83,6 +83,30 @@ def test_kripke_json_round_trip():
         )
 
 
+def test_kripke_json_refuses_a_string_for_a_list():
+    # read as a list, "ab" once gave worlds a and b and the edge a -> b;
+    # world names must be strings
+    good = {"worlds": ["a", "b"], "edges": [["a", "b"]], "valuation": {"p": ["b"]}, "team": ["a"]}
+    kripke_from_dict(good)
+    for key, bad in (
+        ("worlds", "ab"),
+        ("edges", ["ab"]),
+        ("edges", "ab"),
+        ("valuation", {"p": "b"}),
+        ("valuation", [["p", "b"]]),
+        ("team", "a"),
+        # a nested list where a world name belongs once escaped as TypeError
+        ("worlds", [["a"], "b"]),
+        ("edges", [[["a"], "b"]]),
+        ("valuation", {"p": [["b"]]}),
+        ("team", [["a"]]),
+    ):
+        with pytest.raises(ValueError):
+            kripke_from_dict({**good, key: bad})
+    with pytest.raises(ValueError):
+        kripke_from_dict({"worlds": "ab", "edges": ["ab"], "valuation": {"p": "b"}, "team": "a"})
+
+
 def test_point_evaluation():
     m = chain()
     assert ml_point_eval(m, "w0", parse_modal("p & <> q"))

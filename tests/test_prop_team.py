@@ -73,6 +73,9 @@ def test_team_rejects_bad_rows():
         T(["p"], [(0, 1)])
     with pytest.raises(ValueError):
         T(["p", "q"], [(0, 2)])
+    # rows hold the integers 0 and 1, not booleans
+    with pytest.raises(ValueError):
+        T(["p"], [(True,)])
 
 
 def test_team_json_round_trip():
@@ -84,6 +87,25 @@ def test_team_json_round_trip():
         team_from_dict({"domain": ["p"], "rows": [[0], [0]]})
     with pytest.raises(ValueError):
         team_from_dict({"rows": [[0]]})
+
+
+def test_team_json_takes_lists_and_the_integers_0_and_1():
+    # a string domain once read as one symbol per character, and a JSON
+    # true was kept in the row
+    for raw in (
+        {"domain": "pq", "rows": [[0, 1]]},
+        {"domain": ["p", "q"], "rows": "01"},
+        {"domain": ["p", "q"], "rows": ["01"]},
+        {"domain": ["p"], "rows": [[True]]},
+        {"domain": ["p"], "rows": [[False]]},
+        {"domain": ["p"], "rows": [[1.0]]},
+        {"domain": ["p"], "rows": [[[0]]]},
+        {"domain": ["p"], "rows": [[{}]]},
+    ):
+        with pytest.raises(ValueError):
+            team_from_dict(raw)
+    team = team_from_dict(json.loads('{"domain": ["p"], "rows": [[1], [0]]}'))
+    assert team == PropTeam((p,), [(0,), (1,)])
 
 
 def test_pointwise_evaluation():
