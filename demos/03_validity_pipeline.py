@@ -38,13 +38,14 @@ for sel, candidate in eliminate_idis(g):
 res = emdl_valid(parse_modal("dep(p; p)"))
 print("dep(p; p):", "valid, witness " + res.witness.bitstring if isinstance(res, Valid) else "invalid")
 
-# Constancy is not a theorem. The checker folds one countermodel per
-# refuted selection into a single team that defeats them all at once.
+# Constancy is not a theorem. The checker runs a tableau on the least
+# selection that no countermodel found so far refutes, and folds the
+# countermodels into a single team that defeats every selection at once.
 res = emdl_valid(parse_modal("dep(; p)"))
 if isinstance(res, Invalid):
     print("dep(; p): invalid on team", sorted(res.team))
     print("  worlds:", sorted(res.model.worlds))
-    print("  selections refuted:", res.checked)
+    print("  tableaux run:", res.checked)
 
 # Plain modal validity sits underneath. The prover builds a tableau
 # for the negation and extracts a countermodel on failure.
@@ -57,4 +58,4 @@ if isinstance(res, Invalid):
 # ior at the top level expresses a choice of theorems: the pair is
 # valid exactly when one side is. Here neither side is.
 res = mliv_valid(parse_modal("p ior !p"))
-print("p ior !p:", "valid" if isinstance(res, Valid) else f"invalid after {res.checked} selections")
+print("p ior !p:", "valid" if isinstance(res, Valid) else f"invalid after {res.checked} tableaux")

@@ -38,7 +38,7 @@ from .formula import (
     symbols as formula_symbols,
 )
 from .parser import parse_prop
-from .prop_team import pl_pointwise
+from .prop_team import _pl_eval
 from .team_eval import _full_team_columns
 
 DEFAULT_MAX_TABLE_BITS = 24
@@ -386,7 +386,9 @@ def replay_witness(inst: DqbfInstance, witness: SkolemWitness) -> bool:
     """Check Skolem tables against every universal assignment, one by one.
 
     This shares nothing with the bit-parallel search; it is the slow
-    reference reading of what a witness claims.
+    reference reading of what a witness claims. The matrix passed
+    `_check_matrix` when the instance was built, so no assignment walks
+    it for node classes.
     """
     for sym, deps in inst.existentials:
         if sym not in witness.tables:
@@ -402,13 +404,17 @@ def replay_witness(inst: DqbfInstance, witness: SkolemWitness) -> bool:
             for d in deps:
                 idx = idx << 1 | env[d]
             env[sym] = witness.tables[sym][idx]
-        if not pl_pointwise(env, inst.matrix):
+        if not _pl_eval(env, inst.matrix):
             return False
     return True
 
 
 def qbf_eval(q: QbfInstance, *, max_vars: int | None = DEFAULT_MAX_QBF_VARS) -> bool:
-    """Decide a QBF by quantifier recursion over the prefix."""
+    """Decide a QBF by quantifier recursion over the prefix.
+
+    The matrix passed `_check_matrix` when the instance was built, so no
+    leaf walks it for node classes.
+    """
     if max_vars is not None and len(q.prefix) > max_vars:
         raise GuardLimitError(
             f"prefix of {len(q.prefix)} variables exceeds the guard of {max_vars}"
@@ -417,7 +423,7 @@ def qbf_eval(q: QbfInstance, *, max_vars: int | None = DEFAULT_MAX_QBF_VARS) -> 
 
     def rec(i: int) -> bool:
         if i == len(q.prefix):
-            return pl_pointwise(env, q.matrix)
+            return _pl_eval(env, q.matrix)
         quant, var = q.prefix[i]
         results = []
         for b in (0, 1):

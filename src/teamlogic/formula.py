@@ -344,6 +344,7 @@ _PLAIN = frozenset({Atom, NegAtom, And, Or, Diamond, Box})
 # deciders admit. Each public entry checks its formula against one row
 # once, through `_admit`; the stages behind it take that as given.
 _ADMITTED = {
+    "pl": ("plain propositional", frozenset({Atom, NegAtom, And, Or})),
     "pd": ("propositional team", frozenset({Atom, NegAtom, And, Or, Dep})),
     "ml": ("plain modal", _PLAIN),
     "ml-ior": ("modal ior", _PLAIN | {IDis}),
@@ -365,7 +366,8 @@ def _admit(f: Formula, logic: str) -> Formula:
     node = _foreign(f, admitted)
     if node is None:
         return f
-    if type(node) is Dep:
+    # a logic with modalities evaluates at worlds, where `Dep` has no reading
+    if type(node) is Dep and Diamond in admitted:
         raise ValueError(
             "propositional dependence atoms do not apply to worlds; "
             "use a modal dependence atom"

@@ -18,7 +18,6 @@ from .errors import GuardLimitError, _expect_list
 from .formula import (
     And,
     Atom,
-    Dep,
     Formula,
     NegAtom,
     Or,
@@ -136,20 +135,23 @@ def team_to_dict(team: PropTeam) -> dict:
 
 
 def pl_pointwise(s, f: Formula) -> bool:
-    """Classical single-assignment truth; rejects dependence atoms."""
+    """Classical single-assignment truth of a plain propositional
+    formula; anything else, dependence atoms included, raises ValueError
+    before evaluation starts."""
     if isinstance(s, Assignment):
         env = s.as_dict()
     else:
         env = {_as_symbol(k): v for k, v in dict(s).items()}
-    return _pl_eval(env, f)
+    return _pl_eval(env, _admit(f, "pl"))
 
 
-def _pl_eval(env: dict, f: Formula, deps_hold: bool = False) -> bool:
+def _pl_eval(env: dict, f: Formula) -> bool:
     # Left to right with short-circuiting, on an explicit stack of the
     # binary nodes above the current one, each marked with whether its
-    # right side is the one under way. With `deps_hold`, dependence atoms
-    # read as true, which gives team truth on the singleton {env}: it
-    # satisfies every dependence atom, and splits only into itself and {}.
+    # right side is the one under way. Callers admit their formulas.
+    # Dependence atoms, which only `pd_sat` passes, read as true: that
+    # gives team truth on the singleton {env}, which satisfies every
+    # dependence atom and splits only into itself and {}.
     stack: list[tuple[Formula, bool]] = []
     while True:
         while isinstance(f, (And, Or)):
@@ -159,12 +161,8 @@ def _pl_eval(env: dict, f: Formula, deps_hold: bool = False) -> bool:
             if f.sym not in env:
                 raise ValueError(f"symbol {f.sym} is outside the assignment domain")
             value = env[f.sym] == (1 if isinstance(f, Atom) else 0)
-        elif isinstance(f, Dep):
-            if not deps_hold:
-                raise ValueError("dependence atoms have no pointwise truth")
-            value = True
         else:
-            raise ValueError(f"not a plain propositional formula: {type(f).__name__}")
+            value = True
         while stack:
             node, right = stack.pop()
             # A left side that decides its node (false under &, true
@@ -250,6 +248,6 @@ def pd_sat(
         return PropTeam(domain, ())
     _check_domain(domain, max_domain)
     for bits in itertools.product((0, 1), repeat=len(domain)):
-        if _pl_eval(dict(zip(domain, bits)), f, deps_hold=True):
+        if _pl_eval(dict(zip(domain, bits)), f):
             return PropTeam(domain, (bits,))
     return None

@@ -62,17 +62,21 @@ def _full_team_columns(symbols) -> dict:
 
     Member a encodes the tuple of values with the first symbol most
     significant, so the members are the assignments in sorted order;
-    bit a of a symbol's column is its value there.
+    bit a of a symbol's column is its value there. A column repeats a
+    block of zeros then ones; doubling the repeated part takes shifts
+    only, where dividing out the repetition would cost time quadratic
+    in the 2^n bits.
     """
     n = len(symbols)
     total = 1 << n
     cols = {}
     for j, s in enumerate(symbols):
         rep = 1 << (n - 1 - j)
-        period = rep << 1
-        unit = ((1 << rep) - 1) << rep
-        multiplier = ((1 << total) - 1) // ((1 << period) - 1)
-        cols[s] = unit * multiplier
+        col, width = ((1 << rep) - 1) << rep, rep << 1
+        while width < total:
+            col |= col << width
+            width <<= 1
+        cols[s] = col
     return cols
 
 

@@ -12,6 +12,16 @@ countermodel. Plain modal validity at the bottom is a tableau check on
 the pointwise negation, and a refuting tableau branch is folded into a
 filtrated countermodel of bounded size.
 
+The selections are searched by counterexample-guided refinement, the
+loop of 2QBF solvers (Janota and Marques-Silva, "Abstraction-based
+algorithm for 2QBF", SAT 2011). A bitmask holds the selections no
+countermodel piece refutes yet, and the least of them gets the next
+tableau: closed, it is the witness; open, its piece refutes, in one
+bit-parallel pass at the piece's root, that selection and usually many
+more. A world refutes a selection pointwise, and a selection is flat,
+so the team of the pieces' roots refutes every selection, hence the
+formula, once none is left. `checked` counts the tableaux run.
+
 One decision does its shared work once. Formula nodes are interned, so
 the selections of one formula share every subtree no `ior` sits in,
 and with it the values each node keeps (rendering, symbols,
@@ -21,9 +31,9 @@ alone, so the verdicts and countermodels are those of a fresh memo per
 selection, and a formula set hashes and compares its members by
 identity. A refuted selection leaves a piece on integer worlds, its
 filtration computed from the pointwise masks of one team evaluator
-over those worlds, and the pieces of all refuted selections become one
-`KripkeStructure` with string world names, built once per decision
-with the names a chain of `disjoint_union`s would give.
+over those worlds, and the pieces become one `KripkeStructure` with
+string world names, built once per decision with the names a chain of
+`disjoint_union`s would give.
 
 Each public entry checks its formula against its logic's row of the
 admission table in `formula`. `ml_valid` decides a plain modal formula
@@ -31,10 +41,10 @@ as the one selection of an `ior` formula, on the same path.
 
 Every Invalid verdict returned here has been replayed through the team
 semantics before being handed out, on one evaluator that reads the
-returned structure: each refuted selection at its own piece's root and
-on the whole team and, for `emdl_valid`, the original formula on the
-team. A verdict that fails its replay is a bug and raises RuntimeError
-instead of surfacing.
+returned structure: each selection that had a tableau at its own
+piece's root, and the `ior` formula and, for `emdl_valid`, the
+original formula on the team of all roots. A verdict that fails its
+replay is a bug and raises RuntimeError instead of surfacing.
 """
 
 from __future__ import annotations
@@ -62,7 +72,7 @@ from .formula import (
     symbols as formula_symbols,
 )
 from .kripke import KripkeStructure, _team_evaluator
-from .team_eval import _TeamEvaluator, _bits
+from .team_eval import _TeamEvaluator, _bits, _full_team_columns
 
 DEFAULT_MAX_DEP_ARITY = 10
 DEFAULT_MAX_SELECTIONS = 1 << 20
@@ -298,8 +308,8 @@ def _ml_valid(f: Formula, memo: dict, duals: dict) -> tuple | None:
     to their number classes. Classes are numbered by their lowest world,
     the root's class first.
 
-    A piece is (class count, class edges, symbol -> classes where it
-    holds), with an entry for every symbol of `f`.
+    A piece is (the successor classes of each class, symbol -> mask of
+    the classes where it holds), with an entry for every symbol of `f`.
     """
     negated = _dual(f, duals)
     tree = _tableau(frozenset([negated]), memo)
@@ -335,42 +345,111 @@ def _ml_valid(f: Formula, memo: dict, duals: dict) -> tuple | None:
                 m = ev.point_mask(g)
                 classes = [part for c in classes for part in (c & m, c & ~m) if part]
         classes.sort(key=lambda c: c & -c)
-    edges = []
-    for k, c in enumerate(classes):
+    class_succ = []
+    for c in classes:
         image = 0
         for i in _bits(c):
             for j in succ[i]:
                 image |= 1 << j
-        edges += [(k, l) for l, d in enumerate(classes) if d & image]
+        class_succ.append([l for l, d in enumerate(classes) if d & image])
     valuation = {
-        sym: [k for k, c in enumerate(classes) if c & m] for sym, m in val.items()
+        sym: sum(1 << k for k, c in enumerate(classes) if c & m) for sym, m in val.items()
     }
-    return len(classes), edges, valuation
+    return class_succ, valuation
 
 
-def _merge(pieces: list[tuple]) -> tuple[KripkeStructure, list[str]]:
+def _merge(pieces: list[tuple], syms) -> tuple[KripkeStructure, list[str]]:
     """One structure holding the pieces side by side, and their roots.
 
     World i of piece j of k is named `"L:" * (k-1-j) + ("R:" if j else
     "") + f"w{i}"`, as in the nested disjoint union
     `(..((P0 + P1) + P2) ..) + P(k-1)`, built here once instead of
-    re-prefixed and re-validated at every step. Every symbol of every
-    piece is declared, and holds in no world of a piece without it.
+    re-prefixed and re-validated at every step. Every symbol of `syms`
+    and of every piece is declared, and holds in no world of a piece
+    without it.
     """
     k = len(pieces)
     worlds: list[str] = []
     edges: list[tuple[str, str]] = []
-    valuation: dict = {}
+    valuation: dict = {sym: [] for sym in syms}
     roots = []
-    for j, (n, piece_edges, piece_valuation) in enumerate(pieces):
+    for j, (succ, piece_valuation) in enumerate(pieces):
         prefix = "L:" * (k - 1 - j) + ("R:" if j else "")
-        names = [f"{prefix}w{i}" for i in range(n)]
+        names = [f"{prefix}w{i}" for i in range(len(succ))]
         roots.append(names[0])
         worlds += names
-        edges += [(names[u], names[v]) for u, v in piece_edges]
+        edges += [(names[u], names[v]) for u, vs in enumerate(succ) for v in vs]
         for sym, holds in piece_valuation.items():
-            valuation.setdefault(sym, []).extend([names[c] for c in holds])
+            valuation.setdefault(sym, []).extend([names[c] for c in _bits(holds)])
     return KripkeStructure(worlds, edges, valuation), roots
+
+
+def _holding(f: Formula, piece: tuple, syms, cols: dict, full: int) -> int:
+    """The selections of `f` that hold pointwise at the root of `piece`,
+    as a mask over selection numbers (bit s for selection s).
+
+    One pass over `f` gives each node, at the position of its first
+    `ior`, one selection mask per world of the piece: `ior` at position
+    i keeps its left side's mask where column `cols[i]` is 0 and its
+    right side's where it is 1, `&` and `|` are AND and OR, and the
+    diamond and the box are OR and AND over the successors. A subtree
+    without `ior` is the same in every selection, so its mask at a world
+    is `full` or 0 by its pointwise truth there, read from one team
+    evaluator over the piece. Symbols of `syms` the piece lacks are
+    false everywhere, as in the merged structure. Values are keyed by
+    node and position, since one interned node can sit at several
+    positions; an explicit stack stands in for recursion.
+    """
+    succ, valuation = piece
+    n = len(succ)
+    ev = _TeamEvaluator(n, {**dict.fromkeys(syms, 0), **valuation}, succ, None, None)
+    vals: dict = {}
+    todo = [(f, 0)]
+    while todo:
+        key = todo[-1]
+        if key in vals:
+            todo.pop()
+            continue
+        x, pos = key
+        if not x._nior:
+            m = ev.point_mask(x)
+            vals[key] = [full if m >> w & 1 else 0 for w in range(n)]
+            todo.pop()
+            continue
+        if isinstance(x, IDis):
+            kids = ((x.left, pos + 1), (x.right, pos + 1 + x.left._nior))
+        elif isinstance(x, (And, Or)):
+            kids = ((x.left, pos), (x.right, pos + x.left._nior))
+        else:
+            kids = ((x.child, pos),)
+        missing = [k for k in kids if k not in vals]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        if isinstance(x, IDis):
+            left, right = (vals[k] for k in kids)
+            r = cols[pos]
+            vals[key] = [a & ~r | b & r for a, b in zip(left, right)]
+        elif isinstance(x, And):
+            vals[key] = [a & b for a, b in zip(*(vals[k] for k in kids))]
+        elif isinstance(x, Or):
+            vals[key] = [a | b for a, b in zip(*(vals[k] for k in kids))]
+        else:
+            child = vals[kids[0]]
+            out = []
+            for vs in succ:
+                if isinstance(x, Diamond):
+                    acc = 0
+                    for v in vs:
+                        acc |= child[v]
+                else:
+                    acc = full
+                    for v in vs:
+                        acc &= child[v]
+                out.append(acc)
+            vals[key] = out
+    return vals[f, 0][0]
 
 
 def ml_valid(f: Formula) -> Valid | Invalid:
@@ -394,14 +473,17 @@ def mliv_valid(
     """Validity for modal logic with team-level disjunction.
 
     The formula is valid exactly when one of its selections is valid as
-    a plain modal formula. Selections are tried in order, on one shared
-    tableau memo, and the first valid one is returned as witness. When
-    all fail, their countermodels are merged by disjoint union: the
-    combined team refutes every selection at once, hence the formula.
-    The merged countermodel is replayed through the team semantics
-    before being returned.
+    a plain modal formula, and the least such selection, in the order
+    of `eliminate_idis`, is returned as witness. The search is guided
+    by counterexamples: the next tableau runs on the least selection
+    that no countermodel piece found so far refutes at its root, so
+    `checked` counts the tableaux run, not the selections. When none is
+    left, the pieces are merged by disjoint union, and the team of their
+    roots refutes every selection at once, hence the formula. The
+    merged countermodel is replayed through the team semantics before
+    being returned.
     """
-    return _mliv_valid(f, max_selections, None)
+    return _mliv_valid(_admit(f, "ml-ior"), max_selections, None)
 
 
 def _mliv_valid(
@@ -410,11 +492,23 @@ def _mliv_valid(
     """`mliv_valid`, replaying an Invalid verdict also against `original`,
     the formula `f` was translated from, when one is given.
 
-    Each distinct refuted selection leaves one piece, and one structure
-    is built from all of them (`_merge`). The replay reads that
-    structure alone, on one evaluator: each selection must fail at its
-    own piece's root and on the team of all roots, and `original` on
-    that team.
+    The selections of the m `ior` of `f` are numbers s below 2^m, the
+    i-th `ior` in preorder taking its right side when bit m-1-i of s is
+    1: the order of `eliminate_idis`, lexicographic with "L" first. A
+    bitmask `open` holds the selections not yet refuted. Each round
+    runs a tableau on the least open selection. A closed tableau makes
+    it the witness, since every smaller one is refuted. An open one
+    leaves a piece, and the selections that fail at the piece's root
+    leave `open` (`_holding`); with no other selection open, that pass
+    is skipped, so a formula without `ior` does no work beyond its one
+    tableau.
+
+    One structure is built from the pieces (`_merge`), with every
+    symbol of `f` and `original` declared. The replay reads that
+    structure alone, on one evaluator: each selection that had a
+    tableau must fail at its own piece's root, and `f` and `original`
+    on the team of all roots. A check that repeats another, as with one
+    root and no `ior`, runs once.
     """
     m = count_idis(f)
     if max_selections is not None and (1 << m) > max_selections:
@@ -422,32 +516,40 @@ def _mliv_valid(
             f"{m} team-level disjunctions give 2^{m} selections, over the "
             f"configured limit"
         )
+    syms = formula_symbols(f)
+    if original is not None:
+        syms |= formula_symbols(original)
     memo: dict = {}
     duals: dict = {}
+    chosen: dict = {}
     refuted: dict[Formula, tuple] = {}
-    for sel, candidate in eliminate_idis(f):
-        if candidate in refuted:
-            continue
+    s, open_, cols = 0, None, None
+    while True:
+        choices = tuple("R" if s >> (m - 1 - i) & 1 else "L" for i in range(m))
+        candidate = _select(f, choices, chosen)
         piece = _ml_valid(candidate, memo, duals)
         if piece is None:
-            return Valid(witness=sel, checked=len(refuted) + 1)
+            return Valid(witness=SelectionFunction(choices), checked=len(refuted) + 1)
         refuted[candidate] = piece
-    model, roots = _merge(list(refuted.values()))
+        if open_ is None:
+            full = open_ = (1 << (1 << m)) - 1
+        open_ ^= 1 << s
+        if open_:
+            if cols is None:
+                cols = _full_team_columns(range(m))
+            open_ &= _holding(f, piece, syms, cols, full)
+        if not open_:
+            break
+        s = (open_ & -open_).bit_length() - 1
+    model, roots = _merge(list(refuted.values()), syms)
     team = frozenset(roots)
-    # The formula holds on a team exactly when some selection does, and
-    # each selection is flat, so this replay stays linear per selection
-    # where evaluating the disjunctions directly would enumerate splits.
-    # One evaluator serves every replay: `f` covers the nodes and
-    # symbols of every selection, and `original` its own.
     extra = () if original is None else (original,)
     ev, (mask, *root_masks) = _team_evaluator(
         model, (team, *([r] for r in roots)), (f, *extra), None, None
     )
-    for g, root_mask in zip(refuted, root_masks):
-        if ev.eval(g, root_mask) or ev.eval(g, mask):
-            raise RuntimeError("countermodel failed replay; this is a bug")
-    for g in extra:
-        if ev.eval(g, mask):
+    checks = dict.fromkeys([*zip(refuted, root_masks), *((g, mask) for g in (f, *extra))])
+    for g, at in checks:
+        if ev.eval(g, at):
             raise RuntimeError("countermodel failed replay; this is a bug")
     return Invalid(model=model, team=team, checked=len(refuted))
 
@@ -460,9 +562,12 @@ def emdl_valid(
 ) -> Valid | Invalid:
     """Validity for modal logic with dependence atoms.
 
-    Dependence atoms are unfolded, the unfolding is decided selection by
-    selection, and an Invalid verdict is replayed against the original
-    formula on the merged countermodel before being returned.
+    Dependence atoms are unfolded, and the unfolding is decided as by
+    `mliv_valid`: a tableau on the least selection no countermodel piece
+    refutes yet, until one closes, giving the least valid selection as
+    witness, or none is left. `checked` counts the tableaux run. An
+    Invalid verdict is replayed against the unfolding and the original
+    formula on the team of the pieces' roots before being returned.
     """
     translated = emdl_to_mliv(f, max_dep_arity=max_dep_arity)
     return _mliv_valid(translated, max_selections, f)

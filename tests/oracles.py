@@ -1078,23 +1078,36 @@ def reference_ml_countermodel(f: Formula, memo: dict) -> tuple[KripkeStructure, 
     return _reference_filtrate(model, root, list(nb_subf(negated)))
 
 
+def declare(m: KripkeStructure, syms) -> KripkeStructure:
+    """`m` with every symbol of `syms` it lacks declared, true nowhere."""
+    return KripkeStructure(m.worlds, m.edges, {**{s: () for s in syms}, **m.valuation})
+
+
 def reference_mliv_valid(f: Formula):
-    """`mliv_valid` with the reference countermodels, merged by a chain
-    of `disjoint_union`s in selection order."""
+    """`mliv_valid` with the reference countermodels.
+
+    Selections go in `eliminate_idis` order. One that an earlier
+    countermodel refutes at its root, judged by `_bml_point` on that
+    countermodel with every symbol of `f` declared, is skipped; the
+    first other one with no countermodel is the witness. The
+    countermodels are merged by a chain of `disjoint_union`s in the
+    order they were found."""
     from teamlogic import Invalid, Valid, disjoint_union, eliminate_idis
 
     memo: dict = {}
-    refuted: dict = {}
+    found: list = []
+    syms = symbols(f)
     for sel, g in eliminate_idis(f):
-        if g in refuted:
+        if any(not _bml_point(m, root, g) for m, root in found):
             continue
-        found = reference_ml_countermodel(g, memo)
-        if found is None:
-            return Valid(witness=sel, checked=len(refuted) + 1)
-        refuted[g] = found
-    (model, root), *rest = refuted.values()
+        countermodel = reference_ml_countermodel(g, memo)
+        if countermodel is None:
+            return Valid(witness=sel, checked=len(found) + 1)
+        model, root = countermodel
+        found.append((declare(model, syms), root))
+    (model, root), *rest = found
     points = [root]
     for other, other_root in rest:
         model = disjoint_union(model, other)
         points = [f"L:{p}" for p in points] + [f"R:{other_root}"]
-    return Invalid(model=model, team=frozenset(points), checked=len(refuted))
+    return Invalid(model=model, team=frozenset(points), checked=len(found))

@@ -2,8 +2,10 @@
 
 Every entry that takes a formula either accepts a node class or raises
 ValueError for it, wherever it occurs. The table below pins that choice
-for each class at the root and under a conjunction, the other conjunct
-a plain atom.
+for each class at the root, under a conjunction and under a disjunction,
+the other side a plain atom. The atom is true in the assignment
+`pl_pointwise` reads, so the disjunction catches an entry that checks
+only the nodes its evaluation reaches.
 """
 
 import pytest
@@ -32,6 +34,7 @@ from teamlogic import (
     mt_eval,
     pd_sat,
     pd_valid,
+    pl_pointwise,
     pt_eval,
 )
 
@@ -58,6 +61,7 @@ _MODEL = KripkeStructure(["a", "b"], [("a", "b")], {p: {"b"}, q: {"a", "b"}})
 
 # entry -> (a call on one formula, the node classes it admits)
 ENTRIES = {
+    "pl_pointwise": (lambda f: pl_pointwise({"p": 1, "q": 0}, f), _PD - {Dep}),
     "pt_eval": (lambda f: pt_eval(_TEAM, f), _PD),
     "pd_valid": (pd_valid, _PD),
     "pd_sat": (lambda f: pd_sat(f, require_nonempty=True), _PD),
@@ -77,7 +81,7 @@ ENTRIES = {
 def test_admission_table(entry, cls):
     call, admitted = ENTRIES[entry]
     node = SAMPLES[cls]
-    for f in (node, And(Atom(p), node)):
+    for f in (node, And(Atom(p), node), Or(Atom(p), node)):
         if entry == "is_pure_ml":
             assert call(f) is (cls in admitted)
         elif cls in admitted:

@@ -1,13 +1,35 @@
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from teamlogic import (
+    And,
+    Atom,
+    Box,
+    Dep,
+    Diamond,
+    MDep,
+    NegAtom,
+    Or,
+    PropSymbol,
+    count_idis,
+    emdl_to_mliv,
+    kripke_from_dict,
+    render,
+    team_from_dict,
+)
 from teamlogic.cli import run
+
+from oracles import bisim_representatives, brute_mt, brute_pt
 
 
 def run_cli(capsys, *argv):
@@ -476,3 +498,84 @@ def test_import_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# round trips: what one verb prints, another reads back
+
+SYMS = ("p", "q", "r")
+
+
+@st.composite
+def literals(draw):
+    sym = PropSymbol(draw(st.sampled_from(SYMS)))
+    return Atom(sym) if draw(st.booleans()) else NegAtom(sym)
+
+
+@st.composite
+def modal_formulas(draw, depth=0, deps=True):
+    """Modal formulas over p, q, r; with modal dependence atoms if `deps`."""
+    if depth >= 3 or draw(st.booleans()):
+        if deps and draw(st.integers(0, 3)) == 0:
+            args = draw(st.lists(modal_formulas(2, False), max_size=2))
+            return MDep(tuple(args), draw(modal_formulas(2, False)))
+        return draw(literals())
+    kind = draw(st.integers(0, 3))
+    if kind < 2:
+        return (Diamond, Box)[kind](draw(modal_formulas(depth + 1, deps)))
+    left, right = draw(modal_formulas(depth + 1, deps)), draw(modal_formulas(depth + 1, deps))
+    return (And, Or)[kind - 2](left, right)
+
+
+@st.composite
+def prop_formulas(draw, depth=0):
+    """Propositional dependence formulas over p, q, r."""
+    if depth >= 3 or draw(st.booleans()):
+        if draw(st.integers(0, 3)) == 0:
+            args = draw(st.lists(st.sampled_from(SYMS), max_size=2, unique=True))
+            target = draw(st.sampled_from(SYMS))
+            return Dep(tuple(map(PropSymbol, args)), PropSymbol(target))
+        return draw(literals())
+    op = draw(st.sampled_from([And, Or]))
+    return op(draw(prop_formulas(depth + 1)), draw(prop_formulas(depth + 1)))
+
+
+def cli(*argv, data=None):
+    """Exit code and stdout of one in-process `tlg` call; `data`, if
+    given, is written to a JSON file whose path replaces "FILE"."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        if data is not None:
+            path.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(out):
+            code = run([str(path) if a == "FILE" else a for a in argv])
+    return code, out.getvalue()
+
+
+@given(modal_formulas())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_valid_countermodels_round_trip_through_mc(f):
+    # The countermodel must declare every symbol of the formula, or
+    # `mc --model` refuses it as missing from the valuation.
+    assume(count_idis(emdl_to_mliv(f)) <= 6)
+    text = render(f)
+    code, out = cli("valid", "--logic", "emdl", "--json", text)
+    assert code in (0, 1)
+    if code == 1:
+        data = json.loads(out)["countermodel"]
+        assert cli("mc", "--model", "FILE", text, data=data) == (1, "false\n")
+        m, team = kripke_from_dict(data)
+        assert not brute_mt(m, bisim_representatives(m, team, f), f)
+
+
+@given(prop_formulas())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_sat_witnesses_round_trip_through_mc(f):
+    text = render(f)
+    code, out = cli("sat", "--nonempty", "--json", text)
+    assert code in (0, 1)
+    if code == 0:
+        data = json.loads(out)["witness"]
+        assert cli("mc", "--team", "FILE", text, data=data) == (0, "true\n")
+        assert brute_pt(team_from_dict(data), f)

@@ -42,10 +42,12 @@ from oracles import (
     _bml_point,
     bisim_representatives,
     brute_mt,
+    declare,
     ml_valid_small_models,
     random_emdl_formula,
     random_ml_formula,
     random_mliv_formula,
+    random_model,
     reference_mliv_valid,
     reference_ml_countermodel,
     reference_tableau_model,
@@ -176,7 +178,8 @@ def test_mliv_valid_frozen_examples():
     g = IDis(Atom(p), Atom(q))
     res2 = mliv_valid(g)
     assert isinstance(res2, Invalid)
-    assert res2.checked == 2
+    # the root refuting p has q false too, so one tableau refutes both
+    assert res2.checked == 1
     assert not mt_eval(res2.model, res2.team, g)
 
 
@@ -311,22 +314,26 @@ def test_dual_negates_pointwise():
 
 
 def _mliv_reference(f):
-    """`mliv_valid` from the public API alone: a fresh `ml_valid` per
-    distinct selection, merged by `disjoint_union` in selection order."""
-    refuted = {}
+    """`mliv_valid` from the public API alone: selections in order, a
+    fresh `ml_valid` for each one that no earlier countermodel refutes
+    at its root (by `_bml_point`, every symbol of `f` declared), the
+    countermodels merged by `disjoint_union` in the order found."""
+    found = []
+    syms = symbols(f)
     for sel, g in eliminate_idis(f):
-        if g in refuted:
+        if any(not _bml_point(m, root, g) for m, root in found):
             continue
         verdict = ml_valid(g)
         if verdict:
-            return Valid(witness=sel, checked=len(refuted) + 1)
-        refuted[g] = verdict
-    first, *rest = refuted.values()
-    model, points = first.model, list(first.team)
-    for other in rest:
-        model = disjoint_union(model, other.model)
-        points = [f"L:{p}" for p in points] + [f"R:{w}" for w in other.team]
-    return Invalid(model=model, team=frozenset(points), checked=len(refuted))
+            return Valid(witness=sel, checked=len(found) + 1)
+        (root,) = verdict.team
+        found.append((declare(verdict.model, syms), root))
+    (model, root), *rest = found
+    points = [root]
+    for other, other_root in rest:
+        model = disjoint_union(model, other)
+        points = [f"L:{p}" for p in points] + [f"R:{other_root}"]
+    return Invalid(model=model, team=frozenset(points), checked=len(found))
 
 
 def _same_verdict(got, want) -> bool:
@@ -366,8 +373,8 @@ def test_shared_tableau_memo_matches_fresh_memos():
 _merge = translate._merge
 
 
-def _merge_flipping_first_symbol(pieces):
-    m, roots = _merge(pieces)
+def _merge_flipping_first_symbol(pieces, syms):
+    m, roots = _merge(pieces, syms)
     sym = min(m.valuation)
     valuation = dict(m.valuation)
     valuation[sym] = frozenset(m.worlds) - m.valuation[sym]
@@ -385,20 +392,23 @@ def test_shared_replay_refuses_a_broken_countermodel(monkeypatch):
 
 
 def test_replay_checks_each_selection_at_its_own_root(monkeypatch):
-    # p is refuted at the first piece's root and q at the second's. With
-    # p made true at the first root only, the team of both roots still
-    # refutes p and q, so only the check at each selection's own root
-    # sees the broken merge.
-    def flip_p_at_first_root(pieces):
-        m, roots = _merge(pieces)
+    # p is refuted at the first piece's root, where q is false and !q
+    # holds, and !q at the second's. With p made true at the first root
+    # only, the team of both roots still refutes p, !q and so p ior !q,
+    # so only the check at each selection's own root sees the broken
+    # merge.
+    def flip_p_at_first_root(pieces, syms):
+        m, roots = _merge(pieces, syms)
         valuation = dict(m.valuation)
         valuation[p] = m.valuation[p] | {roots[0]}
         return kripke.KripkeStructure(m.worlds, m.edges, valuation), roots
 
-    f = parse_modal("p ior q")
+    f = parse_modal("p ior !q")
+    pieces = [translate._ml_valid(g, {}, {}) for _, g in eliminate_idis(f)]
+    m, _ = flip_p_at_first_root(pieces, symbols(f))
+    assert not mt_eval(m, m.worlds, f)
+    assert mliv_valid(f).checked == 2
     monkeypatch.setattr(translate, "_merge", flip_p_at_first_root)
-    m, _ = flip_p_at_first_root([translate._ml_valid(g, {}, {}) for _, g in eliminate_idis(f)])
-    assert not mt_eval(m, m.worlds, Atom(p)) and not mt_eval(m, m.worlds, Atom(q))
     with pytest.raises(RuntimeError, match="failed replay"):
         mliv_valid(f)
 
@@ -422,9 +432,10 @@ def test_one_replay_evaluator_per_decision(monkeypatch):
 
     monkeypatch.setattr(kripke, "_TeamEvaluator", Counting)
     res = emdl_valid(parse_modal("dep(p; q)"))
-    assert isinstance(res, Invalid) and res.checked == 4
-    # four candidates and the original formula, all on one evaluator
-    assert built == [4]
+    assert isinstance(res, Invalid) and res.checked == 2
+    # two candidates, the translation and the original formula, all on
+    # one evaluator
+    assert built == [2]
 
 
 def test_one_structure_per_decision(monkeypatch):
@@ -437,8 +448,8 @@ def test_one_structure_per_decision(monkeypatch):
 
     monkeypatch.setattr(kripke.KripkeStructure, "__init__", counting)
     res = emdl_valid(parse_modal("dep(p; q)"))
-    assert isinstance(res, Invalid) and res.checked == 4
-    # one structure for the four pieces, none per piece or per merge
+    assert isinstance(res, Invalid) and res.checked == 2
+    # one structure for the two pieces, none per piece or per merge
     assert len(built) == 1
 
 
@@ -481,11 +492,9 @@ def test_mliv_countermodels_match_the_reference_construction():
 
 
 def test_selections_share_one_tableau_memo(monkeypatch):
-    f = parse_modal(
-        "(<> p ior [] q) & (p | q ior <> r) & ([] (p ior q) | <> (r ior !p))"
-        " & (q ior r) & <> (p ior !q)"
-    )
-    assert count_idis(f) == 6
+    # three tableaux, whose boxed subgoals the later ones find in the memo
+    f = parse_modal("(!r | ((q ior q) | !q) ior !r) & [] [] (q ior !p | !q ior q | (!p | r))")
+    assert count_idis(f) == 4
     calls = []
     tableau = translate._tableau
 
@@ -503,20 +512,60 @@ def test_selections_share_one_tableau_memo(monkeypatch):
 
 
 def test_replay_splits_two_coherent_disjuncts_by_2sat(monkeypatch):
-    # Each replay of the original formula splits a team of 64 or more
-    # worlds between two disjuncts with conflict graphs, a dependence
-    # atom against a conjunction with a boxed one or a doubly boxed
-    # one. Enumerating those splits ran out of memory or past 20 s;
-    # with enumeration refused, both must reach a verdict by 2-SAT.
+    # Each formula splits a team of 64 or more worlds between two
+    # disjuncts with conflict graphs, a dependence atom against a
+    # conjunction with a boxed one or a doubly boxed one. Enumerating
+    # those splits ran out of memory or past 20 s; with enumeration
+    # refused, both must reach a verdict by 2-SAT. The teams are eight
+    # copies of each world of a small random structure, so the
+    # representatives `brute_mt` judges are few.
     def refuse(*args):
         raise AssertionError("split enumerated")
 
     monkeypatch.setattr(team_eval._TeamEvaluator, "_or_rest", refuse)
-    for text in (
-        "dep(p; q) | dep(p, q; r) & [] dep(; q)",
-        "([][]dep(!p & !p; r & !p)) | dep(p, !p; !p | q)",
-    ):
-        f = parse_modal(text)
-        res = emdl_valid(f)
-        assert isinstance(res, Invalid) and len(res.team) >= 64
-        assert not brute_mt(res.model, bisim_representatives(res.model, res.team, f), f)
+    formulas = [
+        parse_modal(text)
+        for text in (
+            "dep(p; q) | dep(p, q; r) & [] dep(; q)",
+            "([][]dep(!p & !p; r & !p)) | dep(p, !p; !p | q)",
+        )
+    ]
+    rng = random.Random(101)
+    seen = set()
+    for _ in range(6):
+        base = random_model(rng, rng.randint(8, 9), [p, q, PropSymbol("r")], edge_p=0.3)
+        copies = range(8)
+        m = kripke.KripkeStructure(
+            [f"{w}.{c}" for w in base.worlds for c in copies],
+            [(f"{u}.{c}", f"{v}.{d}") for u, v in base.edges for c in copies for d in copies],
+            {s: {f"{w}.{c}" for w in ws for c in copies} for s, ws in base.valuation.items()},
+        )
+        assert len(m.worlds) >= 64
+        for f in formulas:
+            verdict = mt_eval(m, m.worlds, f, max_split_rows=None)
+            assert verdict == brute_mt(m, bisim_representatives(m, m.worlds, f), f)
+            seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_uncapped_emdl_decisions_are_certified():
+    # EMDL formulas whose unfoldings have 5-12 `ior`, up to 4096
+    # selections, decided with no cap on selections. A countermodel team
+    # refutes each selection at one of its points, and a witness is the
+    # one the reference walk finds.
+    rng = random.Random(11)
+    decided = invalid = 0
+    while decided < 300:
+        f = random_emdl_formula(rng, ["p", "q", "r"], rng.randint(4, 10), 2)
+        g = emdl_to_mliv(f)
+        if not 5 <= count_idis(g) <= 12:
+            continue
+        decided += 1
+        res = emdl_valid(f, max_selections=None)
+        if isinstance(res, Valid):
+            assert res == reference_mliv_valid(g), render(f)
+            continue
+        invalid += 1
+        for _, sel in eliminate_idis(g):
+            assert any(not _bml_point(res.model, t, sel) for t in res.team), render(f)
+    assert 10 < invalid < decided
