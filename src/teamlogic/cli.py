@@ -351,6 +351,9 @@ def run(argv: list[str] | None = None) -> int:
         return _EXIT_USAGE
     except GuardLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if args.json:
+            details = {"guard": exc.guard, "requested": exc.requested, "limit": exc.limit}
+            print(json.dumps(details, sort_keys=True))
         return _EXIT_GUARD
     except Exception as exc:
         # Exit 1 would read as a negative verdict; report the bug instead.

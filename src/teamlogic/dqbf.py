@@ -28,11 +28,13 @@ from .formula import (
     Atom,
     Dep,
     Formula,
-    NegAtom,
+    Not,
     Or,
     PropSymbol,
+    _ADMITTED,
     _as_symbol,
     _fold,
+    _foreign,
     _nnf,
     render,
     symbols as formula_symbols,
@@ -44,9 +46,16 @@ from .team_eval import _full_team_columns
 DEFAULT_MAX_TABLE_BITS = 24
 DEFAULT_MAX_QBF_VARS = 24
 
+_PL = _ADMITTED["pl"][1]
+
 
 def _check_matrix(matrix: Formula, declared: set[PropSymbol]) -> Formula:
-    matrix, bad = _nnf(matrix, (Atom, NegAtom, And, Or))
+    # Without `Not` the matrix is its own normal form, and its class mask
+    # shows whether a walk must name a foreign node.
+    if getattr(matrix, "_mask", -1) & Not._bit:
+        matrix, bad = _nnf(matrix, _PL)
+    else:
+        bad = type(_foreign(matrix, _PL)) if matrix._mask & ~_PL else None
     if bad is not None:
         raise ValueError(
             f"matrix must be a plain propositional formula, not contain "
@@ -266,7 +275,8 @@ def dqbf_eval(
     if max_table_bits is not None and total_bits > max_table_bits:
         raise GuardLimitError(
             f"{total_bits} Skolem table bits exceed the guard of "
-            f"{max_table_bits}; raise max_table_bits to override"
+            f"{max_table_bits}; raise max_table_bits to override",
+            guard="max_table_bits", requested=total_bits, limit=max_table_bits,
         )
     full = (1 << (1 << n)) - 1
     cols = _full_team_columns(inst.universals)
@@ -417,7 +427,8 @@ def qbf_eval(q: QbfInstance, *, max_vars: int | None = DEFAULT_MAX_QBF_VARS) -> 
     """
     if max_vars is not None and len(q.prefix) > max_vars:
         raise GuardLimitError(
-            f"prefix of {len(q.prefix)} variables exceeds the guard of {max_vars}"
+            f"prefix of {len(q.prefix)} variables exceeds the guard of {max_vars}",
+            guard="max_vars", requested=len(q.prefix), limit=max_vars,
         )
     env: dict[PropSymbol, int] = {}
 

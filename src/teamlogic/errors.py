@@ -17,8 +17,17 @@ class GuardLimitError(RuntimeError):
     """An enumeration would exceed a configured resource guard.
 
     Guards are refusal bounds for exponential enumerations; callers can
-    raise them explicitly where they know what they are doing.
+    raise them explicitly where they know what they are doing. `guard`
+    names the keyword argument that sets the bound, `limit` is its value
+    and `requested` the size that exceeded it.
     """
+
+    def __init__(self, message: str, *, guard: str | None = None,
+                 requested: int | None = None, limit: int | None = None):
+        super().__init__(message)
+        self.guard = guard
+        self.requested = requested
+        self.limit = limit
 
 
 def _expect_list(value, what: str):

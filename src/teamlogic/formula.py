@@ -9,13 +9,19 @@ equal formulas are therefore the same object, and equality and hashing
 are the identity's, with no recursion and no Python-level call. Nodes
 are immutable: assigning a field raises AttributeError, and pickling or
 copying a node rebuilds it through its constructor, which interns it
-again. Each node also keeps its symbols and its `ior` count, computed
-at construction from its children's, and its rendering and non-Boolean
-subformulas once first asked for, filled children first from an
-explicit stack; passes giving each node a value made from its
-children's alone run on one fold, `_fold`. Nothing here recurses once
-per tree level, and a subformula shared by several formulas does this
-work once for all.
+again. Each node also keeps its symbols, its `ior` count and its class
+mask, the classes of the nodes in it as bits, computed at construction
+from its children's, and its rendering and non-Boolean subformulas
+once first asked for, filled children first from an explicit stack;
+passes giving each node a value made from its children's alone run on
+one fold, `_fold`, which finds a node's parts by its class in a table.
+Nothing here recurses once per tree level, and a subformula shared by
+several formulas does this work once for all.
+
+The class mask answers, in one AND, whether a formula holds a node of
+some class: admission to a logic, the components of `MDep`, and
+whether `to_nnf` has anything to do. Only a refusal walks the formula,
+in preorder, to name the first node outside.
 
 Public formulas are kept in negation normal form: negation occurs on
 proposition symbols only. General negation is written with the
@@ -143,14 +149,14 @@ _PREC_ATOM = 9
 class _Node:
     """A formula node.
 
-    Besides its fields a node keeps its symbols and its `ior` count,
-    computed at construction from its children's, and two slots that
+    Besides its fields a node keeps its symbols, its `ior` count and its
+    class mask, computed at construction from its children's, and two slots that
     stay None until first asked for: its rendering, and the non-Boolean
     subformulas below it (`nb_subf` less the node itself, which a node
     must not hold). `_prec` is the class's rendering precedence.
     """
 
-    __slots__ = ("__weakref__", "_symbols", "_nior", "_text", "_below")
+    __slots__ = ("__weakref__", "_symbols", "_nior", "_mask", "_text", "_below")
     _prec = _PREC_ATOM
 
 
@@ -174,6 +180,7 @@ class _Literal(_Node):
         node.sym = sym
         node._symbols = frozenset((sym,))
         node._nior = 0
+        node._mask = cls._bit
         node._text = node._below = None
         node.__class__ = cls
         return _enter(node, key)
@@ -195,6 +202,7 @@ class _Unary(_Node):
         node.child = child
         node._symbols = child._symbols
         node._nior = child._nior
+        node._mask = child._mask | cls._bit
         node._text = node._below = None
         node.__class__ = cls
         return _enter(node, key)
@@ -218,6 +226,7 @@ class _Binary(_Node):
         ls, rs = left._symbols, right._symbols
         node._symbols = rs if ls <= rs else ls if rs <= ls else ls | rs
         node._nior = left._nior + right._nior + cls._ior
+        node._mask = left._mask | right._mask | cls._bit
         node._text = node._below = None
         node.__class__ = cls
         return _enter(node, key)
@@ -225,20 +234,24 @@ class _Binary(_Node):
 
 class Atom(_Frozen, _Literal):
     __slots__ = ()
+    _bit = 1 << 0
 
 
 class NegAtom(_Frozen, _Literal):
     __slots__ = ()
+    _bit = 1 << 1
 
 
 class Not(_Frozen, _Unary):
     """General negation; only `to_nnf` understands it."""
 
     __slots__ = ()
+    _bit = 1 << 2
 
 
 class And(_Frozen, _Binary):
     __slots__ = ()
+    _bit = 1 << 3
     _prec = _PREC_AND
     _op = " & "
 
@@ -247,6 +260,7 @@ class Or(_Frozen, _Binary):
     """Splitting disjunction: the team divides between the disjuncts."""
 
     __slots__ = ()
+    _bit = 1 << 4
     _prec = _PREC_OR
     _op = " | "
 
@@ -255,6 +269,7 @@ class IDis(_Frozen, _Binary):
     """Team-level disjunction (`ior`): the whole team satisfies a side."""
 
     __slots__ = ()
+    _bit = 1 << 5
     _prec = _PREC_IOR
     _op = " ior "
     _ior = 1
@@ -262,11 +277,13 @@ class IDis(_Frozen, _Binary):
 
 class Diamond(_Frozen, _Unary):
     __slots__ = ()
+    _bit = 1 << 6
     _op = "<> "
 
 
 class Box(_Frozen, _Unary):
     __slots__ = ()
+    _bit = 1 << 7
     _op = "[] "
 
 
@@ -279,6 +296,7 @@ class Dep(_Frozen, _Dependence):
     """Propositional dependence atom dep(args; target) over symbols."""
 
     __slots__ = ()
+    _bit = 1 << 8
 
     def __new__(cls, args: tuple[PropSymbol, ...], target: PropSymbol):
         args = tuple(args)
@@ -293,7 +311,7 @@ class Dep(_Frozen, _Dependence):
                 raise TypeError("Dep arguments must be proposition symbols")
         if not isinstance(target, PropSymbol):
             raise TypeError("Dep target must be a proposition symbol")
-        return _dependence(cls, key, frozenset((*args, target)))
+        return _dependence(cls, key, frozenset((*args, target)), cls._bit)
 
 
 class MDep(_Frozen, _Dependence):
@@ -305,6 +323,7 @@ class MDep(_Frozen, _Dependence):
     """
 
     __slots__ = ()
+    _bit = 1 << 9
 
     def __new__(cls, args: tuple["Formula", ...], target: "Formula"):
         args = tuple(args)
@@ -314,23 +333,24 @@ class MDep(_Frozen, _Dependence):
             node = ref()
             if node is not None:
                 return node
+        mask = 0
         for part in (*args, target):
-            if _foreign(part, _PLAIN | {Not}) is not None:
-                raise ValueError(
-                    "dependence atom components must be plain modal formulas"
-                )
+            mask |= getattr(part, "_mask", -1)
+        if mask & ~(_PLAIN | Not._bit):
+            raise ValueError("dependence atom components must be plain modal formulas")
         syms = target._symbols
         for a in args:
             syms = _union(syms, a._symbols)
-        return _dependence(cls, key, syms)
+        return _dependence(cls, key, syms, mask | cls._bit)
 
 
-def _dependence(cls, key: tuple, symbols: frozenset):
+def _dependence(cls, key: tuple, symbols: frozenset, mask: int):
     """Build and enter the dependence atom `key` = (cls, args, target)."""
     node = _new(_Dependence)
     _, node.args, node.target = key
     node._symbols = symbols
     node._nior = 0
+    node._mask = mask
     node._text = node._below = None
     node.__class__ = cls
     return _enter(node, key)
@@ -338,24 +358,29 @@ def _dependence(cls, key: tuple, symbols: frozenset):
 
 Formula = Union[Atom, NegAtom, Not, And, Or, IDis, Diamond, Box, Dep, MDep]
 
-_PLAIN = frozenset({Atom, NegAtom, And, Or, Diamond, Box})
+# A node's class mask is the OR of the `_bit`s of the classes of the
+# nodes in it, components of `MDep` included: exactly the classes of the
+# nodes `walk` yields. It is set at construction, so a check for classes
+# inside a formula is one AND.
+_PLAIN = Atom._bit | NegAtom._bit | And._bit | Or._bit | Diamond._bit | Box._bit
 
-# Per logic, the name a refusal gives it and the node classes its
-# deciders admit. Each public entry checks its formula against one row
-# once, through `_admit`; the stages behind it take that as given.
+# Per logic, the name a refusal gives it and the mask of the node classes
+# its deciders admit. Each public entry checks its formula against one
+# row once, through `_admit`; the stages behind it take that as given.
 _ADMITTED = {
-    "pl": ("plain propositional", frozenset({Atom, NegAtom, And, Or})),
-    "pd": ("propositional team", frozenset({Atom, NegAtom, And, Or, Dep})),
+    "pl": ("plain propositional", Atom._bit | NegAtom._bit | And._bit | Or._bit),
+    "pd": ("propositional team", Atom._bit | NegAtom._bit | And._bit | Or._bit | Dep._bit),
     "ml": ("plain modal", _PLAIN),
-    "ml-ior": ("modal ior", _PLAIN | {IDis}),
-    "emdl": ("modal dependence", _PLAIN | {MDep}),
-    "modal-team": ("modal team", _PLAIN | {IDis, MDep}),
+    "ml-ior": ("modal ior", _PLAIN | IDis._bit),
+    "emdl": ("modal dependence", _PLAIN | MDep._bit),
+    "modal-team": ("modal team", _PLAIN | IDis._bit | MDep._bit),
 }
 
 
-def _foreign(f: Formula, admitted: frozenset):
-    """The first node of `f` in preorder whose class `admitted` lacks, or None."""
-    return next((node for node in walk(f) if type(node) not in admitted), None)
+def _foreign(f: Formula, admitted: int):
+    """The first node of `f` in preorder whose class bit `admitted` lacks,
+    or None; a walk, for naming the node once a class mask shows one."""
+    return next((n for n in walk(f) if not getattr(type(n), "_bit", 0) & admitted), None)
 
 
 def _admit(f: Formula, logic: str) -> Formula:
@@ -363,11 +388,11 @@ def _admit(f: Formula, logic: str) -> Formula:
     ValueError names the first node outside, in preorder, before any
     later stage can trip a guard."""
     name, admitted = _ADMITTED[logic]
-    node = _foreign(f, admitted)
-    if node is None:
+    if not getattr(f, "_mask", -1) & ~admitted:
         return f
+    node = _foreign(f, admitted)
     # a logic with modalities evaluates at worlds, where `Dep` has no reading
-    if type(node) is Dep and Diamond in admitted:
+    if type(node) is Dep and admitted & Diamond._bit:
         raise ValueError(
             "propositional dependence atoms do not apply to worlds; "
             "use a modal dependence atom"
@@ -403,56 +428,77 @@ def fragment_within(small: Fragment, big: Fragment) -> bool:
     return big in _SUPERSETS[small]
 
 
+# Per class, the shape of a node's parts, read by `_parts` and `_fold`
+# in place of a chain of class tests: none, a child, a left and
+# a right side, or the components of `MDep`, arguments then target.
+_LEAF, _ONE, _TWO, _MANY = range(4)
+_SHAPE = {
+    Atom: _LEAF, NegAtom: _LEAF, Dep: _LEAF,
+    Not: _ONE, Diamond: _ONE, Box: _ONE,
+    And: _TWO, Or: _TWO, IDis: _TWO,
+    MDep: _MANY,
+}
+
+
 def walk(f: Formula) -> Iterator[Formula]:
     """Yield every node of `f`, the node itself first."""
     stack = [f]
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, (And, Or, IDis)):
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, (Diamond, Box, Not)):
-            stack.append(node.child)
-        elif isinstance(node, MDep):
-            stack.append(node.target)
-            stack.extend(reversed(node.args))
+        stack += reversed(_parts(node))
 
 
 def _parts(f: Formula) -> tuple[Formula, ...]:
     """The direct subformulas of `f`, left to right."""
-    if isinstance(f, _Binary):
+    shape = _SHAPE.get(type(f), _LEAF)
+    if shape is _TWO:
         return (f.left, f.right)
-    if isinstance(f, _Unary):
+    if shape is _ONE:
         return (f.child,)
-    if isinstance(f, MDep):
+    if shape is _MANY:
         return (*f.args, f.target)
     return ()
 
 
-def _fold(f: Formula, visit, done: dict):
-    """Fold `f` bottom-up: `done[g] = visit(g, [done[c] for c in _parts(g)])`
+def _fold(f: Formula, visit, done: dict, within: int = -1):
+    """Fold `f` bottom-up: `done[g] = visit(g, tuple(done[c] for c in _parts(g)))`
     for every node `g` of `f` not yet in `done`, and return `done[f]`.
 
     Nodes are visited children first, left to right, from an explicit
     stack; a node shared by several parents, or already in `done` from
-    an earlier fold, is visited at most once.
+    an earlier fold, is visited at most once. A node whose class mask
+    has no bit of `within` is its own value: neither it nor anything
+    below it is visited.
     """
-    # a node to visit, or a (node, its parts) pair once they are done
+    # a node to visit, or a 1-tuple of a node once its parts are done
     stack = [f]
     while stack:
         g = stack.pop()
         if type(g) is tuple:
-            g, parts = g
-        else:
-            if g in done:
+            g = g[0]
+            shape = _SHAPE[type(g)]
+            if shape is _TWO:
+                done[g] = visit(g, (done[g.left], done[g.right]))
+            elif shape is _ONE:
+                done[g] = visit(g, (done[g.child],))
+            else:
+                done[g] = visit(g, tuple([done[c] for c in (*g.args, g.target)]))
+        elif g not in done:
+            if not g._mask & within:
+                done[g] = g
                 continue
-            parts = _parts(g)
-            if parts:
-                stack.append((g, parts))
-                stack += reversed(parts)
-                continue
-        done[g] = visit(g, [done[c] for c in parts])
+            shape = _SHAPE[type(g)]
+            if shape is _TWO:
+                stack += ((g,), g.right, g.left)
+            elif shape is _ONE:
+                stack += ((g,), g.child)
+            elif shape is _MANY:
+                stack.append((g,))
+                stack.append(g.target)
+                stack += reversed(g.args)
+            else:
+                done[g] = visit(g, ())
     return done[f]
 
 
@@ -472,24 +518,25 @@ def to_nnf(f: Formula) -> Formula:
     Negation distributes over the Boolean and modal connectives in the
     usual dual pairs. A negation reaching a dependence atom or `ior` is
     an error: neither has a negation normal form in these grammars.
+    A formula without `Not` is its own normal form, known from its mask.
     """
+    if not getattr(f, "_mask", -1) & Not._bit:
+        return f
     return _nnf(f)[0]
 
 
-def _nnf(f: Formula, allowed: tuple | None = None) -> tuple[Formula, type | None]:
+def _nnf(f: Formula, allowed: int = -1) -> tuple[Formula, type | None]:
     """`to_nnf(f)`, and the class of the first node of the result, in
-    preorder, that is not one of `allowed` (None if there is none or
-    `allowed` is None).
+    preorder, whose class bit the mask `allowed` lacks (None if there is
+    none).
 
     Built from an explicit stack, with one memo per polarity, so a
     subtree shared under the same number of negations is done once. A
-    subtree without negation comes back as the same object, so a formula
-    without `Not` is its own answer and the parts already in normal form
-    are not copied node by node. Errors come in the order a left-to-right
+    subtree without negation, known from its class mask, comes back as
+    the same object, unvisited, so the parts already in normal form are
+    not copied node by node. Errors come in the order a left-to-right
     recursion meets them.
     """
-    if allowed is None:
-        allowed = _NNF_CLASSES
     memos: tuple[dict, dict] = ({}, {})
     bad = None
     done: list[Formula] = []  # results of the finished subtrees, in order
@@ -504,8 +551,6 @@ def _nnf(f: Formula, allowed: tuple | None = None) -> tuple[Formula, type | None
             del done[-len(parts):]
             if neg:
                 new = _DUAL_CLASS[cls](*kids)
-            elif kids == parts:
-                new = node
             elif cls is MDep:
                 new = MDep(kids[:-1], kids[-1])
             else:
@@ -518,6 +563,11 @@ def _nnf(f: Formula, allowed: tuple | None = None) -> tuple[Formula, type | None
             continue
         if cls not in _NNF_CLASSES:
             raise TypeError(f"not a formula: {node!r}")
+        if not neg and not node._mask & Not._bit:
+            if bad is None and node._mask & ~allowed:
+                bad = type(_foreign(node, allowed))
+            done.append(node)
+            continue
         out = cls
         if neg:
             out = _DUAL_CLASS.get(cls)
@@ -525,11 +575,11 @@ def _nnf(f: Formula, allowed: tuple | None = None) -> tuple[Formula, type | None
                 if cls is IDis:
                     raise ValueError("'ior' cannot be negated")
                 raise ValueError("dependence atoms cannot be negated")
-        if out not in allowed and bad is None:
+        if not out._bit & allowed and bad is None:
             bad = out
-        if cls is Atom or cls is NegAtom or cls is Dep:
-            # a negated Dep raised above
-            done.append(out(node.sym) if neg else node)
+        if cls is Atom or cls is NegAtom:
+            # negated: the others are without `Not`, and a Dep raised above
+            done.append(out(node.sym))
             continue
         seen = memos[neg].get(node)
         if seen is not None:
@@ -547,7 +597,7 @@ _NNF_CLASSES = frozenset({Atom, NegAtom, And, Or, IDis, Diamond, Box, Dep, MDep}
 
 def is_pure_ml(f: Formula) -> bool:
     """True when `f` uses only atoms, their negations, and/or/diamond/box."""
-    return _foreign(f, _PLAIN) is None
+    return not getattr(f, "_mask", -1) & ~_PLAIN
 
 
 # The dual's class for each class of plain modal formula.
@@ -573,9 +623,9 @@ def _dual(f: Formula, memo: dict) -> Formula:
     return _fold(f, _dual_node, memo)
 
 
-def _dual_node(f: Formula, kids: list) -> Formula:
+def _dual_node(f: Formula, kids: tuple) -> Formula:
     cls = _DUAL_CLASS[type(f)]
-    return cls(f.sym) if isinstance(f, _Literal) else cls(*kids)
+    return cls(*kids) if kids else cls(f.sym)
 
 
 _set_text = _Node.__dict__["_text"].__set__
@@ -625,15 +675,15 @@ def nb_subf(f: Formula) -> frozenset[Formula]:
 
 def size(f: Formula) -> int:
     """Number of AST nodes; a dependence atom counts itself plus components."""
+    if not isinstance(f, _Node) or f._mask & Not._bit:
+        raise ValueError("size expects a formula in negation normal form")
     return _fold(f, _size_node, {})
 
 
-def _size_node(f: Formula, kids: list) -> int:
+def _size_node(f: Formula, kids: tuple) -> int:
     # a shared subtree counts once per occurrence, as in the tree
-    if isinstance(f, Dep):
+    if type(f) is Dep:
         return 1 + len(f.args) + 1
-    if isinstance(f, Not) or not isinstance(f, _Node):
-        raise ValueError("size expects a formula in negation normal form")
     return 1 + sum(kids)
 
 

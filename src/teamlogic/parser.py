@@ -15,16 +15,20 @@ Binary operators are left associative; unary binds tightest, then '&',
 then '|', then 'ior'. In the propositional grammar dep arguments are
 bare identifiers and the modal tokens are rejected; in the modal grammar
 they are formulas without 'ior' or nested dependence atoms. Parsers
-return negation normal form: '!' on a compound is pushed inward, and '!'
-on anything containing a dependence atom is a syntax error because no
-normal form exists for it.
+return negation normal form: '!' on a literal flips it, '!' on a
+compound is pushed inward, and '!' on anything containing a dependence
+atom is a syntax error because no normal form exists for it.
+
+The scanner turns the text into two parallel lists, token kinds and
+words, from one `findall`, and the parser reads them in place by index;
+no object is built per token. Character positions are needed only for
+a ParseError, so they are found by scanning the text again then.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-import string
-from typing import NamedTuple
 
 from .errors import ParseError
 from .formula import (
@@ -45,12 +49,6 @@ from .formula import (
 )
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
-
-
 _KINDS = {
     "!": "BANG",
     "&": "AMP",
@@ -65,38 +63,31 @@ _KINDS = {
     "ior": "IOR",
 }
 
-# Whitespace, then a token: an operator, a word (a symbol name as
-# `PropSymbol` accepts it, or a keyword), or any other single character,
-# which is an error.
-_SCAN = re.compile(r"(\s*)(<>|\[\]|[!&|(),;]|" + _IDENT_RE.pattern + r"|\S)")
-_LETTERS = frozenset(string.ascii_letters)
-# Builds a token without the Python-level constructor of `NamedTuple`.
-_make_token = tuple.__new__
+# Whitespace, then a token: an operator or a word (a symbol name as
+# `PropSymbol` accepts it, or a keyword) in the group, or any other
+# single character outside it, an error, which leaves the group empty.
+_SCAN = re.compile(r"\s*(?:(<>|\[\]|[!&|(),;]|" + _IDENT_RE.pattern + r")|\S)")
+# The default of `_KINDS.get` for each word: a word outside it is a name.
+_IDENT_KIND = itertools.repeat("IDENT")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    for space, word in _SCAN.findall(text):
-        pos += len(space)
-        kind = _KINDS.get(word)
-        if kind is None:
-            if word[0] not in _LETTERS:
-                raise ParseError(f"unexpected character {word!r}", pos)
-            kind = "IDENT"
-        tokens.append(_make_token(_Token, (kind, word, pos)))
-        pos += len(word)
-    tokens.append(_Token("EOF", "", len(text)))
-    return tokens
+def _scan(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and the words of the tokens of `text`, "EOF" last: two
+    lists from one `findall`, with no object per token. Positions are
+    found by scanning again, only for an error."""
+    words = _SCAN.findall(text)
+    if "" in words:
+        bad = next(m.end() - 1 for m in _SCAN.finditer(text) if m.group(1) is None)
+        raise ParseError(f"unexpected character {text[bad]!r}", bad)
+    kinds = list(map(_KINDS.get, words, _IDENT_KIND))
+    kinds.append("EOF")
+    words.append("")
+    return kinds, words
 
 
 # Binary operator tokens: (precedence, class); higher binds tighter.
 _BINARY = {"AMP": (3, And), "PIPE": (2, Or), "IOR": (1, IDis)}
 _PREFIX = {"BANG": Not, "DIA": Diamond, "BOX": Box}
-
-
-def _shown(tok: _Token) -> str:
-    return tok.text if tok.kind != "EOF" else "end of input"
 
 
 class _Expr:
@@ -111,15 +102,16 @@ class _Expr:
 
 
 class _DepAtom:
-    """A modal dependence atom being parsed, with the parser's counts of
-    dependence atoms and `ior` nodes when its current component began."""
+    """A modal dependence atom being parsed, with the index of the first
+    token of its current component and the parser's counts of dependence
+    atoms and `ior` nodes when that component began."""
 
-    __slots__ = ("args", "at_target", "tok", "deps", "iors")
+    __slots__ = ("args", "at_target", "start", "deps", "iors")
 
     def __init__(self):
         self.args: list[Formula] = []
         self.at_target = False
-        self.tok: _Token | None = None
+        self.start = 0
         self.deps = self.iors = 0
 
 
@@ -128,74 +120,75 @@ _PAREN = object()
 
 
 class _Parser:
+    """The parse of one text: its token lists and `pos`, the index of the
+    next token, read and advanced in place."""
+
     def __init__(self, text: str, modal: bool):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.kinds, self.words = _scan(text)
         self.pos = 0
         self.modal = modal
         # Dependence atoms and `ior` nodes built so far: an operand
         # contains one exactly when the count grew while it was parsed.
         self.deps = 0
         self.iors = 0
-        # `Not` nodes built: '!' on a literal flips it instead, so a
-        # formula without them is in negation normal form already.
-        self.nots = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, i: int) -> ParseError:
+        """A ParseError at token `i`, its character position found by
+        scanning the text again."""
+        starts = [m.start(1) for m in _SCAN.finditer(self.text)]
+        return ParseError(message, starts[i] if i < len(starts) else len(self.text))
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {_shown(tok)!r}", tok.pos)
-        return self.advance()
+    def expected(self, what: str) -> ParseError:
+        """The error for a token at `pos` other than `what`."""
+        i = self.pos
+        found = self.words[i] if self.kinds[i] != "EOF" else "end of input"
+        return self.error(f"expected {what}, found {found!r}", i)
 
     def parse(self) -> Formula:
         f = self.formula()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        return to_nnf(f) if self.nots else f
+        if self.kinds[self.pos] != "EOF":
+            raise self.error(f"unexpected trailing input {self.words[self.pos]!r}", self.pos)
+        return to_nnf(f)
 
     def formula(self) -> Formula:
         """Parse a `formula` with `frames` as the stack of everything
         waiting for the operand at hand: prefix operators as (class,
-        token, dependence count), open parentheses, expressions and
-        modal dependence atoms."""
+        token index, dependence count), open parentheses, expressions
+        and modal dependence atoms."""
         frames: list = [_Expr(True)]
-        tokens = self.tokens
+        kinds, words = self.kinds, self.words
         while True:
-            tok = tokens[self.pos]
-            self.pos += 1
-            kind = tok.kind
+            i = self.pos
+            self.pos = i + 1
+            kind = kinds[i]
             if kind == "IDENT":
-                value = Atom(PropSymbol(tok.text))
+                value = Atom(PropSymbol(words[i]))
             elif kind in _PREFIX:
                 if kind != "BANG" and not self.modal:
-                    raise ParseError(f"{tok.text!r} is not propositional syntax", tok.pos)
-                frames.append((_PREFIX[kind], tok, self.deps))
+                    raise self.error(f"{words[i]!r} is not propositional syntax", i)
+                frames.append((_PREFIX[kind], i, self.deps))
                 continue
             elif kind == "LPAR":
                 frames += (_PAREN, _Expr(True))
                 continue
             elif kind == "DEP":
-                self.expect("LPAR", "'(' after 'dep'")
+                if kinds[self.pos] != "LPAR":
+                    raise self.expected("'(' after 'dep'")
+                self.pos += 1
                 if not self.modal:
                     value = self.prop_dep()
                 else:
                     frame = _DepAtom()
                     frames.append(frame)
-                    if self.peek().kind == "SEMI":
+                    if kinds[self.pos] == "SEMI":
                         self.dep_target(frame, frames)
                     else:
                         self.dep_component(frame, frames)
                     continue
             else:
-                raise ParseError(f"expected a formula, found {_shown(tok)!r}", tok.pos)
+                self.pos = i
+                raise self.expected("a formula")
             # Hand the operand to the frames until one needs another.
             while True:
                 frame = frames[-1]
@@ -204,21 +197,20 @@ class _Parser:
                     if cls is not Not:
                         value = cls(value)
                     elif self.deps > deps:
-                        raise ParseError("dependence atoms cannot be negated", op.pos)
+                        raise self.error("dependence atoms cannot be negated", op)
                     elif isinstance(value, Atom):
                         value = NegAtom(value.sym)
                     elif isinstance(value, NegAtom):
                         value = Atom(value.sym)
                     else:
                         value = Not(value)
-                        self.nots += 1
                 elif type(frame) is _Expr:
-                    tok = tokens[self.pos]
-                    binary = _BINARY.get(tok.kind)
+                    kind = kinds[self.pos]
+                    binary = _BINARY.get(kind)
                     pending = frame.pending
-                    if binary is not None and (frame.ior or tok.kind != "IOR"):
-                        if tok.kind == "IOR" and not self.modal:
-                            raise ParseError("'ior' is not propositional syntax", tok.pos)
+                    if binary is not None and (frame.ior or kind != "IOR"):
+                        if kind == "IOR" and not self.modal:
+                            raise self.error("'ior' is not propositional syntax", self.pos)
                         self.pos += 1
                         prec, cls = binary
                         while pending and pending[-1][0] >= prec:
@@ -232,7 +224,9 @@ class _Parser:
                         return value
                 elif frame is _PAREN:
                     frames.pop()
-                    self.expect("RPAR", "')'")
+                    if kinds[self.pos] != "RPAR":
+                        raise self.expected("')'")
+                    self.pos += 1
                 else:
                     value = self.dep_part_done(frame, value, frames)
                     if value is None:
@@ -245,39 +239,53 @@ class _Parser:
             self.iors += 1
         return cls(left, right)
 
+    def symbol(self) -> PropSymbol:
+        """The proposition symbol at `pos`, taken."""
+        if self.kinds[self.pos] != "IDENT":
+            raise self.expected("a proposition symbol")
+        self.pos += 1
+        return PropSymbol(self.words[self.pos - 1])
+
     def prop_dep(self) -> Dep:
         """The rest of a propositional dependence atom after 'dep('."""
+        kinds = self.kinds
         args = []
-        if self.peek().kind != "SEMI":
-            args.append(self.expect("IDENT", "a proposition symbol"))
-            while self.peek().kind == "COMMA":
-                self.advance()
-                args.append(self.expect("IDENT", "a proposition symbol"))
-        self.no_ior()
-        self.expect("SEMI", "';' before the dependence target")
-        target = self.expect("IDENT", "a proposition symbol")
+        if kinds[self.pos] != "SEMI":
+            args.append(self.symbol())
+            while kinds[self.pos] == "COMMA":
+                self.pos += 1
+                args.append(self.symbol())
+        self.semi()
+        target = self.symbol()
         self.dep_close()
-        return Dep(tuple(PropSymbol(t.text) for t in args), PropSymbol(target.text))
+        return Dep(tuple(args), target)
 
     def no_ior(self) -> None:
-        tok = self.peek()
-        if tok.kind == "IOR":
-            raise ParseError("'ior' cannot occur inside a dependence atom", tok.pos)
+        if self.kinds[self.pos] == "IOR":
+            raise self.error("'ior' cannot occur inside a dependence atom", self.pos)
+
+    def semi(self) -> None:
+        """Take the ';' before a dependence target."""
+        self.no_ior()
+        if self.kinds[self.pos] != "SEMI":
+            raise self.expected("';' before the dependence target")
+        self.pos += 1
 
     def dep_close(self) -> None:
         self.no_ior()
-        self.expect("RPAR", "')' closing the dependence atom")
+        if self.kinds[self.pos] != "RPAR":
+            raise self.expected("')' closing the dependence atom")
+        self.pos += 1
         self.deps += 1
 
     def dep_component(self, frame: _DepAtom, frames: list) -> None:
         """Open the next component of a modal dependence atom."""
-        frame.tok = self.peek()
+        frame.start = self.pos
         frame.deps, frame.iors = self.deps, self.iors
         frames.append(_Expr(False))
 
     def dep_target(self, frame: _DepAtom, frames: list) -> None:
-        self.no_ior()
-        self.expect("SEMI", "';' before the dependence target")
+        self.semi()
         frame.at_target = True
         self.dep_component(frame, frames)
 
@@ -286,14 +294,14 @@ class _Parser:
         or close the atom and return it."""
         self.no_ior()
         if self.deps > frame.deps:
-            raise ParseError("dependence atoms cannot be nested", frame.tok.pos)
+            raise self.error("dependence atoms cannot be nested", frame.start)
         if self.iors > frame.iors:
-            raise ParseError("'ior' cannot occur inside a dependence atom", frame.tok.pos)
+            raise self.error("'ior' cannot occur inside a dependence atom", frame.start)
         part = to_nnf(part)
         if not frame.at_target:
             frame.args.append(part)
-            if self.peek().kind == "COMMA":
-                self.advance()
+            if self.kinds[self.pos] == "COMMA":
+                self.pos += 1
                 self.dep_component(frame, frames)
             else:
                 self.dep_target(frame, frames)

@@ -203,7 +203,8 @@ def pt_eval(team: PropTeam, f: Formula, *, max_split_rows: int | None = DEFAULT_
 def _check_domain(domain: tuple, max_domain: int | None) -> None:
     if max_domain is not None and len(domain) > max_domain:
         raise GuardLimitError(
-            f"domain of {len(domain)} symbols exceeds the guard of {max_domain}"
+            f"domain of {len(domain)} symbols exceeds the guard of {max_domain}",
+            guard="max_domain", requested=len(domain), limit=max_domain,
         )
 
 

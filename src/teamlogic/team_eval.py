@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import GuardLimitError
-from .formula import And, Atom, Box, Dep, Diamond, Formula, IDis, NegAtom, Or, _fold
+from .formula import And, Atom, Box, Dep, Diamond, Formula, IDis, MDep, NegAtom, Or, _fold
 
 DEFAULT_MAX_CHOICES = 1 << 20
 DEFAULT_MAX_SPLIT_ROWS = 24
@@ -97,8 +97,13 @@ def _conflict_pairs(components: list[int], target: int, full: int) -> tuple[tupl
     return tuple(pairs)
 
 
-# Node kinds of the compiled table.
+# Node kinds of the compiled table, and the kind of each formula class:
+# `Dep` and `MDep` differ only in where their component masks come from.
 _ATOM, _NEG, _AND, _OR, _IDIS, _DIAMOND, _BOX, _DEP = range(8)
+_KIND = {
+    Atom: _ATOM, NegAtom: _NEG, And: _AND, Or: _OR, IDis: _IDIS,
+    Diamond: _DIAMOND, Box: _BOX, Dep: _DEP, MDep: _DEP,
+}
 
 # Graph slot of a node whose conflict graph is not built yet.
 _PENDING = object()
@@ -155,43 +160,32 @@ class _TeamEvaluator:
         self.memo: list[dict[int, bool] | None] = []
         self.memo_rest: dict[tuple[int, int, int], bool] = {}
 
-    def _add(self, f: Formula, kids: list[int]) -> int:
+    def _add(self, f: Formula, kids: tuple[int, ...]) -> int:
         """Enter `f`, whose children have the ids `kids`; return its id."""
         flat = self.flat
-        kids = tuple(kids)
-        graph, chain = _PENDING, None
-        if isinstance(f, Atom):
-            kind, m = _ATOM, self.sym_mask[f.sym]
-        elif isinstance(f, NegAtom):
-            kind, m = _NEG, ~self.sym_mask[f.sym] & self.full
-        elif isinstance(f, (And, Or)):
-            kind = _AND if isinstance(f, And) else _OR
+        kind = _KIND[type(f)]
+        m, graph, chain = None, _PENDING, None
+        if kind == _ATOM:
+            m = self.sym_mask[f.sym]
+        elif kind == _NEG:
+            m = ~self.sym_mask[f.sym] & self.full
+        elif kind == _AND or kind == _OR:
             ml, mr = flat[kids[0]], flat[kids[1]]
-            if ml is None or mr is None:
-                m = None
-                if kind == _OR:
-                    chain = self._or_chain(kids)
-            else:
+            if ml is not None and mr is not None:
                 m = (ml & mr) if kind == _AND else (ml | mr)
-        elif isinstance(f, (Diamond, Box)):
-            kind = _DIAMOND if isinstance(f, Diamond) else _BOX
+            elif kind == _OR:
+                chain = self._or_chain(kids)
+        elif kind == _DIAMOND or kind == _BOX:
             mc = flat[kids[0]]
-            if mc is None:
-                m = None
-            elif kind == _DIAMOND:
-                m = self._pre(mc)
+            if mc is not None:
+                m = self._pre(mc) if kind == _DIAMOND else self.full & ~self._pre(self.full & ~mc)
+        elif kind == _DEP:
+            if kids:
+                # an MDep (callers admit their formulas): flat components
+                components, target = [flat[k] for k in kids[:-1]], flat[kids[-1]]
             else:
-                m = self.full & ~self._pre(self.full & ~mc)
-        elif isinstance(f, IDis):
-            kind, m = _IDIS, None
-        elif isinstance(f, Dep):
-            kind, m = _DEP, None
-            components = [self.sym_mask[a] for a in f.args]
-            graph = 0, _conflict_pairs(components, self.sym_mask[f.target], self.full)
-        else:
-            # an MDep (callers admit their formulas): flat components
-            kind, m = _DEP, None
-            graph = 0, _conflict_pairs([flat[k] for k in kids[:-1]], flat[kids[-1]], self.full)
+                components, target = [self.sym_mask[a] for a in f.args], self.sym_mask[f.target]
+            graph = 0, _conflict_pairs(components, target, self.full)
         self.kind.append(kind)
         self.kids.append(kids)
         flat.append(m)
@@ -324,7 +318,8 @@ class _TeamEvaluator:
             noun = "rows" if self.succ is None else "worlds"
             raise GuardLimitError(
                 f"team of {count} {noun} exceeds the split guard of "
-                f"{self.max_split_rows}; raise max_split_rows to override"
+                f"{self.max_split_rows}; raise max_split_rows to override",
+                guard="max_split_rows", requested=count, limit=self.max_split_rows,
             )
         if len(nonflat) == 2 and count >= _TWO_SAT_MIN_ROWS:
             g1 = self._graph(nonflat[0])
@@ -372,7 +367,8 @@ class _TeamEvaluator:
         if self.max_choices is not None and count > self.max_choices:
             raise GuardLimitError(
                 f"{count} successor choices exceed the guard of "
-                f"{self.max_choices}; raise max_choices to override"
+                f"{self.max_choices}; raise max_choices to override",
+                guard="max_choices", requested=count, limit=self.max_choices,
             )
         seen = set()
         for pick in itertools.product(*succ_lists):

@@ -204,18 +204,21 @@ def emdl_to_mliv(f: Formula, *, max_dep_arity: int | None = DEFAULT_MAX_DEP_ARIT
     """
     # Nodes, components included, are checked in preorder first: the fold
     # below works children first, and a guard there must not hide a bad
-    # node above.
+    # node above. It visits only the dependence atoms and the nodes above
+    # them: a subtree without one is its own unfolding, and a component
+    # is read only as itself and through its dual.
     _admit(f, "emdl")
     duals: dict = {}
 
-    def unfold(g: Formula, kids: list) -> Formula:
-        if not isinstance(g, MDep):
-            return type(g)(*kids) if kids else g
+    def unfold(g: Formula, kids: tuple) -> Formula:
+        if type(g) is not MDep:
+            return type(g)(*kids)
         n = len(g.args)
         if max_dep_arity is not None and n > max_dep_arity:
             raise GuardLimitError(
                 f"dependence atom of arity {n} exceeds the guard of "
-                f"{max_dep_arity}; its unfolding has 2^{n} disjuncts"
+                f"{max_dep_arity}; its unfolding has 2^{n} disjuncts",
+                guard="max_dep_arity", requested=n, limit=max_dep_arity,
             )
         constant_target = IDis(g.target, _dual(g.target, duals))
         negated = [_dual(arg, duals) for arg in g.args]
@@ -232,7 +235,7 @@ def emdl_to_mliv(f: Formula, *, max_dep_arity: int | None = DEFAULT_MAX_DEP_ARIT
             out = Or(out, d)
         return out
 
-    return _fold(f, unfold, {})
+    return _fold(f, unfold, {}, MDep._bit)
 
 
 class _TableauNode:
@@ -514,7 +517,8 @@ def _mliv_valid(
     if max_selections is not None and (1 << m) > max_selections:
         raise GuardLimitError(
             f"{m} team-level disjunctions give 2^{m} selections, over the "
-            f"configured limit"
+            f"configured limit",
+            guard="max_selections", requested=1 << m, limit=max_selections,
         )
     syms = formula_symbols(f)
     if original is not None:

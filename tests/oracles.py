@@ -34,6 +34,7 @@ from teamlogic import (
     KripkeStructure,
     MDep,
     NegAtom,
+    Not,
     Or,
     PropSymbol,
     PropTeam,
@@ -180,6 +181,64 @@ def bisim_representatives(m: KripkeStructure, team, f: Formula) -> frozenset:
     for w in sorted(team):
         reps.setdefault(kind[w], w)
     return frozenset(reps.values())
+
+
+# ---------------------------------------------------------------------------
+# admission and negation normal form by plain recursion over the fields
+
+
+def walk_foreign(f: Formula, admitted) -> Formula | None:
+    """The first node of `f` in preorder whose class is not in the set
+    `admitted`, or None: a walk over every node, components included."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if type(node) not in admitted:
+            return node
+        if isinstance(node, (And, Or, IDis)):
+            stack += (node.right, node.left)
+        elif isinstance(node, (Diamond, Box, Not)):
+            stack.append(node.child)
+        elif isinstance(node, MDep):
+            stack += (node.target, *reversed(node.args))
+    return None
+
+
+def admission_refusal(f: Formula, name: str, admitted) -> str | None:
+    """The message a logic called `name` admitting the classes `admitted`
+    refuses `f` with, or None if it admits `f`."""
+    node = walk_foreign(f, admitted)
+    if node is None:
+        return None
+    if type(node) is Dep and Diamond in admitted:
+        return "propositional dependence atoms do not apply to worlds; use a modal dependence atom"
+    return f"not a {name} formula: {type(node).__name__}"
+
+
+_REFERENCE_DUALS = {Atom: NegAtom, NegAtom: Atom, And: Or, Or: And, Diamond: Box, Box: Diamond}
+
+
+def reference_nnf(f: Formula, negated: bool = False) -> Formula:
+    """The negation normal form of `f`, negated if `negated`, by recursion;
+    ValueError for a negated dependence atom or `ior`, the leftmost first."""
+    cls = type(f)
+    if cls is Not:
+        return reference_nnf(f.child, not negated)
+    if negated and cls not in _REFERENCE_DUALS:
+        if cls is IDis:
+            raise ValueError("'ior' cannot be negated")
+        raise ValueError("dependence atoms cannot be negated")
+    out = _REFERENCE_DUALS[cls] if negated else cls
+    if cls in (Atom, NegAtom):
+        return out(f.sym)
+    if cls in (And, Or, IDis):
+        left = reference_nnf(f.left, negated)
+        return out(left, reference_nnf(f.right, negated))
+    if cls in (Diamond, Box):
+        return out(reference_nnf(f.child, negated))
+    if cls is MDep:
+        return MDep(tuple(reference_nnf(a) for a in f.args), reference_nnf(f.target))
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,23 @@ def test_mc_guard_override(tmp_path, capsys):
     assert code in (0, 1)
 
 
+def test_guard_details_print_as_json_on_exit_3(tmp_path, capsys):
+    args = ", ".join(f"x{i}" for i in range(11))
+    code, out, err = run_cli(capsys, "translate", "--json", f"dep({args}; p)")
+    assert code == 3
+    assert err == "error: dependence atom of arity 11 exceeds the guard of 10; its unfolding has 2^11 disjuncts\n"
+    assert json.loads(out) == {"guard": "max_dep_arity", "requested": 11, "limit": 10}
+    rows = [[a, b, c, d, e] for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1) for e in (0, 1)]
+    team = tmp_path / "wide.json"
+    team.write_text(json.dumps({"domain": [f"x{i}" for i in range(5)], "rows": rows}))
+    code, out, err = run_cli(capsys, "mc", "--team", str(team), "--json", "dep(x0; x1) | dep(x2; x3)")
+    assert code == 3
+    assert err == "error: team of 32 rows exceeds the split guard of 24; raise max_split_rows to override\n"
+    assert json.loads(out) == {"guard": "max_split_rows", "requested": 32, "limit": 24}
+    # without --json, the message alone
+    assert run_cli(capsys, "translate", f"dep({args}; p)")[1] == ""
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -293,13 +293,28 @@ def test_replay_witness_validates_shape():
         replay_witness(identity_instance(), bad)
 
 
+def test_parse_dqbf_normalizes_no_matrix_without_not(monkeypatch):
+    import teamlogic.formula as formula
+
+    def refuse(*args):
+        raise AssertionError("entered _nnf")
+
+    monkeypatch.setattr(dqbf, "_nnf", refuse)
+    monkeypatch.setattr(formula, "_nnf", refuse)
+    inst = parse_dqbf("forall a1\nexists b1 {a1}\nmatrix (a1 & !b1) | (!a1 & !!b1)")
+    assert render(inst.matrix) == "a1 & !b1 | !a1 & b1"
+    with pytest.raises(AssertionError, match="entered _nnf"):
+        parse_dqbf("forall a1\nexists b1 {a1}\nmatrix !(a1 & b1)")
+
+
 def test_eval_guard():
     universals = [PropSymbol(f"u{i}") for i in range(13)]
     exist = [(b1, tuple(universals))]
     matrix = Or(Atom(b1), NegAtom(b1))
     inst = DqbfInstance(universals, exist, matrix)
-    with pytest.raises(GuardLimitError):
+    with pytest.raises(GuardLimitError) as info:
         dqbf_eval(inst, max_table_bits=4096)
+    assert (info.value.guard, info.value.requested, info.value.limit) == ('max_table_bits', 8192, 4096)
 
 
 def test_reduction_frozen_examples():
@@ -360,13 +375,14 @@ def test_qbf_eval():
                                 parse_prop("a1 & b1 | !a1 & !b1")))
     assert not qbf_eval(QbfInstance([("E", b1), ("A", a1)],
                                     parse_prop("a1 & b1 | !a1 & !b1")))
-    with pytest.raises(GuardLimitError):
+    with pytest.raises(GuardLimitError) as info:
         qbf_eval(
             QbfInstance(
                 [("A", PropSymbol(f"v{i}")) for i in range(30)],
                 Atom(PropSymbol("v0")),
             ),
         )
+    assert (info.value.guard, info.value.requested, info.value.limit) == ('max_vars', 30, 24)
 
 
 def test_qbf_to_dqbf_constraints():

@@ -199,8 +199,9 @@ def test_choice_guard():
     worlds = [f"w{i}" for i in range(8)]
     edges = [(a, b) for a in worlds[:4] for b in worlds]
     m = KripkeStructure(worlds, edges, {p: set(worlds)})
-    with pytest.raises(GuardLimitError):
+    with pytest.raises(GuardLimitError) as info:
         mt_eval(m, set(worlds[:4]), Diamond(MDep((), Atom(p))), max_choices=10)
+    assert (info.value.guard, info.value.requested, info.value.limit) == ('max_choices', 4096, 10)
     assert mt_eval(m, set(worlds[:4]), Diamond(MDep((), Atom(p))))
 
 

@@ -85,6 +85,67 @@ def test_tokenizer_error_positions_are_exact():
     assert parse_prop("x_1 & Y2") == And(Atom(PropSymbol("x_1")), Atom(PropSymbol("Y2")))
 
 
+@pytest.mark.parametrize(
+    "parse, text, message, position",
+    [
+        (parse_prop, "(p | q", "expected ')', found 'end of input'", 6),
+        (parse_prop, "(p q)", "expected ')', found 'q'", 3),
+        (parse_modal, "dep(p; q", "expected ')' closing the dependence atom, found 'end of input'", 8),
+        (parse_prop, "p q", "unexpected trailing input 'q'", 2),
+        (parse_modal, "(p) ) q", "unexpected trailing input ')'", 4),
+        (parse_prop, "p & ", "expected a formula, found 'end of input'", 4),
+        (parse_prop, "", "expected a formula, found 'end of input'", 0),
+        (parse_modal, "<> ", "expected a formula, found 'end of input'", 3),
+        (parse_prop, "p ior q", "'ior' is not propositional syntax", 2),
+        (parse_prop, "(p & q) ior r", "'ior' is not propositional syntax", 8),
+        (parse_prop, "p & <> q", "'<>' is not propositional syntax", 4),
+        (parse_prop, "[] q", "'[]' is not propositional syntax", 0),
+        (parse_modal, "!dep(p; q)", "dependence atoms cannot be negated", 0),
+        (parse_prop, "p | !dep(p; q)", "dependence atoms cannot be negated", 4),
+        (parse_modal, "p & !(q | [] dep(; p))", "dependence atoms cannot be negated", 4),
+        (parse_prop, "!!(p & dep(q; p))", "dependence atoms cannot be negated", 1),
+        (parse_modal, "dep(dep(p; q); r)", "dependence atoms cannot be nested", 4),
+        (parse_modal, "dep(p; q & <> dep(; r))", "dependence atoms cannot be nested", 7),
+        (parse_prop, "dep(p ior q; r)", "'ior' cannot occur inside a dependence atom", 6),
+        (parse_prop, "dep(p; q ior r)", "'ior' cannot occur inside a dependence atom", 9),
+        (parse_modal, "dep(p ior q; r)", "'ior' cannot occur inside a dependence atom", 6),
+        (parse_modal, "dep((p ior q); r)", "'ior' cannot occur inside a dependence atom", 4),
+        (parse_modal, "dep(p; <> (q ior r))", "'ior' cannot occur inside a dependence atom", 7),
+        (parse_prop, "dep(p & q; r)", "expected ';' before the dependence target, found '&'", 6),
+        (parse_prop, "dep p", "expected '(' after 'dep', found 'p'", 4),
+    ],
+)
+def test_parser_error_positions_are_exact(parse, text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.position == position
+    assert str(info.value) == f"{message} (at position {position})"
+
+
+def test_scanner_builds_no_object_per_token(monkeypatch):
+    import teamlogic.parser as parser
+
+    # one group: `findall` gives the words themselves, not a tuple each
+    assert parser._SCAN.groups == 1
+    kinds, words = parser._scan("dep(p, q; r) & !(s | t)")
+    assert kinds[:5] == ["DEP", "LPAR", "IDENT", "COMMA", "IDENT"] and kinds[-1] == "EOF"
+    assert words[:5] == ["dep", "(", "p", ",", "q"] and words[-1] == ""
+    assert {type(x) for x in kinds + words} == {str}
+
+    # character positions come from a second scan, made only for an error
+    class NoRescan:
+        groups = 1
+        findall = parser._SCAN.findall
+
+        def finditer(self, text):
+            raise AssertionError("scanned twice")
+
+    monkeypatch.setattr(parser, "_SCAN", NoRescan())
+    assert parse_modal("dep(p, q; r) & !(s | t)") == parse_modal("dep(p, q; r) & (!s & !t)")
+    with pytest.raises(AssertionError, match="scanned twice"):
+        parse_prop("p q")
+
+
 def test_dep_rejects_nesting_and_team_disjunction():
     with pytest.raises(ParseError):
         parse_modal("dep(dep(p; q); r)")

@@ -149,16 +149,18 @@ def test_max_team():
     t = max_team((q, p))
     assert t.domain == (p, q)
     assert len(t.rows) == 4
-    with pytest.raises(GuardLimitError):
+    with pytest.raises(GuardLimitError) as info:
         max_team(tuple(PropSymbol(f"x{i}") for i in range(21)))
+    assert (info.value.guard, info.value.requested, info.value.limit) == ('max_domain', 21, 20)
 
 
 def test_split_guard_trips_on_wide_teams():
     syms = tuple(PropSymbol(f"x{i}") for i in range(5))
     team = max_team(syms)
     f = Or(Dep((syms[0],), syms[1]), Dep((syms[2],), syms[3]))
-    with pytest.raises(GuardLimitError):
+    with pytest.raises(GuardLimitError) as info:
         pt_eval(team, f)
+    assert (info.value.guard, info.value.requested, info.value.limit) == ('max_split_rows', 32, 24)
     assert pt_eval(team, f, max_split_rows=None) in (True, False)
 
 

@@ -103,10 +103,34 @@ def test_translation_homomorphic_cases():
     assert render(g) == "<> (p & (q ior !q) | !p & (q ior !q)) & [] p"
 
 
+def test_emdl_to_mliv_visits_only_dependence_atoms_and_what_is_above(monkeypatch):
+    plain = parse_modal("<> (p & [] !q) | [] r")
+    assert emdl_to_mliv(plain) is plain
+    component = Diamond(And(Atom(p), Box(NegAtom(q))))
+    atom = MDep((component,), Atom(PropSymbol("r")))
+    f = And(plain, Or(atom, Atom(q)))
+    fold = translate._fold
+    visited = []
+
+    def counting(g, visit, done, *within):
+        def count(node, kids):
+            visited.append(node)
+            return visit(node, kids)
+
+        return fold(g, count, done, *within)
+
+    monkeypatch.setattr(translate, "_fold", counting)
+    assert render(emdl_to_mliv(f)) == (
+        "(<> (p & [] !q) | [] r) & (<> (p & [] !q) & (r ior !r) | [] (!p | <> q) & (r ior !r) | q)"
+    )
+    assert visited == [atom, f.right, f]
+
+
 def test_translation_arity_guard():
     args = tuple(Atom(PropSymbol(f"x{i}")) for i in range(11))
-    with pytest.raises(GuardLimitError):
+    with pytest.raises(GuardLimitError) as info:
         emdl_to_mliv(MDep(args, Atom(p)))
+    assert (info.value.guard, info.value.requested, info.value.limit) == ('max_dep_arity', 11, 10)
     assert emdl_to_mliv(MDep(args, Atom(p)), max_dep_arity=None) is not None
     # the leftmost atom over the guard is the one reported, and a bad
     # node above it is reported first
@@ -202,8 +226,9 @@ def test_mliv_selection_guard():
     # 31 occurrences give 2^31 selections, over the default guard
     with pytest.raises(GuardLimitError):
         mliv_valid(f)
-    with pytest.raises(GuardLimitError):
+    with pytest.raises(GuardLimitError) as info:
         mliv_valid(IDis(Atom(p), IDis(Atom(p), Atom(q))), max_selections=2)
+    assert (info.value.guard, info.value.requested, info.value.limit) == ('max_selections', 4, 2)
 
 
 def test_mliv_unbounded_selections_pass_the_guard():
