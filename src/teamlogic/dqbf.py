@@ -420,34 +420,36 @@ def replay_witness(inst: DqbfInstance, witness: SkolemWitness) -> bool:
 
 
 def qbf_eval(q: QbfInstance, *, max_vars: int | None = DEFAULT_MAX_QBF_VARS) -> bool:
-    """Decide a QBF by quantifier recursion over the prefix.
+    """Decide a QBF by search over the prefix, left to right, each
+    variable at 0 before 1.
 
-    The matrix passed `_check_matrix` when the instance was built, so no
-    leaf walks it for node classes.
+    The search runs on a loop, not one call per variable. A level's
+    value is its last child's: an existential stops at its first true
+    child, a universal at its first false one. The matrix passed
+    `_check_matrix` when the instance was built, so no leaf walks it for
+    node classes.
     """
     if max_vars is not None and len(q.prefix) > max_vars:
         raise GuardLimitError(
             f"prefix of {len(q.prefix)} variables exceeds the guard of {max_vars}",
             guard="max_vars", requested=len(q.prefix), limit=max_vars,
         )
+    prefix = q.prefix
     env: dict[PropSymbol, int] = {}
-
-    def rec(i: int) -> bool:
-        if i == len(q.prefix):
-            return _pl_eval(env, q.matrix)
-        quant, var = q.prefix[i]
-        results = []
-        for b in (0, 1):
-            env[var] = b
-            results.append(rec(i + 1))
-            if quant == "E" and results[-1]:
+    depth = 0  # how many prefix variables keep their value in `env`
+    while True:
+        for _, var in prefix[depth:]:
+            env[var] = 0
+        depth = len(prefix)
+        result = _pl_eval(env, q.matrix)
+        while depth:
+            quant, var = prefix[depth - 1]
+            if env[var] == 0 and result == (quant == "A"):
+                env[var] = 1
                 break
-            if quant == "A" and not results[-1]:
-                break
-        del env[var]
-        return any(results) if quant == "E" else all(results)
-
-    return rec(0)
+            depth -= 1
+        else:
+            return result
 
 
 def qbf_to_dqbf(q: QbfInstance) -> DqbfInstance:

@@ -19,8 +19,8 @@ Nothing here recurses once per tree level, and a subformula shared by
 several formulas does this work once for all.
 
 The class mask answers, in one AND, whether a formula holds a node of
-some class: admission to a logic, the components of `MDep`, and
-whether `to_nnf` has anything to do. Only a refusal walks the formula,
+some class: admission to a logic, the components of `MDep`, the
+fragment `classify` names, and whether `to_nnf` has anything to do. Only a refusal walks the formula,
 in preorder, to name the first node outside.
 
 Public formulas are kept in negation normal form: negation occurs on
@@ -695,29 +695,22 @@ def classify(f: Formula) -> Fragment:
     extended fragment. `ior` cannot be combined with dependence atoms,
     since no listed fragment has both.
     """
-    has_modal = has_idis = has_dep = has_rich_dep = False
-    for node in walk(f):
-        if isinstance(node, Not):
-            raise ValueError("classify expects a formula in negation normal form")
-        elif isinstance(node, (Diamond, Box)):
-            has_modal = True
-        elif isinstance(node, IDis):
-            has_idis = True
-        elif isinstance(node, Dep):
-            has_dep = True
-        elif isinstance(node, MDep):
-            has_dep = True
-            if not all(isinstance(p, Atom) for p in (*node.args, node.target)):
-                has_rich_dep = True
-    if has_dep and has_idis:
+    mask = f._mask
+    if mask & Not._bit:
+        raise ValueError("classify expects a formula in negation normal form")
+    has_dep = mask & (Dep._bit | MDep._bit)
+    if has_dep and mask & IDis._bit:
         raise ValueError(
             "no fragment covers 'ior' combined with dependence atoms"
         )
-    if has_rich_dep:
+    if mask & MDep._bit and any(
+        type(p) is not Atom for n in walk(f) if type(n) is MDep for p in (*n.args, n.target)
+    ):
         return Fragment.EMDL
+    has_modal = mask & (Diamond._bit | Box._bit)
     if has_dep:
         return Fragment.MDL if has_modal else Fragment.PD
-    if has_idis:
+    if mask & IDis._bit:
         return Fragment.ML_IDIS
     if has_modal:
         return Fragment.ML

@@ -149,7 +149,7 @@ def ml_point_eval(m: KripkeStructure, w: str, f: Formula) -> bool:
 
     The nodes of `f`, then its symbols, are checked before anything is
     evaluated, so no answer short-circuits past an undeclared symbol.
-    A plain modal formula is flat: the team evaluator's compile gives
+    A plain modal formula is flat: the team evaluator's fold gives
     each of its distinct subformulas the mask of worlds where it holds,
     children first from an explicit stack, in time linear in the size
     of `f` times the number of worlds, and the answer is a test of the
@@ -193,8 +193,8 @@ def _team_evaluator(
 
     The formulas of `cover` are taken as admitted by their caller. The
     symbol check runs once, over `cover`; the evaluator then answers for
-    any formula whose nodes and symbols occur in `cover`, each compiled
-    into the one shared node table on first use.
+    any formula whose nodes and symbols occur in `cover`, entering each
+    node it has not seen on first use.
     """
     widx = {w: i for i, w in enumerate(m.worlds)}
     masks = []

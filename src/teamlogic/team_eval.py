@@ -4,19 +4,20 @@ A team is a bitmask over a fixed universe of members: the rows of a
 propositional team or the worlds of a Kripke structure. The evaluator
 sees a member count, one mask per symbol (the members where it is 1, or
 where it holds), and for modal teams each member's successor list. One
-instance compiles each formula it is asked about into one shared table
-of nodes with dense integer ids, one id per interned formula node, and
-then serves every subset of its universe, memoizing results per
-(node id, member bitmask), which is what makes whole-powerset sweeps
-affordable. Several formulas over the same universe, such as the
-candidates an Invalid EMDL verdict replays, share one instance, its
-table and its memos.
+instance keeps its work per formula node, keyed by the node itself:
+interning makes a node its own identity-hashed key, and its class and
+children are all the evaluator reads of it. Each node is entered once,
+children first, and then serves every subset of its universe, with
+results memoized per (node, member bitmask), which is what makes
+whole-powerset sweeps affordable. Several formulas over the same
+universe, such as the candidates an Invalid EMDL verdict replays, share
+one instance, the nodes they have in common and their memos.
 
 A dependence-free, `ior`-free subformula is flat: its team truth is a
 subset test against the members satisfying it pointwise, and members
 satisfying a flat disjunct can always be absorbed by it. A dependence
-atom, `Dep` over symbols or `MDep` over plain modal formulas, compiles
-to the pairs of member sets that agree on every component and disagree
+atom, `Dep` over symbols or `MDep` over plain modal formulas, is kept
+as the pairs of member sets that agree on every component and disagree
 on the target. Splitting disjunctions enumerate ordered partitions of
 what the flat disjuncts leave over, which is sound because every
 formula here is downward closed. The diamond ranges over successor-choice
@@ -80,7 +81,7 @@ def _full_team_columns(symbols) -> dict:
     return cols
 
 
-def _conflict_pairs(components: list[int], target: int, full: int) -> tuple[tuple[int, int], ...]:
+def _conflict_pairs(components: tuple[int, ...], target: int, full: int) -> tuple[tuple[int, int], ...]:
     """(zeros, ones) per class of members agreeing on every component.
 
     A team violates the dependence atom exactly when it meets both sides
@@ -97,18 +98,6 @@ def _conflict_pairs(components: list[int], target: int, full: int) -> tuple[tupl
     return tuple(pairs)
 
 
-# Node kinds of the compiled table, and the kind of each formula class:
-# `Dep` and `MDep` differ only in where their component masks come from.
-_ATOM, _NEG, _AND, _OR, _IDIS, _DIAMOND, _BOX, _DEP = range(8)
-_KIND = {
-    Atom: _ATOM, NegAtom: _NEG, And: _AND, Or: _OR, IDis: _IDIS,
-    Diamond: _DIAMOND, Box: _BOX, Dep: _DEP, MDep: _DEP,
-}
-
-# Graph slot of a node whose conflict graph is not built yet.
-_PENDING = object()
-
-
 class _TeamEvaluator:
     """Team-semantics evaluation over subsets of `n` members.
 
@@ -116,20 +105,19 @@ class _TeamEvaluator:
     lists each member's successors by index, or is None for
     propositional teams, which have no modalities.
 
-    Each formula handed to `eval` or `point_mask` is compiled once into
-    a table of nodes with dense integer ids, one id per interned formula
-    node, found by identity: `_fold` enters its nodes children first,
-    left to right, through `_add`, and `ids` is the fold's map from
-    nodes to ids. The table and the memos are shared by every formula
-    the instance evaluates. Per id the table keeps the node's kind, its
-    child ids, its pointwise mask when flat (else None), its conflict
-    graph, and a non-flat disjunction's chain: the union of its flat
-    disjuncts' masks and the ids of the other disjuncts, left to right.
-    A graph is a pair (failing members, conflict pairs), each pair a
-    (zeros, ones) couple of masks whose members conflict across it, and
-    None for the nodes given none. A dependence atom's graph, its atom's
-    pairs, is built at compile time, the others on first use. Results
-    are memoized per id in a dict keyed by member mask.
+    The state is kept per formula node, in dicts keyed by the node: an
+    interned node is its own identity-hashed key. `flat` maps every node
+    entered to its pointwise mask, or to None when it is not flat; it is
+    the `done` of the `_fold` that enters each formula handed to `eval`
+    or `point_mask`, children first through `_add`, so a node shared by
+    several formulas is entered once. Only nodes that are not flat keep
+    more: a memo from member mask to result, and for a disjunction its
+    chain, the union of its flat disjuncts' masks and its other
+    disjuncts, left to right. `graph` holds the conflict graphs: a pair
+    (failing members, conflict pairs), each pair a (zeros, ones) couple
+    of masks whose members conflict across it, or None for a node given
+    none. A dependence atom's graph, its atom's pairs, is built when the
+    atom is entered, the others on first use.
     """
 
     def __init__(
@@ -151,87 +139,77 @@ class _TeamEvaluator:
             self.succ_mask.append(sm)
         self.max_choices = max_choices
         self.max_split_rows = max_split_rows
-        self.ids: dict[Formula, int] = {}
-        self.kind: list[int] = []
-        self.kids: list[tuple[int, ...]] = []
-        self.flat: list[int | None] = []
-        self.graph: list = []
-        self.chain: list[tuple[int, tuple[int, ...]] | None] = []
-        self.memo: list[dict[int, bool] | None] = []
-        self.memo_rest: dict[tuple[int, int, int], bool] = {}
+        self.flat: dict[Formula, int | None] = {}
+        self.memo: dict[Formula, dict[int, bool]] = {}
+        self.chain: dict[Formula, tuple[int, tuple[Formula, ...]]] = {}
+        self.graph: dict = {}
+        self.memo_rest: dict[tuple[Formula, int, int], bool] = {}
 
-    def _add(self, f: Formula, kids: tuple[int, ...]) -> int:
-        """Enter `f`, whose children have the ids `kids`; return its id."""
-        flat = self.flat
-        kind = _KIND[type(f)]
-        m, graph, chain = None, _PENDING, None
-        if kind == _ATOM:
-            m = self.sym_mask[f.sym]
-        elif kind == _NEG:
-            m = ~self.sym_mask[f.sym] & self.full
-        elif kind == _AND or kind == _OR:
-            ml, mr = flat[kids[0]], flat[kids[1]]
+    def _add(self, f: Formula, kids: tuple) -> int | None:
+        """Enter `f`, whose children have the masks `kids`; return its
+        pointwise mask, or None when it is not flat."""
+        cls = type(f)
+        if cls is Atom:
+            return self.sym_mask[f.sym]
+        if cls is NegAtom:
+            return ~self.sym_mask[f.sym] & self.full
+        if cls is And or cls is Or:
+            ml, mr = kids
             if ml is not None and mr is not None:
-                m = (ml & mr) if kind == _AND else (ml | mr)
-            elif kind == _OR:
-                chain = self._or_chain(kids)
-        elif kind == _DIAMOND or kind == _BOX:
-            mc = flat[kids[0]]
+                return (ml & mr) if cls is And else (ml | mr)
+            if cls is Or:
+                self.chain[f] = self._or_chain(f)
+        elif cls is Diamond or cls is Box:
+            mc = kids[0]
             if mc is not None:
-                m = self._pre(mc) if kind == _DIAMOND else self.full & ~self._pre(self.full & ~mc)
-        elif kind == _DEP:
-            if kids:
-                # an MDep (callers admit their formulas): flat components
-                components, target = [flat[k] for k in kids[:-1]], flat[kids[-1]]
-            else:
-                components, target = [self.sym_mask[a] for a in f.args], self.sym_mask[f.target]
-            graph = 0, _conflict_pairs(components, target, self.full)
-        self.kind.append(kind)
-        self.kids.append(kids)
-        flat.append(m)
-        self.graph.append(graph)
-        self.chain.append(chain)
-        self.memo.append(None if m is not None else {})
-        return len(self.kind) - 1
+                return self._pre(mc) if cls is Diamond else self.full & ~self._pre(self.full & ~mc)
+        elif cls is Dep:
+            sym_mask = self.sym_mask
+            components = tuple([sym_mask[a] for a in f.args])
+            self.graph[f] = 0, _conflict_pairs(components, sym_mask[f.target], self.full)
+        elif cls is MDep:
+            # callers admit their formulas: the components are flat
+            self.graph[f] = 0, _conflict_pairs(kids[:-1], kids[-1], self.full)
+        self.memo[f] = {}
+        return None
 
-    def _or_chain(self, kids: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    def _or_chain(self, f: Formula) -> tuple[int, tuple[Formula, ...]]:
         """Flatten nested disjunctions: flat union, other disjuncts in order."""
         flat_union, nonflat = 0, ()
-        for k in kids:
-            m = self.flat[k]
+        for g in (f.left, f.right):
+            m = self.flat[g]
             if m is not None:
                 flat_union |= m
-            elif self.kind[k] == _OR:
-                union, rest = self.chain[k]
+            elif type(g) is Or:
+                union, rest = self.chain[g]
                 flat_union |= union
                 nonflat += rest
             else:
-                nonflat += (k,)
+                nonflat += (g,)
         return flat_union, nonflat
 
     def _pre(self, mask: int) -> int:
         """The members with a successor in `mask`."""
         return sum(1 << i for i, sm in enumerate(self.succ_mask) if sm & mask)
 
-    def _graph(self, i: int):
-        """Node `i`'s conflict graph, built on first use; None if it has none."""
-        g = self.graph[i]
-        if g is _PENDING:
-            g = self.graph[i] = self._build_graph(i)
-        return g
+    def _graph(self, f: Formula):
+        """The conflict graph of `f`, built on first use; None if it has none."""
+        if f not in self.graph:
+            self.graph[f] = self._build_graph(f)
+        return self.graph[f]
 
-    def _build_graph(self, i: int):
-        m = self.flat[i]
+    def _build_graph(self, f: Formula):
+        m = self.flat[f]
         if m is not None:
             return self.full & ~m, ()
-        kind = self.kind[i]
-        if kind == _AND:
-            left, right = (self._graph(k) for k in self.kids[i])
+        cls = type(f)
+        if cls is And:
+            left, right = self._graph(f.left), self._graph(f.right)
             if left is None or right is None:
                 return None
             return left[0] | right[0], left[1] + right[1]
-        if kind == _OR:
-            flat_union, nonflat = self.chain[i]
+        if cls is Or:
+            flat_union, nonflat = self.chain[f]
             g = self._graph(nonflat[0]) if len(nonflat) == 1 else None
             if g is None:
                 return None
@@ -241,8 +219,8 @@ class _TeamEvaluator:
             return failing & keep, tuple(
                 (zeros & keep, ones & keep) for zeros, ones in pairs if zeros & keep and ones & keep
             )
-        if kind == _BOX:
-            g = self._graph(self.kids[i][0])
+        if cls is Box:
+            g = self._graph(f.child)
             if g is None:
                 return None
             # the box holds on a team when its child holds on the image:
@@ -260,54 +238,48 @@ class _TeamEvaluator:
             return failing, tuple(boxed)
         return None
 
-    def _id(self, f: Formula) -> int:
-        """The id of `f`, entering its nodes not yet in the table."""
-        i = self.ids.get(f)
-        return _fold(f, self._add, self.ids) if i is None else i
-
     def eval(self, f: Formula, mask: int) -> bool:
-        """Team truth of `f` on `mask`, compiling `f` on first use."""
-        return self._eval(self._id(f), mask)
+        """Team truth of `f` on `mask`, entering `f` on first use."""
+        _fold(f, self._add, self.flat)
+        return self._eval(f, mask)
 
     def point_mask(self, f: Formula) -> int:
         """The members where the flat formula `f` holds pointwise."""
-        return self.flat[self._id(f)]
+        return _fold(f, self._add, self.flat)
 
-    def _eval(self, i: int, mask: int) -> bool:
-        m = self.flat[i]
+    def _eval(self, f: Formula, mask: int) -> bool:
+        m = self.flat[f]
         if m is not None:
             return mask & ~m == 0
-        memo = self.memo[i]
+        memo = self.memo[f]
         hit = memo.get(mask)
         if hit is not None:
             return hit
-        kind = self.kind[i]
-        if kind == _DEP:
+        cls = type(f)
+        if cls is Dep or cls is MDep:
             result = True
-            for zeros, ones in self.graph[i][1]:
+            for zeros, ones in self.graph[f][1]:
                 if mask & zeros and mask & ones:
                     result = False
                     break
-        elif kind == _AND:
-            left, right = self.kids[i]
-            result = self._eval(left, mask) and self._eval(right, mask)
-        elif kind == _IDIS:
-            left, right = self.kids[i]
-            result = self._eval(left, mask) or self._eval(right, mask)
-        elif kind == _OR:
-            result = self._eval_or(i, mask)
-        elif kind == _DIAMOND:
-            result = self._eval_diamond(self.kids[i][0], mask)
+        elif cls is And:
+            result = self._eval(f.left, mask) and self._eval(f.right, mask)
+        elif cls is IDis:
+            result = self._eval(f.left, mask) or self._eval(f.right, mask)
+        elif cls is Or:
+            result = self._eval_or(f, mask)
+        elif cls is Diamond:
+            result = self._eval_diamond(f.child, mask)
         else:
             image = 0
             for w in _bits(mask):
                 image |= self.succ_mask[w]
-            result = self._eval(self.kids[i][0], image)
+            result = self._eval(f.child, image)
         memo[mask] = result
         return result
 
-    def _eval_or(self, i: int, mask: int) -> bool:
-        flat_union, nonflat = self.chain[i]
+    def _eval_or(self, f: Formula, mask: int) -> bool:
+        flat_union, nonflat = self.chain[f]
         rest = mask & ~flat_union
         if not nonflat:
             return rest == 0
@@ -326,9 +298,9 @@ class _TeamEvaluator:
             g2 = self._graph(nonflat[1]) if g1 is not None else None
             if g2 is not None:
                 return _split_2sat(g1, g2, rest)
-        return self._or_rest(i, nonflat, 0, rest)
+        return self._or_rest(f, nonflat, 0, rest)
 
-    def _or_rest(self, node: int, nonflat: tuple[int, ...], k: int, mask: int) -> bool:
+    def _or_rest(self, node: Formula, nonflat: tuple[Formula, ...], k: int, mask: int) -> bool:
         if k == len(nonflat) - 1:
             return self._eval(nonflat[k], mask)
         key = (node, k, mask)
@@ -347,7 +319,7 @@ class _TeamEvaluator:
         self.memo_rest[key] = result
         return result
 
-    def _eval_diamond(self, child: int, mask: int) -> bool:
+    def _eval_diamond(self, child: Formula, mask: int) -> bool:
         """Search successor teams as images of successor-choice functions.
 
         Downward closure makes choice images a complete witness set: any

@@ -29,6 +29,7 @@ from teamlogic import (
     Dep,
     Diamond,
     Formula,
+    Fragment,
     GuardLimitError,
     IDis,
     KripkeStructure,
@@ -40,6 +41,7 @@ from teamlogic import (
     PropTeam,
     is_pure_ml,
     symbols,
+    walk,
 )
 from teamlogic.formula import _admit, _as_symbol
 from teamlogic.team_eval import _TeamEvaluator
@@ -213,6 +215,35 @@ def admission_refusal(f: Formula, name: str, admitted) -> str | None:
     if type(node) is Dep and Diamond in admitted:
         return "propositional dependence atoms do not apply to worlds; use a modal dependence atom"
     return f"not a {name} formula: {type(node).__name__}"
+
+
+def reference_classify(f: Formula) -> Fragment:
+    """`classify` by a preorder walk over every node, components included."""
+    has_modal = has_idis = has_dep = has_rich_dep = False
+    for node in walk(f):
+        if isinstance(node, Not):
+            raise ValueError("classify expects a formula in negation normal form")
+        elif isinstance(node, (Diamond, Box)):
+            has_modal = True
+        elif isinstance(node, IDis):
+            has_idis = True
+        elif isinstance(node, Dep):
+            has_dep = True
+        elif isinstance(node, MDep):
+            has_dep = True
+            if not all(isinstance(p, Atom) for p in (*node.args, node.target)):
+                has_rich_dep = True
+    if has_dep and has_idis:
+        raise ValueError("no fragment covers 'ior' combined with dependence atoms")
+    if has_rich_dep:
+        return Fragment.EMDL
+    if has_dep:
+        return Fragment.MDL if has_modal else Fragment.PD
+    if has_idis:
+        return Fragment.ML_IDIS
+    if has_modal:
+        return Fragment.ML
+    return Fragment.PL
 
 
 _REFERENCE_DUALS = {Atom: NegAtom, NegAtom: Atom, And: Or, Or: And, Diamond: Box, Box: Diamond}
@@ -580,6 +611,27 @@ def _point_true(env: dict, f: Formula) -> bool:
     if isinstance(f, Or):
         return _point_true(env, f.left) or _point_true(env, f.right)
     raise ValueError(f"unexpected node {type(f).__name__}")
+
+
+def qbf_leaves_reference(q) -> tuple[bool, list[dict]]:
+    """The truth of a QBF and the assignments of the leaves its search
+    evaluates, in order, by recursion over the prefix: each variable at
+    0 before 1, an existential stopping at its first true value and a
+    universal at its first false one."""
+    leaves = []
+
+    def rec(env: dict, i: int) -> bool:
+        if i == len(q.prefix):
+            leaves.append(dict(env))
+            return _point_true(env, q.matrix)
+        quant, var = q.prefix[i]
+        for b in (0, 1):
+            result = rec({**env, var: b}, i + 1)
+            if result == (quant == "E"):
+                break
+        return result
+
+    return rec({}, 0), leaves
 
 
 def dqbf_least_witness_bruteforce(inst) -> dict | None:

@@ -7,9 +7,9 @@ the other side a plain atom. The atom is true in the assignment
 `pl_pointwise` reads, so the disjunction catches an entry that checks
 only the nodes its evaluation reaches.
 
-Admission reads each node's class mask. The tests after the table hold
-the mask-based checks to a preorder walk over random formulas of every
-class, and count that admitting walks no node at all.
+Admission and `classify` read each node's class mask. The tests after
+the table hold the mask-based checks to a preorder walk over random
+formulas of every class, and count that admitting walks no node at all.
 """
 
 import pytest
@@ -29,6 +29,7 @@ from teamlogic import (
     Not,
     Or,
     PropSymbol,
+    classify,
     eliminate_idis,
     emdl_to_mliv,
     emdl_valid,
@@ -48,7 +49,7 @@ from teamlogic import (
 from teamlogic import dqbf
 from teamlogic.formula import _ADMITTED, _admit
 
-from oracles import admission_refusal, reference_nnf, walk_foreign
+from oracles import admission_refusal, reference_classify, reference_nnf, walk_foreign
 
 p, q = PropSymbol("p"), PropSymbol("q")
 
@@ -152,6 +153,14 @@ def test_mask_admission_matches_a_preorder_walk(f):
     assert is_pure_ml(f) is (walk_foreign(f, _ML) is None)
     if walk_foreign(f, set(CLASSES) - {Not}) is None:
         assert to_nnf(f) is f
+    try:
+        fragment = reference_classify(f)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            classify(f)
+        assert str(info.value) == str(exc)
+    else:
+        assert classify(f) is fragment
 
 
 @given(formulas())

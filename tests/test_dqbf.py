@@ -36,6 +36,7 @@ from oracles import (
     dqbf_least_witness_bruteforce,
     dqbf_least_witness_kleene,
     nnf_pool,
+    qbf_leaves_reference,
     random_dep_free_prop,
 )
 from teamlogic import dqbf
@@ -383,6 +384,31 @@ def test_qbf_eval():
             ),
         )
     assert (info.value.guard, info.value.requested, info.value.limit) == ('max_vars', 30, 24)
+
+
+def test_qbf_eval_decides_a_long_prefix_at_its_first_leaf():
+    # one call per prefix variable would pass Python's recursion limit
+    xs = [PropSymbol(f"x{i}") for i in range(1500)]
+    none_true = parse_prop(" & ".join(f"!x{i}" for i in range(1500)))
+    assert qbf_eval(QbfInstance([("E", x) for x in xs], none_true), max_vars=None) is True
+    assert qbf_eval(QbfInstance([("A", x) for x in xs], Atom(xs[0])), max_vars=None) is False
+
+
+def test_qbf_eval_visits_the_leaves_of_the_prefix_recursion(monkeypatch):
+    seen = []
+    pl_eval = dqbf._pl_eval
+    monkeypatch.setattr(dqbf, "_pl_eval", lambda env, f: seen.append(dict(env)) or pl_eval(env, f))
+    rng = random.Random(15)
+    names = ["a1", "a2", "b1", "b2"]
+    for _ in range(200):
+        rng.shuffle(names)
+        k = rng.randint(1, 4)
+        prefix = [(rng.choice("AE"), v) for v in names[:k]]
+        q = QbfInstance(prefix, random_dep_free_prop(rng, names[:k], 7))
+        seen.clear()
+        truth, leaves = qbf_leaves_reference(q)
+        assert qbf_eval(q) is truth
+        assert seen == leaves
 
 
 def test_qbf_to_dqbf_constraints():

@@ -29,7 +29,9 @@ from teamlogic import (
     symbols,
     team_from_dict,
     team_to_dict,
+    walk,
 )
+from teamlogic.formula import _fold
 
 from oracles import (
     PropTeamSetOracle,
@@ -366,6 +368,50 @@ def test_two_coherent_splits_are_never_enumerated(monkeypatch, text):
     )
     assert pd_valid(f) == expected
     assert enumerated == []
+
+
+# --- the evaluator's work, counted ------------------------------------
+
+
+def _full_team_evaluator():
+    dom = (p, q, r)
+    return team_eval._TeamEvaluator(1 << len(dom), team_eval._full_team_columns(dom), None)
+
+
+def test_a_flat_formula_keeps_one_mask_per_node():
+    f = parse_prop("(p & !q | r) & (p & !q | !r) | q")
+    ev = _full_team_evaluator()
+    assert ev.eval(f, ev.full) is False
+    assert ev.flat.keys() == set(walk(f))
+    assert None not in ev.flat.values()
+    assert ev.memo == ev.chain == ev.graph == {}
+
+
+def test_formulas_sharing_subtrees_enter_each_node_once(monkeypatch):
+    entered = []
+    add = team_eval._TeamEvaluator._add
+    monkeypatch.setattr(
+        team_eval._TeamEvaluator, "_add", lambda self, f, kids: entered.append(f) or add(self, f, kids)
+    )
+    f = parse_prop("dep(p; q) | (p & q) | dep(r; q)")
+    g = parse_prop("(p & q) | dep(p; q) & r")
+    ev = _full_team_evaluator()
+    for h in (f, g, f):
+        ev.eval(h, ev.full)
+    assert len(entered) == len(set(entered)) == len(set(walk(f)) | set(walk(g)))
+
+
+def test_a_dependence_atom_has_its_graph_on_entry():
+    # over (p, q, r) member a is the assignment a in binary, p first
+    p_true = 0b11110000
+    q_true = 0b11001100
+    pairs = {(cls & ~q_true, cls & q_true) for cls in (p_true, ~p_true & 0xFF)}
+    for f in (Dep((p,), q), MDep((Atom(p),), Atom(q))):
+        ev = _full_team_evaluator()
+        _fold(f, ev._add, ev.flat)
+        assert ev.flat[f] is None and ev.memo == {f: {}}
+        failing, graph_pairs = ev.graph[f]
+        assert failing == 0 and set(graph_pairs) == pairs
 
 
 teams_2 = st.lists(
