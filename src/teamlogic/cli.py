@@ -53,6 +53,17 @@ _EXIT_GUARD = 3
 _EXIT_INTERNAL = 4
 
 
+def _guard(text: str) -> int:
+    """A guard flag's value: a count, or -1 for no limit."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < -1:
+        raise argparse.ArgumentTypeError(f"must be a count, or -1 for no limit, not {value}")
+    return value
+
+
 def _limit(value: int | None, default):
     """CLI guard override: None means keep the default, -1 means no limit."""
     if value is None:
@@ -290,22 +301,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_formula_args(p)
     p.add_argument("--team", metavar="FILE", help="propositional team JSON")
     p.add_argument("--model", metavar="FILE", help="Kripke structure JSON")
-    p.add_argument("--max-team", type=int, metavar="N", help="split guard; -1 unbounded")
-    p.add_argument("--max-choices", type=int, metavar="N", help="diamond guard; -1 unbounded")
+    p.add_argument("--max-team", type=_guard, metavar="N", help="split guard; -1 unbounded")
+    p.add_argument("--max-choices", type=_guard, metavar="N", help="diamond guard; -1 unbounded")
     _add_common(p)
 
     p = sub.add_parser("sat", help="find a satisfying team (propositional)")
     _add_formula_args(p)
     p.add_argument("--nonempty", action="store_true", help="ignore the empty team")
-    p.add_argument("--max-team", type=int, metavar="N", help="domain guard; -1 unbounded")
+    p.add_argument("--max-team", type=_guard, metavar="N", help="domain guard; -1 unbounded")
     _add_common(p)
 
     p = sub.add_parser("valid", help="decide validity")
     _add_formula_args(p)
     p.add_argument("--logic", choices=["pl", "pd", "ml", "mdl", "emdl"], required=True)
-    p.add_argument("--max-team", type=int, metavar="N", help="domain guard; -1 unbounded")
+    p.add_argument("--max-team", type=_guard, metavar="N", help="domain guard; -1 unbounded")
     p.add_argument(
-        "--max-selections", type=int, metavar="N", help="selection guard; -1 unbounded"
+        "--max-selections", type=_guard, metavar="N", help="selection guard; -1 unbounded"
     )
     _add_common(p)
 
@@ -324,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         if verb == "dqbf-eval":
             p.add_argument(
                 "--max-skolem-bits",
-                type=int,
+                type=_guard,
                 metavar="N",
                 help="table bit guard; -1 unbounded",
             )

@@ -41,7 +41,7 @@ from .formula import (
 )
 from .parser import parse_prop
 from .prop_team import _pl_eval
-from .team_eval import _full_team_columns
+from .team_eval import _AND, _NEG, _OR, _POS, _full_team_columns, _search
 
 DEFAULT_MAX_TABLE_BITS = 24
 DEFAULT_MAX_QBF_VARS = 24
@@ -183,17 +183,11 @@ class SkolemWitness:
         return "\n".join(lines)
 
 
-_POS, _NEG, _AND, _OR = range(4)
-
-
 def _compile_matrix(
     matrix: Formula, slot: dict[PropSymbol, int]
 ) -> list[tuple[int, int, int]]:
-    """Flatten an NNF matrix into a postorder program, root last.
-
-    Instruction (_POS or _NEG, v, 0) reads variable slot v, positively
-    or negated; (_AND or _OR, x, y) combines the results of instructions
-    x and y. Built by `_fold`, so depth costs no recursion, and a
+    """Flatten an NNF matrix into a `_surely_false` program over the
+    variable slots. Built by `_fold`, so depth costs no recursion, and a
     subformula the matrix shares is one instruction.
     """
     program: list[tuple[int, int, int]] = []
@@ -209,69 +203,22 @@ def _compile_matrix(
     return program
 
 
-def _surely_false(
-    program: list[tuple[int, int, int]], ones: list[int], zeros: list[int]
-) -> int:
-    """Rows where the matrix is false whatever the unfixed entries become.
-
-    Kleene evaluation on masks: ones[v] and zeros[v] are the rows where
-    variable v is fixed to 1 and to 0. In negation normal form a node's
-    surely-false mask follows from its children's alone, so the surely-true
-    half is never needed. Fixing more entries only grows every node's mask.
-    """
-    f: list[int] = []
-    for op, x, y in program:
-        if op == _POS:
-            f.append(zeros[x])
-        elif op == _NEG:
-            f.append(ones[x])
-        elif op == _AND:
-            f.append(f[x] | f[y])
-        else:
-            f.append(f[x] & f[y])
-    return f[-1]
-
-
-_FREE = 2
-
-
 def dqbf_eval(
     inst: DqbfInstance, *, max_table_bits: int | None = DEFAULT_MAX_TABLE_BITS
 ) -> SkolemWitness | None:
-    """Decide an instance by searching Skolem tables.
+    """Decide an instance by a `_search` for Skolem tables.
 
-    The search fixes table bits in lexicographic order over their
-    concatenation (existentials in declaration order, entries in index
-    order, 0 before 1), so a true instance always yields the same, least
-    witness. The matrix is evaluated three-valued on all universal
-    assignments at once (`_surely_false`).
-
-    After each decision, every existential with unfixed entries is
-    probed twice: with all of them fixed to 0, then to 1. Each universal
-    assignment reads exactly one entry of each table, and the evaluation
-    works assignment by assignment, so an entry with an assignment
-    surely false under 0 is forced to 1, and the reverse. An entry
-    forced both ways refutes the prefix, as does, through its entry, an
-    assignment already surely false. Probing repeats until it forces
-    nothing new; the search then branches on the lowest unfixed bit.
-    Forced bits cut only subtrees that hold no witness, so the first
-    witness found is still the least one. Backtracking undoes fixed bits
-    through a trail.
-
-    Before probing, each prefix is completed with every unfixed bit 0 and
-    evaluated once. That completion is the least candidate under the
-    prefix, so when it is a witness it is the one the search would reach
-    first, and the search stops there. On an instance that needs few
-    corrections this saves the probing, which costs two evaluations per
-    existential with unfixed entries, per round.
+    A table entry is a bit, read on the universal assignments that
+    select it; a table is a group, as each assignment reads one of its
+    entries. Bits run over the tables in declaration order, entries in
+    index order, so a true instance yields its least witness.
 
     `max_table_bits` bounds the size of the tables, not the search work:
     propagation usually cuts the 2^bits candidates far down, but a false
     instance can still need exponentially many steps.
     """
     n = len(inst.universals)
-    sizes = [1 << len(deps) for _, deps in inst.existentials]
-    total_bits = sum(sizes)
+    total_bits = sum(1 << len(deps) for _, deps in inst.existentials)
     if max_table_bits is not None and total_bits > max_table_bits:
         raise GuardLimitError(
             f"{total_bits} Skolem table bits exceed the guard of "
@@ -285,108 +232,22 @@ def dqbf_eval(
     ones = [cols[u] for u in inst.universals] + [0] * len(inst.existentials)
     zeros = [full ^ c for c in ones[:n]] + [0] * len(inst.existentials)
     slot = {u: i for i, u in enumerate(inst.universals)}
-    # (slot, rows) per table bit, in search order.
-    bits: list[tuple[int, int]] = []
-    # (slot, first bit, table size) per existential.
-    spans: list[tuple[int, int, int]] = []
+    bits, groups = [], []
     for k, (sym, deps) in enumerate(inst.existentials):
         slot[sym] = n + k
-        spans.append((n + k, len(bits), sizes[k]))
-        for entry in range(sizes[k]):
-            m = full
-            for t, d in enumerate(deps):
-                bit = entry >> (len(deps) - 1 - t) & 1
-                m &= cols[d] if bit else ~cols[d] & full
-            bits.append((n + k, m))
-    program = _compile_matrix(inst.matrix, slot)
-    value = bytearray([_FREE]) * total_bits
-    trail: list[int] = []
-
-    def fix(i: int, b: int) -> None:
-        v, rows = bits[i]
-        (ones if b else zeros)[v] |= rows
-        value[i] = b
-        trail.append(i)
-
-    def force(first: int, size: int, refuted: int, b: int) -> bool:
-        # Fix to b every entry read by a row in `refuted`; False when one
-        # of them was just fixed the other way.
-        for i in range(first, first + size):
-            if refuted & bits[i][1]:
-                if value[i] != _FREE:
-                    return False
-                fix(i, b)
-        return True
-
-    def propagate() -> bool:
-        # Probe the existentials in turn until a full round forces
-        # nothing; False when the current prefix is refuted.
-        k = quiet = 0
-        while quiet < len(spans):
-            v, first, size = spans[k]
-            k = (k + 1) % len(spans)
-            quiet += 1
-            free = full & ~(ones[v] | zeros[v])
-            if not free:
-                continue
-            zeros[v] |= free
-            f0 = _surely_false(program, ones, zeros)
-            zeros[v] ^= free
-            ones[v] |= free
-            f1 = _surely_false(program, ones, zeros)
-            ones[v] ^= free
-            if f0 | f1:
-                if not (force(first, size, f0, 1) and force(first, size, f1, 0)):
-                    return False
-                quiet = 1
-        return True
-
-    def completes() -> bool:
-        # Whether the prefix with every unfixed bit set to 0 is a witness.
-        saved = zeros[n:]
-        for v, _, _ in spans:
-            zeros[v] = full & ~ones[v]
-        holds = not _surely_false(program, ones, zeros)
-        zeros[n:] = saved
-        return holds
-
-    # A prefix that propagation keeps has no surely-false row: one would
-    # force its entries both ways, and a forced entry takes the value
-    # its probe did not refute. No single unfixed bit, set either way,
-    # makes one either, or it would have been forced. So every decision
-    # keeps this, and a prefix fixing every bit is a witness. An instance
-    # without existentials has no bits to probe: its one candidate is
-    # the matrix itself, which `completes` evaluates.
-    #
-    # Each decision is (bit, trail length before it), its bit set to 0.
-    # When that fails, the bit is forced to 1 one level up: it stays on
-    # the trail, and the bits below it stay fixed, so the scan for the
-    # next decision resumes there and runs forward only.
-    decisions: list[tuple[int, int]] = []
-    pos = 0
-    while not completes():
-        if bits and propagate():
-            while pos < total_bits and value[pos] != _FREE:
-                pos += 1
-            if pos == total_bits:
-                break
-            decisions.append((pos, len(trail)))
-            fix(pos, 0)
-            continue
-        if not decisions:
-            return None
-        pos, mark = decisions.pop()
-        while len(trail) > mark:
-            i = trail.pop()
-            v, rows = bits[i]
-            (ones if value[i] else zeros)[v] ^= rows
-            value[i] = _FREE
-        fix(pos, 1)
-    table_bits = [0 if b == _FREE else b for b in value]
+        # the rows reading each entry, first dependency most significant
+        entries = [full]
+        for d in deps:
+            entries = [m & c for m in entries for c in (~cols[d], cols[d])]
+        groups.append((n + k, len(bits), len(entries)))
+        bits += [(n + k, m, 0) for m in entries]
+    table_bits = _search(full, ones, zeros, bits, groups, _compile_matrix(inst.matrix, slot))
+    if table_bits is None:
+        return None
     return SkolemWitness(
         tables={
             sym: tuple(table_bits[first : first + size])
-            for (sym, _), (_, first, size) in zip(inst.existentials, spans)
+            for (sym, _), (_, first, size) in zip(inst.existentials, groups)
         },
         constraints={sym: deps for sym, deps in inst.existentials},
     )

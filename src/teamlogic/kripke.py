@@ -172,9 +172,9 @@ def mt_eval(
     """Exact modal team-semantics truth of `f` on `team` in `m`.
 
     The valuation must cover every symbol of the formula. Guards bound
-    the two enumerations: successor choices per diamond, and the worlds a
-    disjunction with two or more disjuncts that are not flat must split;
-    either raises GuardLimitError rather than start an oversized search.
+    successor choices per diamond, and the worlds a disjunction with two
+    or more non-flat disjuncts must split, enumerated or searched; either
+    raises GuardLimitError rather than start an oversized search.
     """
     _admit(f, "modal-team")
     ev, (mask,) = _team_evaluator(m, (team,), (f,), max_choices, max_split_rows)

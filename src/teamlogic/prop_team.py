@@ -181,7 +181,7 @@ def pt_eval(team: PropTeam, f: Formula, *, max_split_rows: int | None = DEFAULT_
     The formula's symbols must lie inside the team domain. With the
     default guard, a splitting disjunction with two or more disjuncts
     that are not flat is refused when it must divide more than 24 rows,
-    because evaluation enumerates team partitions.
+    though only one with a disjunct that has no conflict graph enumerates.
     """
     _admit(f, "pd")
     missing = formula_symbols(f) - set(team.domain)

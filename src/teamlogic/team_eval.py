@@ -18,9 +18,8 @@ subset test against the members satisfying it pointwise, and members
 satisfying a flat disjunct can always be absorbed by it. A dependence
 atom, `Dep` over symbols or `MDep` over plain modal formulas, is kept
 as the pairs of member sets that agree on every component and disagree
-on the target. Splitting disjunctions enumerate ordered partitions of
-what the flat disjuncts leave over, which is sound because every
-formula here is downward closed. The diamond ranges over successor-choice
+on the target. A splitting disjunction divides what its flat disjuncts
+leave over among the others. The diamond ranges over successor-choice
 images.
 
 Dependence atoms are 2-coherent (Kontinen, Studia Logica 2013): truth
@@ -30,10 +29,12 @@ disjunction whose only non-flat disjunct is 2-coherent. Such a node has
 a conflict graph: the members failing alone, plus conflict pairs, kept
 as complete bipartite blocks of member masks, and it holds on a team
 exactly when the team meets no failing member and no pair. Graphs are
-built the first time a split asks for them. A split between two
-disjuncts that both have a graph is one 2-SAT instance on the
-member-to-disjunct assignment; only the diamond, `ior` and disjunctions
-of two or more non-flat disjuncts leave a split to enumeration.
+built on a fold the first time a split asks for them. A split among
+disjuncts that all have a graph is one `_search` over the pairs'
+orientations, the propagation search that finds DQBF Skolem tables.
+Only a split with a disjunct without one (the diamond, `ior`, or a
+disjunction of two non-flat disjuncts) enumerates ordered partitions,
+sound because every formula here is downward closed.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ from .formula import And, Atom, Box, Dep, Diamond, Formula, IDis, MDep, NegAtom,
 
 DEFAULT_MAX_CHOICES = 1 << 20
 DEFAULT_MAX_SPLIT_ROWS = 24
-
-# Member count from which a split between two disjuncts with conflict
-# graphs is decided by 2-SAT rather than by subset enumeration.
-_TWO_SAT_MIN_ROWS = 6
 
 
 def _bits(mask: int):
@@ -116,8 +113,8 @@ class _TeamEvaluator:
     disjuncts, left to right. `graph` holds the conflict graphs: a pair
     (failing members, conflict pairs), each pair a (zeros, ones) couple
     of masks whose members conflict across it, or None for a node given
-    none. A dependence atom's graph, its atom's pairs, is built when the
-    atom is entered, the others on first use.
+    none, or a flat node itself. A dependence atom's graph, its atom's
+    pairs, is built when the atom is entered, the others on first use.
     """
 
     def __init__(
@@ -193,41 +190,38 @@ class _TeamEvaluator:
         return sum(1 << i for i, sm in enumerate(self.succ_mask) if sm & mask)
 
     def _graph(self, f: Formula):
-        """The conflict graph of `f`, built on first use; None if it has none."""
-        if f not in self.graph:
-            self.graph[f] = self._build_graph(f)
-        return self.graph[f]
+        """The conflict graph of `f`, or None, built on first use on a `_fold`.
+        An `ior` has none, so no node above one has one."""
+        if f._mask & IDis._bit:
+            return None
+        return _fold(f, self._add_graph, self.graph, Dep._bit | MDep._bit)
 
-    def _build_graph(self, f: Formula):
-        m = self.flat[f]
-        if m is not None:
-            return self.full & ~m, ()
+    def _add_graph(self, f: Formula, kids: tuple):
+        """The graph of the non-flat `f` from its children's values."""
         cls = type(f)
+        flat = self.flat
         if cls is And:
-            left, right = self._graph(f.left), self._graph(f.right)
-            if left is None or right is None:
+            sides = zip((f.left, f.right), kids)
+            parts = [g if flat[c] is None else (self.full & ~flat[c], ()) for c, g in sides]
+            if None in parts:
                 return None
-            return left[0] | right[0], left[1] + right[1]
+            (lfail, lpairs), (rfail, rpairs) = parts
+            return lfail | rfail, lpairs + rpairs
         if cls is Or:
-            flat_union, nonflat = self.chain[f]
-            g = self._graph(nonflat[0]) if len(nonflat) == 1 else None
+            lm, rm = flat[f.left], flat[f.right]
+            g = kids[0] if rm is not None else kids[1] if lm is not None else None
             if g is None:
                 return None
-            # members the flat disjuncts absorb neither fail nor conflict
-            keep = ~flat_union
+            # members the flat disjunct absorbs neither fail nor conflict
+            keep = ~(lm if lm is not None else rm)
             failing, pairs = g
-            return failing & keep, tuple(
-                (zeros & keep, ones & keep) for zeros, ones in pairs if zeros & keep and ones & keep
-            )
-        if cls is Box:
-            g = self._graph(f.child)
-            if g is None:
-                return None
+            return failing & keep, tuple((zeros & keep, ones & keep) for zeros, ones in pairs)
+        if cls is Box and kids[0] is not None:
             # the box holds on a team when its child holds on the image:
             # a member fails when its successors meet a failing member or
             # both sides of a pair, and two members conflict when their
             # successors meet opposite sides of a pair
-            failing, pairs = g
+            failing, pairs = kids[0]
             failing = self._pre(failing)
             boxed = []
             for zeros, ones in pairs:
@@ -293,12 +287,12 @@ class _TeamEvaluator:
                 f"{self.max_split_rows}; raise max_split_rows to override",
                 guard="max_split_rows", requested=count, limit=self.max_split_rows,
             )
-        if len(nonflat) == 2 and count >= _TWO_SAT_MIN_ROWS:
-            g1 = self._graph(nonflat[0])
-            g2 = self._graph(nonflat[1]) if g1 is not None else None
-            if g2 is not None:
-                return _split_2sat(g1, g2, rest)
-        return self._or_rest(f, nonflat, 0, rest)
+        graphs = []
+        for g in nonflat:
+            if (graph := self._graph(g)) is None:
+                return self._or_rest(f, nonflat, 0, rest)
+            graphs.append(graph)
+        return _split(graphs, rest)
 
     def _or_rest(self, node: Formula, nonflat: tuple[Formula, ...], k: int, mask: int) -> bool:
         if k == len(nonflat) - 1:
@@ -355,48 +349,182 @@ class _TeamEvaluator:
         return False
 
 
-def _split_2sat(g1, g2, mask: int) -> bool:
-    """Can `mask` split into a part for each of two conflict graphs?
+_POS, _NEG, _AND, _OR = range(4)
 
-    Variable x_r says member r goes to the part of `g1`, and the rest go
-    to the part of `g2`. A member failing `g1` gives the unit clause
-    not x_r, one failing `g2` gives x_r, a pair conflicting in `g1` must
-    not both take x, and one conflicting in `g2` must not both take not
-    x: exactly a 2-SAT instance, decided on its implication graph.
-    Literal x_i is bit i and not x_i is bit n + i, over the dense
-    positions i of the members of `mask`.
+
+def _surely_false(program: list[tuple[int, int, int]], ones: list[int], zeros: list[int]) -> int:
+    """Rows where `program` is false whatever the unfixed slots become.
+
+    Instruction (_POS or _NEG, v, 0) reads slot v, positively or
+    negated; (_AND or _OR, x, y) joins instructions x and y; the root
+    comes last. ones[v] and zeros[v] are the rows where slot v is fixed
+    to 1 and to 0. In negation normal form a node's surely-false rows
+    follow from its children's alone, and fixing more rows only adds to
+    them.
     """
-    pos = {r: i for i, r in enumerate(_bits(mask))}
-    n = len(pos)
+    f: list[int] = []
+    for op, x, y in program:
+        if op == _POS:
+            f.append(zeros[x])
+        elif op == _NEG:
+            f.append(ones[x])
+        elif op == _AND:
+            f.append(f[x] | f[y])
+        else:
+            f.append(f[x] & f[y])
+    return f[-1]
 
-    def local(m: int) -> int:
-        out = 0
-        for r in _bits(m & mask):
-            out |= 1 << pos[r]
-        return out
 
-    # In g1's part (x) a conflict implies not x, a shift by n; in g2's
-    # part (not x) it implies x. A failing member conflicts with itself.
-    reach = [0] * (2 * n)
-    for (failing, pairs), to in ((g1, n), (g2, 0)):
-        frm = n - to
-        for r in _bits(failing & mask):
-            reach[pos[r] + frm] |= 1 << (pos[r] + to)
-        for zeros, ones in pairs:
-            lz, lo = local(zeros), local(ones)
-            if not lz or not lo:
+def _search(full: int, ones: list, zeros: list, bits: list, groups: list, program: list) -> list | None:
+    """The least setting of `bits` under which `program` is surely false
+    on no row of `full`, or None when there is none.
+
+    Bit (v, r1, r0) makes slot v read it on the rows r1 and its negation
+    on the rows r0; `ones` and `zeros` fix every other row of `full`
+    before any bit is set. Group (v, first, size) is slot v's bits from
+    `first` on; every bit is in one group, and no row reads two bits of
+    one group.
+
+    Bits are fixed in order, 0 before 1. Each prefix is first completed
+    with every unfixed bit 0, the least candidate under it, and kept if
+    that holds. Otherwise each group with unfixed bits is probed with
+    all of them 0, then 1. A row surely false both ways refutes the
+    prefix; one surely false one way forces the one unfixed bit of the
+    group it reads the other way, and a bit forced both ways refutes the
+    prefix. Probing repeats until it forces nothing, and the search then
+    branches on the lowest unfixed bit. Forcing cuts only subtrees
+    without an answer, so the first answer found is the least. The work
+    can be exponential in the number of bits.
+    """
+    # the rows reading each bit, and per slot those reading one negated
+    reads, negated = [], [0] * len(ones)
+    for v, r1, r0 in bits:
+        reads.append(r1 | r0)
+        negated[v] |= r0
+    value: list[int | None] = [None] * len(bits)
+    trail: list[int] = []
+
+    def fix(i: int, b: int) -> None:
+        v, r1, r0 = bits[i]
+        (ones if b else zeros)[v] |= r1
+        (zeros if b else ones)[v] |= r0
+        value[i] = b
+        trail.append(i)
+
+    def force(first: int, size: int, refuted: int, b: int) -> bool:
+        # Fix to b each bit a row in `refuted` reads; False if one is set.
+        for i in range(first, first + size):
+            if refuted & reads[i]:
+                if value[i] is not None:
+                    return False
+                fix(i, b)
+        return True
+
+    def propagate() -> bool:
+        # Probe the groups in turn until a full round forces nothing;
+        # False when the current prefix is refuted.
+        k = quiet = 0
+        while quiet < len(groups):
+            v, first, size = groups[k]
+            k = (k + 1) % len(groups)
+            quiet += 1
+            free = full & ~(ones[v] | zeros[v])
+            if not free:
                 continue
-            for u in _bits(lz):
-                reach[u + frm] |= lo << to
-            for v in _bits(lo):
-                reach[v + frm] |= lz << to
-    for k in range(2 * n):
-        rk = reach[k]
-        bit = 1 << k
-        for i in range(2 * n):
-            if reach[i] & bit:
-                reach[i] |= rk
-    for i in range(n):
-        if reach[i] >> (n + i) & 1 and reach[n + i] >> i & 1:
-            return False
-    return True
+            # every unfixed bit 0, then 1, then unfixed again
+            one, zero, neg = ones[v], zeros[v], free & negated[v]
+            zeros[v], ones[v] = zero | free ^ neg, one | neg
+            f0 = _surely_false(program, ones, zeros)
+            zeros[v], ones[v] = zero | neg, one | free ^ neg
+            f1 = _surely_false(program, ones, zeros)
+            ones[v], zeros[v] = one, zero
+            if f0 | f1:
+                if f0 & f1 or not (force(first, size, f0, 1) and force(first, size, f1, 0)):
+                    return False
+                quiet = 1
+        return True
+
+    def completes() -> bool:
+        # Whether the prefix with every unfixed bit set to 0 holds.
+        one, zero = ones[:], zeros[:]
+        for v, _, _ in groups:
+            free = full & ~(ones[v] | zeros[v])
+            zero[v] |= free & ~negated[v]
+            one[v] |= free & negated[v]
+        return not _surely_false(program, one, zero)
+
+    # A prefix that propagation keeps has no surely-false row, which the
+    # first group probed would find both ways, and no unfixed bit set
+    # either way makes one, or it would have been forced. So a prefix
+    # fixing every bit is an answer; without bits `completes` decides.
+    # A decision is (bit, trail length before it), its bit set to 0;
+    # when that fails, the bit is forced to 1 one level up and stays on
+    # the trail, so the scan for the next decision only runs forward.
+    decisions: list[tuple[int, int]] = []
+    pos = 0
+    while not completes():
+        if bits and propagate():
+            while pos < len(bits) and value[pos] is not None:
+                pos += 1
+            if pos == len(bits):
+                break
+            decisions.append((pos, len(trail)))
+            fix(pos, 0)
+            continue
+        if not decisions:
+            return None
+        pos, mark = decisions.pop()
+        while len(trail) > mark:
+            i = trail.pop()
+            v, r1, r0 = bits[i]
+            (ones if value[i] else zeros)[v] ^= r1
+            (zeros if value[i] else ones)[v] ^= r0
+            value[i] = None
+        fix(pos, 1)
+    return [b or 0 for b in value]
+
+
+def _split(graphs: list, rest: int) -> bool:
+    """Can `rest` split into one part per conflict graph?
+
+    A part meets one side at most of each pair of its graph, so each
+    pair gets a bit naming that side, and a member may join a graph it
+    does not fail whose pairs holding it all name its side. In a graph's
+    slot a member reads whether that holds for the slot's pair holding
+    it: the bit on the ones side, its negation on the zeros side, 1 if
+    no pair of the slot holds it, and 0 if it fails the graph. Pairs
+    share a slot while they are disjoint, so no member reads two bits of
+    one slot. `_search` then asks that each member read 1 in every slot
+    of some graph.
+    """
+    ones, zeros, bits, groups, program = [], [], [], [], []
+    root = None
+    for failing, pairs in graphs:
+        failing &= rest
+        keep = rest & ~failing
+        # per slot, the members its pairs hold, then the pairs; an `&`
+        # of copies of one atom repeats its pairs, which need one bit
+        slots = [[0]]
+        for z, o in dict.fromkeys([(z & keep, o & keep) for z, o in pairs]):
+            if z and o:
+                slot = next((slot for slot in slots if not slot[0] & (z | o)), None)
+                if slot is None:
+                    slots.append(slot := [0])
+                slot[0] |= z | o
+                slot.append((z, o))
+        term = None
+        for rows, *slot_pairs in slots:
+            v = len(ones)
+            ones.append(keep & ~rows)
+            zeros.append(failing)
+            if slot_pairs:
+                groups.append((v, len(bits), len(slot_pairs)))
+                bits += [(v, o, z) for z, o in slot_pairs]
+            program.append((_POS, v, 0))
+            if term is not None:
+                program.append((_AND, term, len(program) - 1))
+            term = len(program) - 1
+        if root is not None:
+            program.append((_OR, root, term))
+        root = len(program) - 1
+    return _search(rest, ones, zeros, bits, groups, program) is not None

@@ -681,14 +681,14 @@ def dqbf_least_witness_kleene(inst, max_evals: int | None = None) -> dict | None
 
     Table bits are fixed one at a time in search order, 0 before 1, and
     the search backtracks as soon as the package's three-valued matrix
-    evaluation (`dqbf._surely_false`) finds a row false whatever the
+    evaluation (`team_eval._surely_false`) finds a row false whatever the
     unfixed bits become. It makes no other inference, so it reaches
     instances of some 20 table bits, past the brute force, while sharing
     only the matrix evaluation with `dqbf_eval`. Its work still grows
     exponentially on some instances: past `max_evals` evaluations it
     raises GuardLimitError.
     """
-    from teamlogic import dqbf
+    from teamlogic import dqbf, team_eval
     from teamlogic.team_eval import _full_team_columns
 
     n = len(inst.universals)
@@ -707,7 +707,7 @@ def dqbf_least_witness_kleene(inst, max_evals: int | None = None) -> dict | None
                 m &= cols[d] if bit else ~cols[d] & full
             bits.append((n + k, m))
     program = dqbf._compile_matrix(inst.matrix, slot)
-    if not bits and dqbf._surely_false(program, ones, zeros):
+    if not bits and team_eval._surely_false(program, ones, zeros):
         return None
     chosen: list[int] = []
     value = 0
@@ -719,7 +719,7 @@ def dqbf_least_witness_kleene(inst, max_evals: int | None = None) -> dict | None
         v, rows = bits[len(chosen)]
         fixed = ones if value else zeros
         fixed[v] |= rows
-        if not dqbf._surely_false(program, ones, zeros):
+        if not team_eval._surely_false(program, ones, zeros):
             chosen.append(value)
             value = 0
             continue

@@ -370,6 +370,40 @@ def test_guard_flags_that_do_not_apply_are_usage_errors(tmp_path, capsys, argv, 
     assert flag in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["valid", "--logic", "pd", "--max-team", "N", "p | !p"],
+        ["mc", "--team", "TEAM", "--max-team", "N", "dep(; p) | dep(; p)"],
+        ["sat", "--max-team", "N", "dep(; p)"],
+        ["mc", "--model", "MODEL", "--max-choices", "N", "<> p"],
+        ["valid", "--logic", "emdl", "--max-selections", "N", "dep(; p) | p"],
+        ["dqbf-eval", "--max-skolem-bits", "N", "INST"],
+    ],
+)
+def test_guard_values_below_minus_one_are_usage_errors(tmp_path, capsys, argv):
+    # only -1 means unbounded; -7 once ran unbounded and exited 0
+    files = {
+        "TEAM": json.dumps({"domain": ["p"], "rows": [[0], [1]]}),
+        "MODEL": json.dumps(
+            {"worlds": ["a"], "edges": [["a", "a"]], "valuation": {"p": ["a"]}, "team": ["a"]}
+        ),
+        "INST": "forall a1\nexists b1 {a1}\nmatrix b1 | !b1\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+
+    def with_value(value):
+        return [value if a == "N" else str(tmp_path / a) if a in files else a for a in argv]
+
+    flag = argv[argv.index("N") - 1]
+    for value in ("-7", "-2"):
+        code, out, err = run_cli(capsys, *with_value(value))
+        assert code == 2 and out == ""
+        assert f"argument {flag}: must be a count, or -1 for no limit, not {value}" in err
+    assert run_cli(capsys, *with_value("-1"))[0] == 0
+
+
 def test_guard_flags_that_apply_still_work(tmp_path, capsys):
     assert run_cli(capsys, "valid", "--logic", "pd", "--max-team", "0", "p")[0] == 3
     assert run_cli(capsys, "valid", "--logic", "emdl", "--max-selections", "1", "dep(; p)")[0] == 3

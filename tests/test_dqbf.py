@@ -39,7 +39,7 @@ from oracles import (
     qbf_leaves_reference,
     random_dep_free_prop,
 )
-from teamlogic import dqbf
+from teamlogic import dqbf, team_eval
 from teamlogic.cli import run
 
 a1, a2 = PropSymbol("a1"), PropSymbol("a2")
@@ -191,6 +191,29 @@ def test_witness_is_least_past_the_brute_force():
     assert 40 <= sum(compared) <= 160
 
 
+def test_reduction_validity_matches_the_skolem_search(monkeypatch):
+    # Past two existentials the reduction splits the team of all
+    # assignments among three or four dependence atoms; that split is
+    # searched on their conflict graphs, with enumeration refused.
+    def refuse(*args):
+        raise AssertionError("split enumerated")
+
+    monkeypatch.setattr(team_eval._TeamEvaluator, "_or_rest", refuse)
+    rng = random.Random(16)
+    truths = []
+    for n_univ, n_exist in ((3, 3), (4, 3), (4, 4)):
+        universals = [PropSymbol(f"a{i}") for i in range(1, n_univ + 1)]
+        for _ in range(3):
+            existentials = [
+                (PropSymbol(f"e{i}"), rng.sample(universals, 2)) for i in range(1, n_exist + 1)
+            ]
+            inst = _three_cnf(rng, universals, existentials, n_univ + n_exist)
+            truth = dqbf_eval(inst) is not None
+            assert pd_valid(reduce_to_pd(inst)) == truth
+            truths.append(truth)
+    assert True in truths and False in truths
+
+
 def test_propagation_cuts_the_evaluations(monkeypatch):
     # A false U4/E4 instance on which the plain prefix search makes
     # 17678 matrix evaluations; forced bits refute it in 9.
@@ -233,13 +256,13 @@ def test_least_completion_is_tried_before_probing(monkeypatch):
 def _count_evaluations(monkeypatch) -> list:
     """Count the matrix evaluations from here on, one entry per call."""
     calls = []
-    surely_false = dqbf._surely_false
+    surely_false = team_eval._surely_false
 
     def counting(program, ones, zeros):
         calls.append(None)
         return surely_false(program, ones, zeros)
 
-    monkeypatch.setattr(dqbf, "_surely_false", counting)
+    monkeypatch.setattr(team_eval, "_surely_false", counting)
     return calls
 
 

@@ -314,11 +314,11 @@ def _wide_teams(rng, m):
 
 def test_boxed_dependence_splits_match_brute_force(monkeypatch):
     # Splits between boxed dependence atoms over structures with edges
-    # take the 2-SAT route on the full and near-full teams; the brute
-    # oracle enumerates every split and image instead.
+    # are searched on their conflict graphs; the brute oracle
+    # enumerates every split and image instead.
     routed = []
-    split = team_eval._split_2sat
-    monkeypatch.setattr(team_eval, "_split_2sat", lambda *a: routed.append(1) or split(*a))
+    split = team_eval._split
+    monkeypatch.setattr(team_eval, "_split", lambda *a: routed.append(1) or split(*a))
     rng = random.Random(31)
     syms = [p, q, r]
     for _ in range(150):
@@ -327,6 +327,35 @@ def test_boxed_dependence_splits_match_brute_force(monkeypatch):
         for team in _wide_teams(rng, m):
             assert mt_eval(m, team, f, max_split_rows=None) == brute_mt(m, team, f)
     assert len(routed) > 200
+
+
+def test_boxed_splits_among_graphed_disjuncts_match_brute_force(monkeypatch):
+    # Three to five disjuncts with conflict graphs through the box, on
+    # structures with edges, are split by the search alone: enumeration
+    # is refused.
+    def refuse(*args):
+        raise AssertionError("split enumerated")
+
+    monkeypatch.setattr(team_eval._TeamEvaluator, "_or_rest", refuse)
+    widths = []
+    split = team_eval._split
+    monkeypatch.setattr(
+        team_eval, "_split", lambda graphs, rest: widths.append(len(graphs)) or split(graphs, rest)
+    )
+    rng = random.Random(41)
+    syms = [p, q, r]
+    verdicts = set()
+    for _ in range(60):
+        m = random_model(rng, 6, syms, edge_p=rng.choice((0.2, 0.35)))
+        f = rng.choice(BOXED_SHAPES)(rng, syms)
+        for _ in range(rng.randint(2, 4)):
+            f = Or(f, rng.choice(BOXED_SHAPES)(rng, syms))
+        for team in _wide_teams(rng, m):
+            verdict = mt_eval(m, team, f, max_split_rows=None)
+            assert verdict == brute_mt(m, team, f)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert len(widths) > 150 and min(widths) >= 3
 
 
 def test_modal_splits_without_a_conflict_graph_match_brute_force(monkeypatch):

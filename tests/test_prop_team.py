@@ -304,14 +304,15 @@ def _rows_as_worlds(oracle):
     )
 
 
-def test_two_sat_path_matches_enumeration(monkeypatch):
-    # Two disjuncts with conflict graphs over 6 or more rows take the
-    # 2-SAT route. Besides a random subteam, each case runs on the full
-    # team, the one pd_valid checks, and on the full team less one row,
-    # which take the route unless flat disjuncts absorb the rows.
+def test_graphed_split_path_matches_enumeration(monkeypatch):
+    # A split between two disjuncts with conflict graphs is one search
+    # over their pairs' orientation bits. Besides a random subteam, each
+    # case runs on the full team, the one pd_valid checks, and on the
+    # full team less one row, which reach the search unless flat
+    # disjuncts absorb the rows.
     routed = []
-    split = team_eval._split_2sat
-    monkeypatch.setattr(team_eval, "_split_2sat", lambda *a: routed.append(1) or split(*a))
+    split = team_eval._split
+    monkeypatch.setattr(team_eval, "_split", lambda *a: routed.append(1) or split(*a))
     rng = random.Random(17)
     drop_rng = random.Random(18)
     dom = (p, q, r)
@@ -345,7 +346,7 @@ def test_splits_without_a_conflict_graph_match_enumeration(monkeypatch):
 
 
 # The five slowest ops of the benchmark's `prop` corpus (seed 7) while
-# only splits between two bare dependence atoms went to 2-SAT: each is a
+# only splits between two bare dependence atoms were searched: each is a
 # 16-row split between a dependence atom wrapped in `&` or `|` and a
 # second dependence disjunct.
 SPLIT_HEAVY = [
@@ -368,6 +369,53 @@ def test_two_coherent_splits_are_never_enumerated(monkeypatch, text):
     )
     assert pd_valid(f) == expected
     assert enumerated == []
+
+
+def test_splits_among_graphed_disjuncts_match_brute_force(monkeypatch):
+    # Three to five disjuncts with conflict graphs, each a dependence
+    # atom alone, under `&` with literals or under an absorbing `|`, are
+    # split by the search alone: enumeration is refused. Each formula
+    # runs on a random team, the full team and the full team less one
+    # row, against the brute force, which enumerates every split.
+    def refuse(*args):
+        raise AssertionError("split enumerated")
+
+    monkeypatch.setattr(team_eval._TeamEvaluator, "_or_rest", refuse)
+    widths = []
+    split = team_eval._split
+    monkeypatch.setattr(
+        team_eval, "_split", lambda graphs, rest: widths.append(len(graphs)) or split(graphs, rest)
+    )
+    rng = random.Random(23)
+    dom = (p, q, r)
+    full = sorted(max_team(dom).rows)
+    verdicts = set()
+    for _ in range(60):
+        f = rng.choice(TWO_COHERENT_SHAPES)(rng, dom)
+        for _ in range(rng.randint(2, 4)):
+            f = Or(f, rng.choice(TWO_COHERENT_SHAPES)(rng, dom))
+        near_full = full[:]
+        del near_full[rng.randrange(len(full))]
+        for rows in (random_team(rng, ["p", "q", "r"], 8).rows, full, near_full):
+            team = PropTeam(dom, rows)
+            verdict = pt_eval(team, f, max_split_rows=None)
+            assert verdict == brute_pt(team, f), (render(f), sorted(rows))
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert len(widths) > 150 and min(widths) >= 3
+
+
+def test_a_long_conjunction_splits_without_recursion():
+    # The conflict graph of a 3000-conjunct chain is built on a fold, so
+    # the split never recurses into the chain; its repeated pairs need
+    # one bit each. The chain alternates the two conjuncts of `short`.
+    short = Or(Dep((p,), q), And(Dep((), p), Dep((q,), r)))
+    chain = Dep((), p)
+    for i in range(2999):
+        chain = And(chain, Dep((q,), r) if i % 2 == 0 else Dep((), p))
+    expected = pd_valid_bruteforce(short, (p, q, r))
+    assert expected is False
+    assert pd_valid(Or(Dep((p,), q), chain)) == expected
 
 
 # --- the evaluator's work, counted ------------------------------------

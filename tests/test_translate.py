@@ -536,12 +536,12 @@ def test_selections_share_one_tableau_memo(monkeypatch):
     assert shared < len(calls)
 
 
-def test_replay_splits_two_coherent_disjuncts_by_2sat(monkeypatch):
+def test_replay_splits_two_coherent_disjuncts_by_search(monkeypatch):
     # Each formula splits a team of 64 or more worlds between two
     # disjuncts with conflict graphs, a dependence atom against a
     # conjunction with a boxed one or a doubly boxed one. Enumerating
     # those splits ran out of memory or past 20 s; with enumeration
-    # refused, both must reach a verdict by 2-SAT. The teams are eight
+    # refused, both must reach a verdict by the graph search. The teams are eight
     # copies of each world of a small random structure, so the
     # representatives `brute_mt` judges are few.
     def refuse(*args):
