@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import GuardLimitError, ParseError
 from .formula import (
@@ -32,6 +31,8 @@ from .formula import (
     Or,
     PropSymbol,
     _ADMITTED,
+    _IDENT_RE,
+    _Value,
     _as_symbol,
     _fold,
     _foreign,
@@ -155,17 +156,27 @@ class DqbfInstance:
         return f"DqbfInstance(forall {us}; exists {es}; {render(self.matrix)})"
 
 
-@dataclass
-class SkolemWitness:
+class SkolemWitness(_Value):
     """Skolem tables certifying a true instance.
 
     Each table lists the existential's value for every assignment to its
     dependency set; entry index k reads the dependency values as a binary
-    number, first dependency most significant.
+    number, first dependency most significant. Unlike the other value
+    types, a witness takes assignment, so it has no hash.
     """
 
-    tables: dict[PropSymbol, tuple[int, ...]]
-    constraints: dict[PropSymbol, tuple[PropSymbol, ...]]
+    __slots__ = _fields = __match_args__ = ("tables", "constraints")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        tables: dict[PropSymbol, tuple[int, ...]],
+        constraints: dict[PropSymbol, tuple[PropSymbol, ...]],
+    ):
+        self.tables = tables
+        self.constraints = constraints
 
     def describe(self) -> str:
         lines = []
@@ -390,7 +401,8 @@ def reduce_to_pd(inst: DqbfInstance) -> Formula:
     return f
 
 
-_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+# One existential of an exists line: a name and its braced dependencies.
+_EXISTENTIAL = re.compile(r"\s*(" + _IDENT_RE.pattern + r")\s*\{([^{}]*)\}")
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -426,7 +438,7 @@ def parse_dqbf(text: str) -> DqbfInstance:
         raise ParseError(f"line {ln1}: expected a 'forall' line")
     universals = rest1.split()
     for u in universals:
-        if not re.fullmatch(_IDENT, u):
+        if not _IDENT_RE.fullmatch(u):
             raise ParseError(f"line {ln1}: bad variable name {u!r}")
     second, _, rest2 = l2.partition(" ")
     if second != "exists":
@@ -435,7 +447,7 @@ def parse_dqbf(text: str) -> DqbfInstance:
     pos = 0
     rest2 = rest2.strip()
     while pos < len(rest2):
-        m = re.match(rf"\s*({_IDENT})\s*\{{([^{{}}]*)\}}", rest2[pos:])
+        m = _EXISTENTIAL.match(rest2, pos)
         if not m:
             raise ParseError(
                 f"line {ln2}: expected 'name {{deps}}' at {rest2[pos:].strip()!r}"
@@ -445,11 +457,11 @@ def parse_dqbf(text: str) -> DqbfInstance:
         if inner:
             for part in inner.split(","):
                 part = part.strip()
-                if not re.fullmatch(_IDENT, part):
+                if not _IDENT_RE.fullmatch(part):
                     raise ParseError(f"line {ln2}: bad variable name {part!r}")
                 deps.append(part)
         existentials.append((name, deps))
-        pos += m.end()
+        pos = m.end()
     third, _, rest3 = l3.partition(" ")
     if third != "matrix" or not rest3.strip():
         raise ParseError(f"line {ln3}: expected 'matrix <formula>'")
@@ -496,7 +508,7 @@ def parse_qbf(text: str) -> QbfInstance:
     for q, v in zip(toks[::2], toks[1::2]):
         if q not in ("A", "E"):
             raise ParseError(f"line {ln1}: quantifier must be A or E, not {q!r}")
-        if not re.fullmatch(_IDENT, v):
+        if not _IDENT_RE.fullmatch(v):
             raise ParseError(f"line {ln1}: bad variable name {v!r}")
         prefix.append((q, v))
     second, _, rest2 = l2.partition(" ")

@@ -40,7 +40,7 @@ import functools
 import re
 import weakref
 from enum import Enum
-from typing import Iterator, Union
+from collections.abc import Iterator
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -76,8 +76,9 @@ def _enter(node, key):
 
 
 class _Frozen:
-    """Mixin of the interned classes: assignment is refused, and copies
-    and pickles rebuild through the constructor, which re-interns.
+    """Mixin of the interned classes and, through `_Value`, of the value
+    types: assignment is refused, and copies and pickles rebuild through
+    the constructor, which re-interns a node.
 
     Each formula class puts it before its layout class, which declares
     the slots and the constructor. The constructor fills a new node as
@@ -95,12 +96,33 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} objects are immutable")
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._fields)
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, n) for n in self._fields)
+        return type(self), self._values()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__name__}({fields})"
+
+
+class _Value(_Frozen):
+    """Mixin of the library's value types, the verdicts and witnesses:
+    `_Frozen`, with equality and hashing by the fields, in order, within
+    one class. Each type names its fields in `_fields` and
+    `__match_args__` and writes its own `__init__`, which sets a frozen
+    type's slots through `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 @functools.total_ordering
@@ -356,7 +378,7 @@ def _dependence(cls, key: tuple, symbols: frozenset, mask: int):
     return _enter(node, key)
 
 
-Formula = Union[Atom, NegAtom, Not, And, Or, IDis, Diamond, Box, Dep, MDep]
+Formula = Atom | NegAtom | Not | And | Or | IDis | Diamond | Box | Dep | MDep
 
 # A node's class mask is the OR of the `_bit`s of the classes of the
 # nodes in it, components of `MDep` included: exactly the classes of the

@@ -16,7 +16,7 @@ admission table in `formula`; `_team_evaluator` checks only symbols.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import _expect_list
 from .formula import Formula, _admit, _as_symbol, symbols as formula_symbols

@@ -11,8 +11,7 @@ bitmasks per symbol, to the evaluator in `team_eval`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import GuardLimitError, _expect_list
 from .formula import (
@@ -22,6 +21,7 @@ from .formula import (
     NegAtom,
     Or,
     PropSymbol,
+    _Value,
     _admit,
     _as_symbol,
     symbols as formula_symbols,
@@ -31,20 +31,26 @@ from .team_eval import DEFAULT_MAX_SPLIT_ROWS, _full_team_columns, _TeamEvaluato
 DEFAULT_MAX_DOMAIN = 20
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """A single truth assignment: domain symbols paired with bits."""
+def _check_bits(bits) -> None:
+    # `PropTeam`'s rule for its rows: a bool or 1.0 is not a bit
+    if any(type(b) is not int or b not in (0, 1) for b in bits):
+        raise ValueError("assignment values must be 0 or 1")
 
-    domain: tuple[PropSymbol, ...]
-    bits: tuple[int, ...]
 
-    def __post_init__(self):
-        if list(self.domain) != sorted(set(self.domain)):
+class Assignment(_Value):
+    """A single truth assignment: domain symbols paired with bits, each
+    the integer 0 or 1, as in `PropTeam`."""
+
+    __slots__ = _fields = __match_args__ = ("domain", "bits")
+
+    def __init__(self, domain: tuple[PropSymbol, ...], bits: tuple[int, ...]):
+        if list(domain) != sorted(set(domain)):
             raise ValueError("assignment domain must be sorted and duplicate free")
-        if len(self.bits) != len(self.domain):
+        if len(bits) != len(domain):
             raise ValueError("assignment width does not match its domain")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("assignment values must be 0 or 1")
+        _check_bits(bits)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping) -> "Assignment":
@@ -136,12 +142,14 @@ def team_to_dict(team: PropTeam) -> dict:
 
 def pl_pointwise(s, f: Formula) -> bool:
     """Classical single-assignment truth of a plain propositional
-    formula; anything else, dependence atoms included, raises ValueError
-    before evaluation starts."""
+    formula under `s`, an `Assignment` or a mapping from symbols to the
+    integers 0 and 1; any other value, or any other formula, dependence
+    atoms included, raises ValueError before evaluation starts."""
     if isinstance(s, Assignment):
         env = s.as_dict()
     else:
         env = {_as_symbol(k): v for k, v in dict(s).items()}
+        _check_bits(env.values())
     return _pl_eval(env, _admit(f, "pl"))
 
 

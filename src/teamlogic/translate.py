@@ -50,7 +50,6 @@ replay is a bug and raises RuntimeError instead of surfacing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import GuardLimitError
 from .formula import (
@@ -63,6 +62,7 @@ from .formula import (
     MDep,
     NegAtom,
     Or,
+    _Value,
     _admit,
     _dual,
     _fold,
@@ -78,19 +78,19 @@ DEFAULT_MAX_DEP_ARITY = 10
 DEFAULT_MAX_SELECTIONS = 1 << 20
 
 
-@dataclass(frozen=True)
-class SelectionFunction:
+class SelectionFunction(_Value):
     """One side choice per team-level disjunction occurrence.
 
     Occurrences are numbered by preorder position in the formula the
     selection was made for; "L" keeps the left side.
     """
 
-    choices: tuple[str, ...]
+    __slots__ = _fields = __match_args__ = ("choices",)
 
-    def __post_init__(self):
-        if any(c not in ("L", "R") for c in self.choices):
+    def __init__(self, choices: tuple[str, ...]):
+        if any(c not in ("L", "R") for c in choices):
             raise ValueError("choices must be 'L' or 'R'")
+        object.__setattr__(self, "choices", choices)
 
     def __len__(self) -> int:
         return len(self.choices)
@@ -100,24 +100,30 @@ class SelectionFunction:
         return "".join("0" if c == "L" else "1" for c in self.choices)
 
 
-@dataclass(frozen=True)
-class Valid:
+class Valid(_Value):
     """A validity verdict; `witness` is the selection that proved it."""
 
-    witness: SelectionFunction | None = None
-    checked: int = 1
+    __slots__ = _fields = __match_args__ = ("witness", "checked")
+
+    def __init__(self, witness: SelectionFunction | None = None, checked: int = 1):
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "checked", checked)
 
     def __bool__(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class Invalid:
+class Invalid(_Value):
     """A refuted formula with a replayed countermodel team."""
 
-    model: KripkeStructure
-    team: frozenset[str] = field(default_factory=frozenset)
-    checked: int = 1
+    __slots__ = _fields = __match_args__ = ("model", "team", "checked")
+
+    def __init__(
+        self, model: KripkeStructure, team: frozenset[str] = frozenset(), checked: int = 1
+    ):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "team", team)
+        object.__setattr__(self, "checked", checked)
 
     def __bool__(self) -> bool:
         return False

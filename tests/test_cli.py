@@ -535,20 +535,27 @@ def test_entry_point_subprocess():
     assert "countermodel" in payload
 
 
+# numpy serves the test oracles only; the rest is what dataclasses and
+# typing would bring in at start-up
+UNRUN_MODULES = ["numpy", "dataclasses", "inspect", "ast", "typing"]
+
+
 def test_import_leaves_numpy_unloaded():
-    # numpy serves the test oracles only; the library must not load it
+    # the library and the CLI load only modules they run; -S keeps out
+    # whatever the interpreter's site packages import on their own
     import teamlogic
 
     src = str(Path(teamlogic.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, teamlogic; print('numpy' in sys.modules)"],
+        [sys.executable, "-S", "-c",
+         "import sys, teamlogic.cli; "
+         f"print([m for m in {UNRUN_MODULES!r} if m in sys.modules])"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,20 @@ def test_pointwise_evaluation():
         pl_pointwise(Assignment.from_mapping({"p": 1}), Atom(q))
 
 
+@pytest.mark.parametrize("value", [2, "1", 1.0, True, None])
+def test_assignments_take_the_integers_0_and_1_only(value):
+    # the rule `PropTeam` applies to its rows; a tautology must not come
+    # out false on a value it cannot read
+    with pytest.raises(ValueError, match="values must be 0 or 1"):
+        Assignment((p,), (value,))
+    with pytest.raises(ValueError, match="values must be 0 or 1"):
+        Assignment.from_mapping({"p": value})
+    with pytest.raises(ValueError, match="values must be 0 or 1"):
+        pl_pointwise({"p": value}, parse_prop("p | !p"))
+    with pytest.raises(ValueError, match="integers 0 or 1"):
+        PropTeam((p,), [(value,)])
+
+
 def test_empty_team_satisfies_everything():
     team = T(["p", "q"], [])
     assert pt_eval(team, parse_prop("p & !p"))
