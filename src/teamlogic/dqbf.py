@@ -27,18 +27,17 @@ from .formula import (
     Atom,
     Dep,
     Formula,
-    Not,
     Or,
     PropSymbol,
-    _ADMITTED,
     _IDENT_RE,
+    _PL,
     _Value,
     _as_symbol,
     _fold,
     _foreign,
-    _nnf,
     render,
     symbols as formula_symbols,
+    to_nnf,
 )
 from .parser import parse_prop
 from .prop_team import _pl_eval
@@ -47,20 +46,15 @@ from .team_eval import _AND, _NEG, _OR, _POS, _full_team_columns, _search
 DEFAULT_MAX_TABLE_BITS = 24
 DEFAULT_MAX_QBF_VARS = 24
 
-_PL = _ADMITTED["pl"][1]
-
 
 def _check_matrix(matrix: Formula, declared: set[PropSymbol]) -> Formula:
-    # Without `Not` the matrix is its own normal form, and its class mask
-    # shows whether a walk must name a foreign node.
-    if getattr(matrix, "_mask", -1) & Not._bit:
-        matrix, bad = _nnf(matrix, _PL)
-    else:
-        bad = type(_foreign(matrix, _PL)) if matrix._mask & ~_PL else None
-    if bad is not None:
+    # The normal form's class mask shows whether a walk must name a
+    # foreign node.
+    matrix = to_nnf(matrix)
+    if matrix._mask & ~_PL:
         raise ValueError(
             f"matrix must be a plain propositional formula, not contain "
-            f"{bad.__name__}"
+            f"{type(_foreign(matrix, _PL)).__name__}"
         )
     free = formula_symbols(matrix) - declared
     if free:

@@ -11,17 +11,19 @@ are immutable: assigning a field raises AttributeError, and pickling or
 copying a node rebuilds it through its constructor, which interns it
 again. Each node also keeps its symbols, its `ior` count and its class
 mask, the classes of the nodes in it as bits, computed at construction
-from its children's, and its rendering and non-Boolean subformulas
-once first asked for, filled children first from an explicit stack;
-passes giving each node a value made from its children's alone run on
-one fold, `_fold`, which finds a node's parts by its class in a table.
+from its children's, and its rendering once first asked for, filled
+children first from an explicit stack; passes giving each node a value
+made from its children's alone, `nb_subf` among them, run on one fold,
+`_fold`, which finds a node's parts by its class in a table.
 Nothing here recurses once per tree level, and a subformula shared by
 several formulas does this work once for all.
 
 The class mask answers, in one AND, whether a formula holds a node of
 some class: admission to a logic, the components of `MDep`, the
-fragment `classify` names, and whether `to_nnf` has anything to do. Only a refusal walks the formula,
-in preorder, to name the first node outside.
+fragment `classify` names (the first row of one table, `_FRAGMENTS`,
+whose mask covers it), and whether `to_nnf` has anything to do. Only a
+refusal walks the formula, in preorder, to name the first node outside,
+through `_foreign`.
 
 Public formulas are kept in negation normal form: negation occurs on
 proposition symbols only. General negation is written with the
@@ -172,13 +174,12 @@ class _Node:
     """A formula node.
 
     Besides its fields a node keeps its symbols, its `ior` count and its
-    class mask, computed at construction from its children's, and two slots that
-    stay None until first asked for: its rendering, and the non-Boolean
-    subformulas below it (`nb_subf` less the node itself, which a node
-    must not hold). `_prec` is the class's rendering precedence.
+    class mask, computed at construction from its children's, and its
+    rendering, which stays None until first asked for. `_prec` is the
+    class's rendering precedence.
     """
 
-    __slots__ = ("__weakref__", "_symbols", "_nior", "_mask", "_text", "_below")
+    __slots__ = ("__weakref__", "_symbols", "_nior", "_mask", "_text")
     _prec = _PREC_ATOM
 
 
@@ -203,7 +204,7 @@ class _Literal(_Node):
         node._symbols = frozenset((sym,))
         node._nior = 0
         node._mask = cls._bit
-        node._text = node._below = None
+        node._text = None
         node.__class__ = cls
         return _enter(node, key)
 
@@ -225,7 +226,7 @@ class _Unary(_Node):
         node._symbols = child._symbols
         node._nior = child._nior
         node._mask = child._mask | cls._bit
-        node._text = node._below = None
+        node._text = None
         node.__class__ = cls
         return _enter(node, key)
 
@@ -249,7 +250,7 @@ class _Binary(_Node):
         node._symbols = rs if ls <= rs else ls if rs <= ls else ls | rs
         node._nior = left._nior + right._nior + cls._ior
         node._mask = left._mask | right._mask | cls._bit
-        node._text = node._below = None
+        node._text = None
         node.__class__ = cls
         return _enter(node, key)
 
@@ -373,7 +374,7 @@ def _dependence(cls, key: tuple, symbols: frozenset, mask: int):
     node._symbols = symbols
     node._nior = 0
     node._mask = mask
-    node._text = node._below = None
+    node._text = None
     node.__class__ = cls
     return _enter(node, key)
 
@@ -384,14 +385,15 @@ Formula = Atom | NegAtom | Not | And | Or | IDis | Diamond | Box | Dep | MDep
 # nodes in it, components of `MDep` included: exactly the classes of the
 # nodes `walk` yields. It is set at construction, so a check for classes
 # inside a formula is one AND.
-_PLAIN = Atom._bit | NegAtom._bit | And._bit | Or._bit | Diamond._bit | Box._bit
+_PL = Atom._bit | NegAtom._bit | And._bit | Or._bit
+_PLAIN = _PL | Diamond._bit | Box._bit
 
 # Per logic, the name a refusal gives it and the mask of the node classes
 # its deciders admit. Each public entry checks its formula against one
 # row once, through `_admit`; the stages behind it take that as given.
 _ADMITTED = {
-    "pl": ("plain propositional", Atom._bit | NegAtom._bit | And._bit | Or._bit),
-    "pd": ("propositional team", Atom._bit | NegAtom._bit | And._bit | Or._bit | Dep._bit),
+    "pl": ("plain propositional", _PL),
+    "pd": ("propositional team", _PL | Dep._bit),
     "ml": ("plain modal", _PLAIN),
     "ml-ior": ("modal ior", _PLAIN | IDis._bit),
     "emdl": ("modal dependence", _PLAIN | MDep._bit),
@@ -423,7 +425,9 @@ def _admit(f: Formula, logic: str) -> Formula:
 
 
 class Fragment(Enum):
-    """Syntactic fragments, ordered by inclusion where comparable."""
+    """Syntactic fragments, ordered by inclusion where comparable. Each
+    is one row of `_FRAGMENTS`: the node classes its formulas may hold,
+    and whether a dependence atom may have components richer than atoms."""
 
     PL = "pl"
     PD = "pd"
@@ -433,21 +437,26 @@ class Fragment(Enum):
     EMDL = "emdl"
 
 
-# For each fragment, the set of fragments that contain it.
-_SUPERSETS = {
-    Fragment.PL: {Fragment.PL, Fragment.PD, Fragment.ML, Fragment.ML_IDIS,
-                  Fragment.MDL, Fragment.EMDL},
-    Fragment.PD: {Fragment.PD, Fragment.MDL, Fragment.EMDL},
-    Fragment.ML: {Fragment.ML, Fragment.ML_IDIS, Fragment.MDL, Fragment.EMDL},
-    Fragment.ML_IDIS: {Fragment.ML_IDIS},
-    Fragment.MDL: {Fragment.MDL, Fragment.EMDL},
-    Fragment.EMDL: {Fragment.EMDL},
+# Per fragment, in enum order: the mask of the node classes its
+# formulas may hold, and whether a dependence atom's component may be
+# other than an atom. `classify` names the first row that covers a
+# formula, and inclusion between fragments is inclusion between rows.
+_DEP = Dep._bit | MDep._bit
+_FRAGMENTS = {
+    Fragment.PL: (_PL, False),
+    Fragment.PD: (_PL | _DEP, False),
+    Fragment.ML: (_PLAIN, False),
+    Fragment.ML_IDIS: (_PLAIN | IDis._bit, False),
+    Fragment.MDL: (_PLAIN | _DEP, False),
+    Fragment.EMDL: (_PLAIN | _DEP, True),
 }
 
 
 def fragment_within(small: Fragment, big: Fragment) -> bool:
     """True when every formula of `small` is also a formula of `big`."""
-    return big in _SUPERSETS[small]
+    small_mask, small_rich = _FRAGMENTS[small]
+    big_mask, big_rich = _FRAGMENTS[big]
+    return not small_mask & ~big_mask and big_rich >= small_rich
 
 
 # Per class, the shape of a node's parts, read by `_parts` and `_fold`
@@ -544,13 +553,11 @@ def to_nnf(f: Formula) -> Formula:
     """
     if not getattr(f, "_mask", -1) & Not._bit:
         return f
-    return _nnf(f)[0]
+    return _nnf(f)
 
 
-def _nnf(f: Formula, allowed: int = -1) -> tuple[Formula, type | None]:
-    """`to_nnf(f)`, and the class of the first node of the result, in
-    preorder, whose class bit the mask `allowed` lacks (None if there is
-    none).
+def _nnf(f: Formula) -> Formula:
+    """`to_nnf(f)` of a formula that may hold `Not`.
 
     Built from an explicit stack, with one memo per polarity, so a
     subtree shared under the same number of negations is done once. A
@@ -560,7 +567,6 @@ def _nnf(f: Formula, allowed: int = -1) -> tuple[Formula, type | None]:
     recursion meets them.
     """
     memos: tuple[dict, dict] = ({}, {})
-    bad = None
     done: list[Formula] = []  # results of the finished subtrees, in order
     # (node, negated, None) to visit a node; (node, negated, its parts)
     # once its parts' results are the last ones in `done`.
@@ -586,8 +592,6 @@ def _nnf(f: Formula, allowed: int = -1) -> tuple[Formula, type | None]:
         if cls not in _NNF_CLASSES:
             raise TypeError(f"not a formula: {node!r}")
         if not neg and not node._mask & Not._bit:
-            if bad is None and node._mask & ~allowed:
-                bad = type(_foreign(node, allowed))
             done.append(node)
             continue
         out = cls
@@ -597,8 +601,6 @@ def _nnf(f: Formula, allowed: int = -1) -> tuple[Formula, type | None]:
                 if cls is IDis:
                     raise ValueError("'ior' cannot be negated")
                 raise ValueError("dependence atoms cannot be negated")
-        if not out._bit & allowed and bad is None:
-            bad = out
         if cls is Atom or cls is NegAtom:
             # negated: the others are without `Not`, and a Dep raised above
             done.append(out(node.sym))
@@ -611,7 +613,7 @@ def _nnf(f: Formula, allowed: int = -1) -> tuple[Formula, type | None]:
         stack.append((node, neg, parts))
         for c in reversed(parts):
             stack.append((c, neg, None))
-    return done[0], bad
+    return done[0]
 
 
 _NNF_CLASSES = frozenset({Atom, NegAtom, And, Or, IDis, Diamond, Box, Dep, MDep})
@@ -651,14 +653,6 @@ def _dual_node(f: Formula, kids: tuple) -> Formula:
 
 
 _set_text = _Node.__dict__["_text"].__set__
-_set_below = _Node.__dict__["_below"].__set__
-
-
-def _nb(f: Formula) -> frozenset[Formula]:
-    """`nb_subf` of a node whose `_below` is filled."""
-    if isinstance(f, (Atom, Diamond, Box)):
-        return f._below | {f}
-    return f._below
 
 
 def nb_subf(f: Formula) -> frozenset[Formula]:
@@ -667,32 +661,26 @@ def nb_subf(f: Formula) -> frozenset[Formula]:
     Literals contribute their atom, modal operators contribute themselves
     plus whatever their child contributes, and dependence atoms contribute
     the union over their components. Every formula here is a Boolean
-    combination of its `nb_subf` elements. The set below each node is
-    kept on it, filled children first from an explicit stack.
+    combination of its `nb_subf` elements. One `_fold` computes it, and
+    no node keeps it.
     """
-    stack = [f] if f._below is None else []
-    while stack:
-        node = stack[-1]
-        parts = _parts(node)
-        missing = [c for c in parts if c._below is None]
-        if missing:
-            stack += missing
-            continue
-        stack.pop()
-        if isinstance(node, Atom):
-            below = frozenset()
-        elif isinstance(node, NegAtom):
-            below = frozenset((Atom(node.sym),))
-        elif isinstance(node, Dep):
-            below = frozenset(Atom(s) for s in (*node.args, node.target))
-        elif isinstance(node, Not):
-            raise ValueError("nb_subf expects a formula in negation normal form")
-        else:
-            below = frozenset()
-            for c in parts:
-                below = _union(below, _nb(c))
-        _set_below(node, below)
-    return _nb(f)
+    if f._mask & Not._bit:
+        raise ValueError("nb_subf expects a formula in negation normal form")
+    return _fold(f, _nb_node, {})
+
+
+def _nb_node(f: Formula, kids: tuple) -> frozenset[Formula]:
+    cls = type(f)
+    if cls is Atom:
+        return frozenset((f,))
+    if cls is NegAtom:
+        return frozenset((Atom(f.sym),))
+    if cls is Dep:
+        return frozenset(Atom(s) for s in (*f.args, f.target))
+    below = frozenset()
+    for k in kids:
+        below = _union(below, k)
+    return below | {f} if cls is Diamond or cls is Box else below
 
 
 def size(f: Formula) -> int:
@@ -710,33 +698,24 @@ def _size_node(f: Formula, kids: tuple) -> int:
 
 
 def classify(f: Formula) -> Fragment:
-    """The least fragment containing `f`.
+    """The least fragment containing `f`: the first row of `_FRAGMENTS`
+    that covers it.
 
     A dependence atom whose components are all positive atoms stays at the
     propositional-dependence level; any richer component forces the
-    extended fragment. `ior` cannot be combined with dependence atoms,
-    since no listed fragment has both.
+    extended fragment. `ior` cannot be combined with dependence atoms:
+    no row has both.
     """
     mask = f._mask
     if mask & Not._bit:
         raise ValueError("classify expects a formula in negation normal form")
-    has_dep = mask & (Dep._bit | MDep._bit)
-    if has_dep and mask & IDis._bit:
-        raise ValueError(
-            "no fragment covers 'ior' combined with dependence atoms"
-        )
-    if mask & MDep._bit and any(
+    rich = mask & MDep._bit and any(
         type(p) is not Atom for n in walk(f) if type(n) is MDep for p in (*n.args, n.target)
-    ):
-        return Fragment.EMDL
-    has_modal = mask & (Diamond._bit | Box._bit)
-    if has_dep:
-        return Fragment.MDL if has_modal else Fragment.PD
-    if mask & IDis._bit:
-        return Fragment.ML_IDIS
-    if has_modal:
-        return Fragment.ML
-    return Fragment.PL
+    )
+    for fragment, (covers, allows_rich) in _FRAGMENTS.items():
+        if not mask & ~covers and allows_rich >= rich:
+            return fragment
+    raise ValueError("no fragment covers 'ior' combined with dependence atoms")
 
 
 def render(f: Formula) -> str:

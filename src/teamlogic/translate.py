@@ -67,7 +67,6 @@ from .formula import (
     _dual,
     _fold,
     count_idis,
-    nb_subf,
     render,
     symbols as formula_symbols,
 )
@@ -307,15 +306,14 @@ def _ml_valid(f: Formula, memo: dict, duals: dict) -> tuple | None:
     An open tableau is a DAG of worlds, numbered breadth first from its
     root, with one bitmask of worlds per symbol (where a positive
     literal puts it) and one successor list per world. The filtration
-    refines the partition of all worlds by the mask of every literal and
-    modal subformula of the negation, the symbols' first, each modal
-    one read from one team evaluator over these worlds (`point_mask`),
-    built only when there are two worlds or more, and stops early once
-    every world is a class alone. These
-    subformulas determine every Boolean combination pointwise, so the
-    quotient keeps the truth of every subformula, and it has at most two
-    to their number classes. Classes are numbered by their lowest world,
-    the root's class first.
+    refines the partition of all worlds by the mask of every subformula
+    of the negation that one team evaluator over these worlds computed
+    for it (`point_mask`), built only when there are two worlds or more,
+    and stops early once every world is a class alone. Two worlds agree
+    on every subformula exactly when they agree on the non-Boolean ones
+    (`nb_subf`), so the quotient keeps the truth of every subformula, and
+    it has at most two to their number classes. Classes are numbered by
+    their lowest world, the root's class first.
 
     A piece is (the successor classes of each class, symbol -> mask of
     the classes where it holds), with an entry for every symbol of `f`.
@@ -342,17 +340,12 @@ def _ml_valid(f: Formula, memo: dict, duals: dict) -> tuple | None:
     classes = [(1 << n) - 1]
     if n > 1:
         ev = _TeamEvaluator(n, val, succ, None, None)
-        # Every symbol of `f` has its atom among the non-Boolean
-        # subformulas. Once every world is a class alone, the rest can
-        # split nothing.
-        for m in val.values():
-            classes = [part for c in classes for part in (c & m, c & ~m) if part]
-        for g in nb_subf(negated):
+        ev.point_mask(negated)
+        # Once every world is a class alone, the rest can split nothing.
+        for m in ev.flat.values():
             if len(classes) == n:
                 break
-            if type(g) is not Atom:
-                m = ev.point_mask(g)
-                classes = [part for c in classes for part in (c & m, c & ~m) if part]
+            classes = [part for c in classes for part in (c & m, c & ~m) if part]
         classes.sort(key=lambda c: c & -c)
     class_succ = []
     for c in classes:

@@ -138,6 +138,14 @@ def test_nb_subf_collects_atoms_and_modal_subformulas():
     assert Atom(p) in nb
     assert Diamond(Or(Atom(p), NegAtom(p))) in nb
     assert len(nb) == 2
+    # the chain of test_to_nnf_needs_no_recursion costs no recursion
+    chain = Atom(p)
+    for i in range(5000):
+        chain = And(chain, Box(NegAtom(PropSymbol(f"p{i % 7}"))))
+    atoms = {Atom(PropSymbol(f"p{i}")) for i in range(7)}
+    boxes = {Box(NegAtom(PropSymbol(f"p{i}"))) for i in range(7)}
+    nb = nb_subf(chain)
+    assert nb == {Atom(p)} | atoms | boxes and len(nb) == 15
 
 
 def test_nb_subf_enters_dependence_components():
