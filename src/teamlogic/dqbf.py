@@ -27,6 +27,7 @@ from .formula import (
     Atom,
     Dep,
     Formula,
+    KEYWORDS,
     Or,
     PropSymbol,
     _IDENT_RE,
@@ -409,6 +410,15 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return lines
 
 
+def _variable(name: str, ln: int) -> PropSymbol:
+    """The symbol `name`, declared on line `ln`; ParseError names the line."""
+    try:
+        return PropSymbol(name)
+    except ValueError as exc:
+        reason = exc if name in KEYWORDS else f"bad variable name {name!r}"
+        raise ParseError(f"line {ln}: {reason}") from None
+
+
 def parse_dqbf(text: str) -> DqbfInstance:
     """Parse the three-line instance format.
 
@@ -430,10 +440,7 @@ def parse_dqbf(text: str) -> DqbfInstance:
     first, _, rest1 = l1.partition(" ")
     if first != "forall":
         raise ParseError(f"line {ln1}: expected a 'forall' line")
-    universals = rest1.split()
-    for u in universals:
-        if not _IDENT_RE.fullmatch(u):
-            raise ParseError(f"line {ln1}: bad variable name {u!r}")
+    universals = [_variable(u, ln1) for u in rest1.split()]
     second, _, rest2 = l2.partition(" ")
     if second != "exists":
         raise ParseError(f"line {ln2}: expected an 'exists' line")
@@ -446,15 +453,9 @@ def parse_dqbf(text: str) -> DqbfInstance:
             raise ParseError(
                 f"line {ln2}: expected 'name {{deps}}' at {rest2[pos:].strip()!r}"
             )
-        name, inner = m.group(1), m.group(2).strip()
-        deps = []
-        if inner:
-            for part in inner.split(","):
-                part = part.strip()
-                if not _IDENT_RE.fullmatch(part):
-                    raise ParseError(f"line {ln2}: bad variable name {part!r}")
-                deps.append(part)
-        existentials.append((name, deps))
+        inner = m.group(2).strip()
+        deps = [_variable(part.strip(), ln2) for part in inner.split(",")] if inner else []
+        existentials.append((_variable(m.group(1), ln2), deps))
         pos = m.end()
     third, _, rest3 = l3.partition(" ")
     if third != "matrix" or not rest3.strip():
@@ -502,9 +503,7 @@ def parse_qbf(text: str) -> QbfInstance:
     for q, v in zip(toks[::2], toks[1::2]):
         if q not in ("A", "E"):
             raise ParseError(f"line {ln1}: quantifier must be A or E, not {q!r}")
-        if not _IDENT_RE.fullmatch(v):
-            raise ParseError(f"line {ln1}: bad variable name {v!r}")
-        prefix.append((q, v))
+        prefix.append((q, _variable(v, ln1)))
     second, _, rest2 = l2.partition(" ")
     if second != "matrix" or not rest2.strip():
         raise ParseError(f"line {ln2}: expected 'matrix <formula>'")

@@ -1,22 +1,25 @@
 """Formula ASTs for team-semantics logics.
 
-Formula nodes and proposition symbols are hash-consed (Filliâtre and
-Conchon, "Type-safe modular hash-consing", 2006): a constructor returns
-the one live node with its class and children, found in a weak intern
-table keyed by the class and the children themselves, so a formula
-nobody holds is freed and its table entry goes with it. Structurally
-equal formulas are therefore the same object, and equality and hashing
-are the identity's, with no recursion and no Python-level call. Nodes
-are immutable: assigning a field raises AttributeError, and pickling or
-copying a node rebuilds it through its constructor, which interns it
-again. Each node also keeps its symbols, its `ior` count and its class
-mask, the classes of the nodes in it as bits, computed at construction
-from its children's, and its rendering once first asked for, filled
-children first from an explicit stack; passes giving each node a value
-made from its children's alone, `nb_subf` among them, run on one fold,
-`_fold`, which finds a node's parts by its class in a table.
-Nothing here recurses once per tree level, and a subformula shared by
-several formulas does this work once for all.
+Formula nodes are hash-consed (Filliâtre and Conchon, "Type-safe
+modular hash-consing", 2006): a constructor returns the one live node
+with its class and children, found in a weak intern table keyed by the
+class and the children themselves, so a compound formula nobody holds
+is freed and its table entry goes with it. Proposition symbols are a
+small vocabulary that callers reuse, like interned identifier strings:
+each name's symbol is built once, with its two literals, and all three
+live for the life of the process, about 0.5-0.8 KB per distinct name.
+Structurally equal formulas are therefore the same object, and equality
+and hashing are the identity's, with no recursion and no Python-level
+call. Nodes are immutable: assigning a field raises AttributeError, and
+pickling or copying a node rebuilds it through its constructor, which
+interns it again. Each node also keeps its symbols, its `ior` count and
+its class mask, the classes of the nodes in it as bits, computed at
+construction from its children's, and its rendering once first asked
+for, filled children first from an explicit stack; passes giving each
+node a value made from its children's alone, `nb_subf` among them, run
+on one fold, `_fold`, which finds a node's parts by its class in a
+table. Nothing here recurses once per tree level, and a subformula
+shared by several formulas does this work once for all.
 
 The class mask answers, in one AND, whether a formula holds a node of
 some class: admission to a logic, the components of `MDep`, the
@@ -50,11 +53,15 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # otherwise render/parse round trips would break.
 KEYWORDS = frozenset({"dep", "ior"})
 
-# The intern table: (class, *fields) -> weak reference to the live node.
-# A key holds the children, which the node holds anyway; its entry goes
-# when the node dies, so the table never keeps anything alive.
+# The intern table of compound nodes: (class, *fields) -> weak reference
+# to the live node. A key holds the children, which the node holds
+# anyway; its entry goes when the node dies, so the table never keeps
+# anything alive.
 _table: dict = {}
 _new = object.__new__
+
+# Every symbol ever built, by name; a symbol holds its two literals.
+_names: dict = {}
 
 
 class _Ref(weakref.ref):
@@ -131,23 +138,14 @@ class _Value(_Frozen):
 class PropSymbol(_Frozen):
     """A proposition symbol: one object per name, ordered by name."""
 
-    __slots__ = ("name", "__weakref__")
+    __slots__ = ("name", "_literals")
     _fields = ("name",)
 
     def __new__(cls, name: str):
-        key = (cls, name)
-        ref = _table.get(key) if isinstance(name, str) else None
-        if ref is not None:
-            sym = ref()
-            if sym is not None:
-                return sym
-        if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
-            raise ValueError(f"invalid proposition symbol name: {name!r}")
-        if name in KEYWORDS:
-            raise ValueError(f"{name!r} is a reserved word")
-        sym = _new(cls)
-        object.__setattr__(sym, "name", name)
-        return _enter(sym, key)
+        try:
+            return _names[name]
+        except (KeyError, TypeError):  # a new name, or no name at all
+            return _new_symbol(name)
 
     def __lt__(self, other):
         if not isinstance(other, PropSymbol):
@@ -156,6 +154,22 @@ class PropSymbol(_Frozen):
 
     def __str__(self) -> str:
         return self.name
+
+
+def _new_symbol(name) -> PropSymbol:
+    """Check a name not seen yet, then build its symbol and literals."""
+    if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
+        raise ValueError(f"invalid proposition symbol name: {name!r}")
+    name = str.__str__(name)  # a plain copy of a `str` subclass
+    if name in KEYWORDS:
+        raise ValueError(f"{name!r} is a reserved word")
+    sym = _new(PropSymbol)
+    object.__setattr__(sym, "name", name)
+    both = frozenset((sym,))  # the literals' symbols
+    object.__setattr__(sym, "_literals", (_literal(Atom, sym, both), _literal(NegAtom, sym, both)))
+    # the name may be in already, reached from a `str` subclass hashing
+    # otherwise or entered by another thread meanwhile
+    return _names.setdefault(name, sym)
 
 
 def _as_symbol(s) -> PropSymbol:
@@ -193,20 +207,21 @@ class _Literal(_Node):
     _fields = ("sym",)
 
     def __new__(cls, sym: PropSymbol):
-        key = (cls, sym)
-        ref = _table.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        node = _new(_Literal)
-        node.sym = sym
-        node._symbols = frozenset((sym,))
-        node._nior = 0
-        node._mask = cls._bit
-        node._text = None
-        node.__class__ = cls
-        return _enter(node, key)
+        if not isinstance(sym, PropSymbol):
+            raise TypeError(f"{cls.__name__} takes a proposition symbol, not {sym!r}")
+        return sym._literals[cls._side]
+
+
+def _literal(cls, sym: PropSymbol, syms: frozenset):
+    """Build the literal of class `cls` on a new symbol `sym`."""
+    node = _new(_Literal)
+    node.sym = sym
+    node._symbols = syms
+    node._nior = 0
+    node._mask = cls._bit
+    node._text = None
+    node.__class__ = cls
+    return node
 
 
 class _Unary(_Node):
@@ -258,11 +273,13 @@ class _Binary(_Node):
 class Atom(_Frozen, _Literal):
     __slots__ = ()
     _bit = 1 << 0
+    _side = 0  # its index in the symbol's `_literals`
 
 
 class NegAtom(_Frozen, _Literal):
     __slots__ = ()
     _bit = 1 << 1
+    _side = 1
 
 
 class Not(_Frozen, _Unary):

@@ -386,6 +386,23 @@ def test_parse_dqbf_errors():
         parse_dqbf("forall a1\nexists b1 {a9}\nmatrix b1")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_dqbf, "forall dep\nexists b1 {}\nmatrix b1", "line 1: 'dep' is a reserved word"),
+        (parse_dqbf, "forall a1\n\nexists ior {a1}\nmatrix a1", "line 3: 'ior' is a reserved word"),
+        (parse_dqbf, "forall a1\nexists b1 {a1, dep}\nmatrix b1", "line 2: 'dep' is a reserved word"),
+        (parse_dqbf, "forall a1\nexists b1 {a1, 2x}\nmatrix b1", "line 2: bad variable name '2x'"),
+        (parse_qbf, "# two lines\nprefix A a1 E ior\nmatrix a1", "line 2: 'ior' is a reserved word"),
+        (parse_qbf, "prefix A a1 E b-1\nmatrix a1", "line 1: bad variable name 'b-1'"),
+    ],
+)
+def test_bad_names_give_their_line(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 def test_qbf_text_round_trip():
     q = QbfInstance([("A", a1), ("E", b1)], parse_prop("a1 | b1"))
     text = render_qbf(q)

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,38 @@ def test_symbol_name_rules():
         PropSymbol("ior")
     with pytest.raises(ValueError):
         PropSymbol("")
+    for name in (1, None, b"p", ["p"], {"p": 1}):
+        with pytest.raises(ValueError):
+            PropSymbol(name)
+
+
+def test_symbol_names_are_stored_as_plain_strings():
+    class Name(str):
+        pass
+
+    class OddHash(str):
+        def __hash__(self):
+            return 0
+
+        def __eq__(self, other):
+            return str.__eq__(self, other)
+
+    assert PropSymbol(Name("p")) is p
+    assert PropSymbol(OddHash("p")) is p
+    assert type(p.name) is str
+    fresh = PropSymbol(OddHash("named_by_a_subclass"))
+    assert type(fresh.name) is str
+    assert PropSymbol("named_by_a_subclass") is fresh
+    with pytest.raises(ValueError):
+        PropSymbol(Name("dep"))
+
+
+def test_literals_take_symbols_only():
+    for bad in ("p", None, Atom(p), ("p",)):
+        with pytest.raises(TypeError):
+            Atom(bad)
+        with pytest.raises(TypeError):
+            NegAtom(bad)
 
 
 def test_symbols_ordering():
@@ -261,6 +294,10 @@ def test_pickle_and_copy_give_back_the_interned_node():
     assert pickle.loads(pickle.dumps(p)) is p
     assert copy.copy(f) is f
     assert copy.deepcopy(f) is f
+    for lit in (Atom(p), NegAtom(p)):
+        assert pickle.loads(pickle.dumps(lit)) is lit
+        assert copy.copy(lit) is lit
+        assert copy.deepcopy(lit) is lit
 
 
 def test_nodes_reject_assignment():
@@ -286,13 +323,17 @@ def test_dropped_formulas_leave_the_intern_table():
     # Nothing a node keeps may lead back to it, or a formula would
     # outlive its last user until a cyclic collection; with the
     # collector off, dropping the formulas must empty their entries.
+    # Symbols and their literals live on, outside the table, so they
+    # are built before the count.
+    us = [PropSymbol(f"u{i}") for i in range(10000)]
+    vs = [PropSymbol(f"v{i}") for i in range(10)]
     gc.collect()
     before = len(formula._table)
     gc.disable()
     try:
         fs = []
         for i in range(10000):
-            a, b = Atom(PropSymbol(f"u{i}")), Atom(PropSymbol(f"v{i % 10}"))
+            a, b = Atom(us[i]), Atom(vs[i % 10])
             f = Or(Diamond(And(a, NegAtom(b.sym))), Box(Or(b, a)))
             fs.append(f)
             render(f), nb_subf(f), symbols(f), dual(f)
@@ -305,6 +346,28 @@ def test_dropped_formulas_leave_the_intern_table():
         gc.enable()
     gc.collect()
     assert len(formula._table) == before
+
+
+def test_symbols_and_literals_outlive_their_formulas():
+    f = parse_modal("<> (kept_a & !kept_a) | [] kept_b")
+    lits = [weakref.ref(f.left.child.left), weakref.ref(f.left.child.right)]
+    compound = weakref.ref(f.left)
+    del f
+    gc.collect()
+    assert compound() is None
+    sym = PropSymbol("kept_a")
+    assert [ref() for ref in lits] == [Atom(sym), NegAtom(sym)]
+    assert lits[0]().sym is sym and lits[1]().sym is sym
+    assert Atom(sym)._symbols is NegAtom(sym)._symbols == {sym}
+
+
+def test_literals_live_outside_the_intern_table():
+    f = parse_modal("<> (p & !q) | [] r")
+    assert len(formula._table) >= size(f) - 3
+    for cls, *_ in formula._table:
+        assert cls not in (PropSymbol, Atom, NegAtom)
+    live = {ref() for ref in formula._table.values()}
+    assert not live & {Atom(p), NegAtom(p), p}
 
 
 def test_selections_share_the_ior_free_subtrees():
