@@ -16,7 +16,6 @@ import sys
 import time
 
 from .dqbf import (
-    DEFAULT_MAX_TABLE_BITS,
     dqbf_eval,
     dqbf_to_qbf,
     parse_dqbf,
@@ -28,17 +27,17 @@ from .dqbf import (
 )
 from .errors import GuardLimitError, ParseError
 from .formula import Fragment, classify, render
-from .kripke import DEFAULT_MAX_CHOICES, kripke_from_dict, kripke_to_dict, mt_eval
+from .kripke import kripke_from_dict, kripke_to_dict, mt_eval
 from .parser import parse_modal, parse_prop
 from .prop_team import (
     DEFAULT_MAX_DOMAIN,
-    DEFAULT_MAX_SPLIT_ROWS,
     pd_sat,
     pd_valid,
     pt_eval,
     team_from_dict,
     team_to_dict,
 )
+from .team_eval import DEFAULT_MAX_BITS
 from .translate import (
     DEFAULT_MAX_SELECTIONS,
     emdl_to_mliv,
@@ -131,24 +130,13 @@ def _cmd_parse(args, report: _Report) -> int:
 def _cmd_mc(args, report: _Report) -> int:
     if (args.team is None) == (args.model is None):
         raise ValueError("mc needs exactly one of --team (propositional) or --model")
+    max_bits = _limit(args.max_bits, DEFAULT_MAX_BITS)
     if args.team is not None:
-        if args.max_choices is not None:
-            raise ValueError("--max-choices applies to --model only")
         team = team_from_dict(_load_json(args.team))
-        f = parse_prop(_read_text(args, "formula"))
-        result = pt_eval(
-            team, f, max_split_rows=_limit(args.max_team, DEFAULT_MAX_SPLIT_ROWS)
-        )
+        result = pt_eval(team, parse_prop(_read_text(args, "formula")), max_bits=max_bits)
     else:
         model, team = kripke_from_dict(_load_json(args.model))
-        f = parse_modal(_read_text(args, "formula"))
-        result = mt_eval(
-            model,
-            team,
-            f,
-            max_choices=_limit(args.max_choices, DEFAULT_MAX_CHOICES),
-            max_split_rows=_limit(args.max_team, DEFAULT_MAX_SPLIT_ROWS),
-        )
+        result = mt_eval(model, team, parse_modal(_read_text(args, "formula")), max_bits=max_bits)
     report.lines = ["true" if result else "false"]
     report.payload = {"verdict": "true" if result else "false"}
     return _EXIT_TRUE if result else _EXIT_FALSE
@@ -217,7 +205,7 @@ def _cmd_translate(args, report: _Report) -> int:
 def _cmd_dqbf_eval(args, report: _Report) -> int:
     inst = parse_dqbf(_read_path(args.path))
     witness = dqbf_eval(
-        inst, max_table_bits=_limit(args.max_skolem_bits, DEFAULT_MAX_TABLE_BITS)
+        inst, max_table_bits=_limit(args.max_skolem_bits, DEFAULT_MAX_BITS)
     )
     if witness is None:
         report.lines = ["false"]
@@ -301,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_formula_args(p)
     p.add_argument("--team", metavar="FILE", help="propositional team JSON")
     p.add_argument("--model", metavar="FILE", help="Kripke structure JSON")
-    p.add_argument("--max-team", type=_guard, metavar="N", help="split guard; -1 unbounded")
-    p.add_argument("--max-choices", type=_guard, metavar="N", help="diamond guard; -1 unbounded")
+    p.add_argument("--max-bits", type=_guard, metavar="N", help="search bit guard; -1 unbounded")
     _add_common(p)
 
     p = sub.add_parser("sat", help="find a satisfying team (propositional)")

@@ -42,9 +42,8 @@ from .formula import (
 )
 from .parser import parse_prop
 from .prop_team import _pl_eval
-from .team_eval import _AND, _NEG, _OR, _POS, _full_team_columns, _search
+from .team_eval import DEFAULT_MAX_BITS, _AND, _NEG, _OR, _POS, _full_team_columns, _search
 
-DEFAULT_MAX_TABLE_BITS = 24
 DEFAULT_MAX_QBF_VARS = 24
 
 
@@ -210,7 +209,7 @@ def _compile_matrix(
 
 
 def dqbf_eval(
-    inst: DqbfInstance, *, max_table_bits: int | None = DEFAULT_MAX_TABLE_BITS
+    inst: DqbfInstance, *, max_table_bits: int | None = DEFAULT_MAX_BITS
 ) -> SkolemWitness | None:
     """Decide an instance by a `_search` for Skolem tables.
 
@@ -247,7 +246,7 @@ def dqbf_eval(
             entries = [m & c for m in entries for c in (~cols[d], cols[d])]
         groups.append((n + k, len(bits), len(entries)))
         bits += [(n + k, m, 0) for m in entries]
-    table_bits = _search(full, ones, zeros, bits, groups, _compile_matrix(inst.matrix, slot))
+    table_bits = _search(ones, zeros, bits, groups, _compile_matrix(inst.matrix, slot))
     if table_bits is None:
         return None
     return SkolemWitness(

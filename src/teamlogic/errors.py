@@ -14,12 +14,12 @@ class ParseError(ValueError):
 
 
 class GuardLimitError(RuntimeError):
-    """An enumeration would exceed a configured resource guard.
+    """An enumeration or search would exceed a configured resource guard.
 
-    Guards are refusal bounds for exponential enumerations; callers can
-    raise them explicitly where they know what they are doing. `guard`
-    names the keyword argument that sets the bound, `limit` is its value
-    and `requested` the size that exceeded it.
+    Guards are refusal bounds for work exponential in the guarded size;
+    callers can raise them explicitly where they know what they are
+    doing. `guard` names the keyword argument that sets the bound,
+    `limit` is its value and `requested` the size that exceeded it.
     """
 
     def __init__(self, message: str, *, guard: str | None = None,

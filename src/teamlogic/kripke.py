@@ -3,10 +3,11 @@
 A modal team is a set of worlds of one structure. The diamond clause
 asks for a successor team: a set T2 with T2 inside the image of T and
 every member of T seeing into T2. Because all formulas handled here are
-downward closed, it is enough to range over successor-choice images,
-picking one successor per member; the box clause uses the full image.
-Modal dependence atoms are evaluated pointwise on their components,
-which are plain modal formulas and therefore flat. Model checking hands
+downward closed, the successors where the child's search program holds
+make such a team whenever one exists, so the evaluator asks that each
+member have one; the box clause uses the full image. Modal dependence
+atoms are evaluated pointwise on their components, which are plain
+modal formulas and therefore flat. Model checking hands
 the worlds, as bitmasks per symbol and successor lists, to the
 evaluator in `team_eval`.
 
@@ -20,7 +21,7 @@ from collections.abc import Iterable, Mapping
 
 from .errors import _expect_list
 from .formula import Formula, _admit, _as_symbol, symbols as formula_symbols
-from .team_eval import DEFAULT_MAX_CHOICES, DEFAULT_MAX_SPLIT_ROWS, _TeamEvaluator
+from .team_eval import DEFAULT_MAX_BITS, _TeamEvaluator
 
 
 class KripkeStructure:
@@ -157,7 +158,7 @@ def ml_point_eval(m: KripkeStructure, w: str, f: Formula) -> bool:
     """
     if w not in m._succ:
         raise ValueError(f"unknown world: {w}")
-    ev, (mask,) = _team_evaluator(m, ([w],), (_admit(f, "ml"),), None, None)
+    ev, (mask,) = _team_evaluator(m, ([w],), (_admit(f, "ml"),), None)
     return ev.eval(f, mask)
 
 
@@ -166,18 +167,19 @@ def mt_eval(
     team: Iterable[str],
     f: Formula,
     *,
-    max_choices: int | None = DEFAULT_MAX_CHOICES,
-    max_split_rows: int | None = DEFAULT_MAX_SPLIT_ROWS,
+    max_bits: int | None = DEFAULT_MAX_BITS,
 ) -> bool:
     """Exact modal team-semantics truth of `f` on `team` in `m`.
 
-    The valuation must cover every symbol of the formula. Guards bound
-    successor choices per diamond, and the worlds a disjunction with two
-    or more non-flat disjuncts must split, enumerated or searched; either
-    raises GuardLimitError rather than start an oversized search.
+    The valuation must cover every symbol of the formula. A split with
+    two or more disjuncts that are not flat, a diamond that is not flat,
+    or an `ior` of two sides that are not flat is one search over
+    certificate bits: one per `ior` and per conflict pair of each
+    dependence atom under it. `max_bits` refuses a search over more
+    bits with GuardLimitError.
     """
     _admit(f, "modal-team")
-    ev, (mask,) = _team_evaluator(m, (team,), (f,), max_choices, max_split_rows)
+    ev, (mask,) = _team_evaluator(m, (team,), (f,), max_bits)
     return ev.eval(f, mask)
 
 
@@ -185,8 +187,7 @@ def _team_evaluator(
     m: KripkeStructure,
     teams: Iterable[Iterable[str]],
     cover: tuple[Formula, ...],
-    max_choices: int | None,
-    max_split_rows: int | None,
+    max_bits: int | None,
 ) -> tuple[_TeamEvaluator, list[int]]:
     """One evaluator over the worlds of `m`, and each of `teams` as a
     member mask.
@@ -219,7 +220,7 @@ def _team_evaluator(
             sm |= 1 << widx[w]
         sym_mask[sym] = sm
     succ = [tuple(widx[v] for v in m.successors(w)) for w in m.worlds]
-    ev = _TeamEvaluator(len(m.worlds), sym_mask, succ, max_choices, max_split_rows)
+    ev = _TeamEvaluator(len(m.worlds), sym_mask, succ, max_bits)
     return ev, masks
 
 

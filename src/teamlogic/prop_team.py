@@ -26,7 +26,7 @@ from .formula import (
     _as_symbol,
     symbols as formula_symbols,
 )
-from .team_eval import DEFAULT_MAX_SPLIT_ROWS, _full_team_columns, _TeamEvaluator
+from .team_eval import DEFAULT_MAX_BITS, _full_team_columns, _TeamEvaluator
 
 DEFAULT_MAX_DOMAIN = 20
 
@@ -183,13 +183,14 @@ def _pl_eval(env: dict, f: Formula) -> bool:
             return value
 
 
-def pt_eval(team: PropTeam, f: Formula, *, max_split_rows: int | None = DEFAULT_MAX_SPLIT_ROWS) -> bool:
+def pt_eval(team: PropTeam, f: Formula, *, max_bits: int | None = DEFAULT_MAX_BITS) -> bool:
     """Exact team-semantics truth of `f` on `team`.
 
-    The formula's symbols must lie inside the team domain. With the
-    default guard, a splitting disjunction with two or more disjuncts
-    that are not flat is refused when it must divide more than 24 rows,
-    though only one with a disjunct that has no conflict graph enumerates.
+    The formula's symbols must lie inside the team domain. A split with
+    two or more disjuncts that are not flat is one search over
+    certificate bits, one per conflict pair of each dependence atom in
+    it on the rows it must divide; `max_bits` refuses a search over more
+    bits, though propagation usually visits far fewer than 2^bits.
     """
     _admit(f, "pd")
     missing = formula_symbols(f) - set(team.domain)
@@ -204,7 +205,7 @@ def pt_eval(team: PropTeam, f: Formula, *, max_split_rows: int | None = DEFAULT_
             if row[j]:
                 m |= 1 << i
         sym_mask[sym] = m
-    ev = _TeamEvaluator(len(rows), sym_mask, None, max_split_rows=max_split_rows)
+    ev = _TeamEvaluator(len(rows), sym_mask, None, max_bits)
     return ev.eval(f, ev.full)
 
 
@@ -229,12 +230,13 @@ def pd_valid(f: Formula, *, max_domain: int | None = DEFAULT_MAX_DOMAIN) -> bool
     A formula is valid exactly when the team of all assignments over its
     own symbols satisfies it, so one model check on that team decides
     validity. The team's symbol columns are built in closed form, with
-    no rows.
+    no rows. Only `max_domain` bounds it: the team check searches with
+    no bound on its bits.
     """
     _admit(f, "pd")
     domain = tuple(sorted(formula_symbols(f)))
     _check_domain(domain, max_domain)
-    ev = _TeamEvaluator(1 << len(domain), _full_team_columns(domain), None, max_split_rows=None)
+    ev = _TeamEvaluator(1 << len(domain), _full_team_columns(domain), None, None)
     return ev.eval(f, ev.full)
 
 

@@ -7,45 +7,51 @@ where it holds), and for modal teams each member's successor list. One
 instance keeps its work per formula node, keyed by the node itself:
 interning makes a node its own identity-hashed key, and its class and
 children are all the evaluator reads of it. Each node is entered once,
-children first, and then serves every subset of its universe, with
-results memoized per (node, member bitmask), which is what makes
-whole-powerset sweeps affordable. Several formulas over the same
-universe, such as the candidates an Invalid EMDL verdict replays, share
-one instance, the nodes they have in common and their memos.
+children first on a `_fold`. Several formulas over the same universe,
+such as those an Invalid EMDL verdict replays, share one instance and
+the nodes they have in common.
 
 A dependence-free, `ior`-free subformula is flat: its team truth is a
-subset test against the members satisfying it pointwise, and members
-satisfying a flat disjunct can always be absorbed by it. A dependence
+subset test against the members satisfying it pointwise. A dependence
 atom, `Dep` over symbols or `MDep` over plain modal formulas, is kept
 as the pairs of member sets that agree on every component and disagree
-on the target. A splitting disjunction divides what its flat disjuncts
-leave over among the others. The diamond ranges over successor-choice
-images.
+on the target; a team satisfies it when it meets no pair on both sides.
 
-Dependence atoms are 2-coherent (Kontinen, Studia Logica 2013): truth
-on a team is truth on each of its subteams of at most two members. So
-are flat formulas, and 2-coherence is closed under `&`, the box, and a
-disjunction whose only non-flat disjunct is 2-coherent. Such a node has
-a conflict graph: the members failing alone, plus conflict pairs, kept
-as complete bipartite blocks of member masks, and it holds on a team
-exactly when the team meets no failing member and no pair. Graphs are
-built on a fold the first time a split asks for them. A split among
-disjuncts that all have a graph is one `_search` over the pairs'
-orientations, the propagation search that finds DQBF Skolem tables.
-Only a split with a disjunct without one (the diamond, `ior`, or a
-disjunction of two non-flat disjuncts) enumerates ordered partitions,
-sound because every formula here is downward closed.
+Evaluation walks the formula top-down on an explicit stack as far as
+the first choice point on each path: a `|` with two or more disjuncts
+that are not flat, a diamond that is not flat, or an `ior` with two
+sides that are not flat. Above it each node has one known team: `&`
+hands its own to both sides, the box its image, a `|` what its flat
+disjuncts leave to its one other disjunct, and an `ior` with a flat
+side its own to the other side, unless the flat side holds. So a flat
+node there is one subset test, and a dependence atom one test per pair.
+
+Team truth is in NP (Ebbing and Lohmann, SOFSEM 2012), and a choice
+point is decided by `_search`, the propagation search that also finds
+DQBF Skolem tables, over certificate bits. Under a setting of them, a
+pointwise program holds at a member where the subformula may keep it:
+- a flat subtree is a slot fixed to its mask;
+- `&` is AND, and `|` is OR, exact by downward closure: a split puts
+  each member into a part whose disjunct's program holds there;
+- an `ior` is one bit b, read as (not b and left) or (b and right);
+- a dependence atom is 2-coherent (Kontinen, Studia Logica 2013): it
+  holds on a team that some orientation of its pairs keeps on the
+  named side of each, so each pair is one bit;
+- the diamond holds where its child's program holds at some
+  successor, downward closure again making those successors a
+  witness, and the box where it holds at every successor.
+The subformula holds on its team exactly when some setting makes the
+program hold at every member. A witness gives each occurrence one
+team, and occurrences with the same team, those under `&` and `ior`
+below the same split part, diamond or box, share their bits.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import GuardLimitError
 from .formula import And, Atom, Box, Dep, Diamond, Formula, IDis, MDep, NegAtom, Or, _fold
 
-DEFAULT_MAX_CHOICES = 1 << 20
-DEFAULT_MAX_SPLIT_ROWS = 24
+DEFAULT_MAX_BITS = 24
 
 
 def _bits(mask: int):
@@ -100,7 +106,8 @@ class _TeamEvaluator:
 
     `sym_mask` maps each symbol to the members where it is 1; `succ`
     lists each member's successors by index, or is None for
-    propositional teams, which have no modalities.
+    propositional teams, which have no modalities. `max_bits` bounds
+    the certificate bits of any one search.
 
     The state is kept per formula node, in dicts keyed by the node: an
     interned node is its own identity-hashed key. `flat` maps every node
@@ -108,13 +115,9 @@ class _TeamEvaluator:
     the `done` of the `_fold` that enters each formula handed to `eval`
     or `point_mask`, children first through `_add`, so a node shared by
     several formulas is entered once. Only nodes that are not flat keep
-    more: a memo from member mask to result, and for a disjunction its
-    chain, the union of its flat disjuncts' masks and its other
-    disjuncts, left to right. `graph` holds the conflict graphs: a pair
-    (failing members, conflict pairs), each pair a (zeros, ones) couple
-    of masks whose members conflict across it, or None for a node given
-    none, or a flat node itself. A dependence atom's graph, its atom's
-    pairs, is built when the atom is entered, the others on first use.
+    more: a disjunction its chain, the union of its flat disjuncts'
+    masks and its other disjuncts, left to right, and a dependence atom
+    its conflict pairs, each a (zeros, ones) couple of member masks.
     """
 
     def __init__(
@@ -122,25 +125,20 @@ class _TeamEvaluator:
         n: int,
         sym_mask: dict,
         succ: list[tuple[int, ...]] | None,
-        max_choices: int | None = DEFAULT_MAX_CHOICES,
-        max_split_rows: int | None = DEFAULT_MAX_SPLIT_ROWS,
+        max_bits: int | None = DEFAULT_MAX_BITS,
     ):
         self.full = (1 << n) - 1
         self.sym_mask = sym_mask
-        self.succ = succ
         self.succ_mask = []
         for vs in succ or ():
             sm = 0
             for v in vs:
                 sm |= 1 << v
             self.succ_mask.append(sm)
-        self.max_choices = max_choices
-        self.max_split_rows = max_split_rows
+        self.max_bits = max_bits
         self.flat: dict[Formula, int | None] = {}
-        self.memo: dict[Formula, dict[int, bool]] = {}
         self.chain: dict[Formula, tuple[int, tuple[Formula, ...]]] = {}
-        self.graph: dict = {}
-        self.memo_rest: dict[tuple[Formula, int, int], bool] = {}
+        self.pairs: dict[Formula, tuple[tuple[int, int], ...]] = {}
 
     def _add(self, f: Formula, kids: tuple) -> int | None:
         """Enter `f`, whose children have the masks `kids`; return its
@@ -163,11 +161,10 @@ class _TeamEvaluator:
         elif cls is Dep:
             sym_mask = self.sym_mask
             components = tuple([sym_mask[a] for a in f.args])
-            self.graph[f] = 0, _conflict_pairs(components, sym_mask[f.target], self.full)
+            self.pairs[f] = _conflict_pairs(components, sym_mask[f.target], self.full)
         elif cls is MDep:
             # callers admit their formulas: the components are flat
-            self.graph[f] = 0, _conflict_pairs(kids[:-1], kids[-1], self.full)
-        self.memo[f] = {}
+            self.pairs[f] = _conflict_pairs(kids[:-1], kids[-1], self.full)
         return None
 
     def _or_chain(self, f: Formula) -> tuple[int, tuple[Formula, ...]]:
@@ -189,178 +186,177 @@ class _TeamEvaluator:
         """The members with a successor in `mask`."""
         return sum(1 << i for i, sm in enumerate(self.succ_mask) if sm & mask)
 
-    def _graph(self, f: Formula):
-        """The conflict graph of `f`, or None, built on first use on a `_fold`.
-        An `ior` has none, so no node above one has one."""
-        if f._mask & IDis._bit:
-            return None
-        return _fold(f, self._add_graph, self.graph, Dep._bit | MDep._bit)
-
-    def _add_graph(self, f: Formula, kids: tuple):
-        """The graph of the non-flat `f` from its children's values."""
-        cls = type(f)
-        flat = self.flat
-        if cls is And:
-            sides = zip((f.left, f.right), kids)
-            parts = [g if flat[c] is None else (self.full & ~flat[c], ()) for c, g in sides]
-            if None in parts:
-                return None
-            (lfail, lpairs), (rfail, rpairs) = parts
-            return lfail | rfail, lpairs + rpairs
-        if cls is Or:
-            lm, rm = flat[f.left], flat[f.right]
-            g = kids[0] if rm is not None else kids[1] if lm is not None else None
-            if g is None:
-                return None
-            # members the flat disjunct absorbs neither fail nor conflict
-            keep = ~(lm if lm is not None else rm)
-            failing, pairs = g
-            return failing & keep, tuple((zeros & keep, ones & keep) for zeros, ones in pairs)
-        if cls is Box and kids[0] is not None:
-            # the box holds on a team when its child holds on the image:
-            # a member fails when its successors meet a failing member or
-            # both sides of a pair, and two members conflict when their
-            # successors meet opposite sides of a pair
-            failing, pairs = kids[0]
-            failing = self._pre(failing)
-            boxed = []
-            for zeros, ones in pairs:
-                pz, po = self._pre(zeros), self._pre(ones)
-                if pz and po:
-                    failing |= pz & po
-                    boxed.append((pz, po))
-            return failing, tuple(boxed)
-        return None
-
-    def eval(self, f: Formula, mask: int) -> bool:
-        """Team truth of `f` on `mask`, entering `f` on first use."""
-        _fold(f, self._add, self.flat)
-        return self._eval(f, mask)
-
     def point_mask(self, f: Formula) -> int:
         """The members where the flat formula `f` holds pointwise."""
         return _fold(f, self._add, self.flat)
 
-    def _eval(self, f: Formula, mask: int) -> bool:
-        m = self.flat[f]
-        if m is not None:
-            return mask & ~m == 0
-        memo = self.memo[f]
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        cls = type(f)
-        if cls is Dep or cls is MDep:
-            result = True
-            for zeros, ones in self.graph[f][1]:
-                if mask & zeros and mask & ones:
-                    result = False
-                    break
-        elif cls is And:
-            result = self._eval(f.left, mask) and self._eval(f.right, mask)
-        elif cls is IDis:
-            result = self._eval(f.left, mask) or self._eval(f.right, mask)
-        elif cls is Or:
-            result = self._eval_or(f, mask)
-        elif cls is Diamond:
-            result = self._eval_diamond(f.child, mask)
-        else:
-            image = 0
-            for w in _bits(mask):
-                image |= self.succ_mask[w]
-            result = self._eval(f.child, image)
-        memo[mask] = result
-        return result
+    def eval(self, f: Formula, mask: int) -> bool:
+        """Team truth of `f` on `mask`, entering `f` on first use.
 
-    def _eval_or(self, f: Formula, mask: int) -> bool:
-        flat_union, nonflat = self.chain[f]
-        rest = mask & ~flat_union
-        if not nonflat:
-            return rest == 0
-        if len(nonflat) == 1:
-            return self._eval(nonflat[0], rest)
-        count = rest.bit_count()
-        if self.max_split_rows is not None and count > self.max_split_rows:
-            noun = "rows" if self.succ is None else "worlds"
-            raise GuardLimitError(
-                f"team of {count} {noun} exceeds the split guard of "
-                f"{self.max_split_rows}; raise max_split_rows to override",
-                guard="max_split_rows", requested=count, limit=self.max_split_rows,
-            )
-        graphs = []
-        for g in nonflat:
-            if (graph := self._graph(g)) is None:
-                return self._or_rest(f, nonflat, 0, rest)
-            graphs.append(graph)
-        return _split(graphs, rest)
-
-    def _or_rest(self, node: Formula, nonflat: tuple[Formula, ...], k: int, mask: int) -> bool:
-        if k == len(nonflat) - 1:
-            return self._eval(nonflat[k], mask)
-        key = (node, k, mask)
-        hit = self.memo_rest.get(key)
-        if hit is not None:
-            return hit
-        result = False
-        sub = mask
-        while True:
-            if self._eval(nonflat[k], sub) and self._or_rest(node, nonflat, k + 1, mask & ~sub):
-                result = True
-                break
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        self.memo_rest[key] = result
-        return result
-
-    def _eval_diamond(self, child: Formula, mask: int) -> bool:
-        """Search successor teams as images of successor-choice functions.
-
-        Downward closure makes choice images a complete witness set: any
-        successor team can be thinned to one successor per member.
+        The walk down to the choice points runs first, and each choice
+        point is searched only once every test above them has passed.
+        A conjunction, and a choice point, reached again on the same team
+        is skipped, so a formula sharing subtrees costs its distinct ones.
         """
-        members = list(_bits(mask))
-        if not members:
-            return True
-        succ_lists = []
-        count = 1
-        for i in members:
-            succs = self.succ[i]
-            if not succs:
-                return False
-            succ_lists.append(succs)
-            count *= len(succs)
-        if self.max_choices is not None and count > self.max_choices:
-            raise GuardLimitError(
-                f"{count} successor choices exceed the guard of "
-                f"{self.max_choices}; raise max_choices to override",
-                guard="max_choices", requested=count, limit=self.max_choices,
-            )
-        seen = set()
-        for pick in itertools.product(*succ_lists):
-            child_mask = 0
-            for v in pick:
-                child_mask |= 1 << v
-            if child_mask in seen:
+        flat = self.flat
+        _fold(f, self._add, flat)
+        todo, seen, choices = [(f, mask)], set(), {}
+        while todo:
+            g, team = todo.pop()
+            m = flat[g]
+            if m is not None:
+                if team & ~m:
+                    return False
                 continue
-            seen.add(child_mask)
-            if self._eval(child, child_mask):
-                return True
-        return False
+            if not team:
+                continue
+            cls = type(g)
+            if cls is And:
+                if (g, team) not in seen:
+                    seen.add((g, team))
+                    todo += ((g.right, team), (g.left, team))
+            elif cls is Box:
+                image = 0
+                for w in _bits(team):
+                    image |= self.succ_mask[w]
+                todo.append((g.child, image))
+            elif cls is Dep or cls is MDep:
+                for zeros, ones in self.pairs[g]:
+                    if team & zeros and team & ones:
+                        return False
+            elif cls is Or and len(self.chain[g][1]) == 1:
+                flat_union, (rest,) = self.chain[g]
+                todo.append((rest, team & ~flat_union))
+            elif cls is IDis and flat[g.left] is not None:
+                if team & ~flat[g.left]:
+                    todo.append((g.right, team))
+            elif cls is IDis and flat[g.right] is not None:
+                if team & ~flat[g.right]:
+                    todo.append((g.left, team))
+            else:
+                choices[g, team] = None
+        return all(self._holds(g, team) for g, team in choices)
+
+    def _holds(self, f: Formula, team: int) -> bool:
+        """Whether some setting of the certificate bits of `f` makes its
+        program hold at every member of `team`.
+
+        The program is built post-order on an explicit stack, one
+        instruction per node and team context: a context starts at each
+        child of a split, a diamond or a box, and `&` and `ior` pass
+        theirs on. Flat subtrees are slots fixed to their masks, shared
+        by mask. A dependence atom's pairs are cut down to `team` unless
+        an image reads it, and its bits form one group; an image reads
+        rows beyond `team`, and each of its bits is a group alone, as
+        `_search` asks. The root is ORed with a slot true outside `team`.
+        """
+        full, flat, pairs = self.full, self.flat, self.pairs
+        ones: list[int] = []
+        zeros: list[int] = []
+        bits: list[tuple[int, int, int]] = []
+        groups: list[tuple[int, int, int]] = []
+        program: list[tuple] = []
+        fixed: dict[int, int] = {}
+        done: dict[tuple[Formula, int], int] = {}
+
+        def slot(one: int, zero: int) -> int:
+            ones.append(one)
+            zeros.append(zero)
+            return len(ones) - 1
+
+        def const(mask: int) -> int:
+            # the instruction reading a slot fixed to `mask`
+            at = fixed.get(mask)
+            if at is None:
+                program.append((_POS, slot(mask, full & ~mask), 0))
+                at = fixed[mask] = len(program) - 1
+            return at
+
+        def read(g: Formula, ctx: int) -> int:
+            m = flat[g]
+            return done[g, ctx] if m is None else const(m)
+
+        contexts = 0
+        # (node, context, under an image, None) to visit, or with its
+        # children's (node, context) pairs once they are done
+        stack: list = [(f, 0, False, None)]
+        while stack:
+            g, ctx, imaged, kids = stack.pop()
+            cls = type(g)
+            if kids is not None:
+                xs = [read(c, k) for c, k in kids]
+                x, y = xs[0], xs[-1]
+                if cls is And or cls is Or:
+                    program.append((_AND if cls is And else _OR, x, y))
+                elif cls is Diamond or cls is Box:
+                    program.append((_DIA if cls is Diamond else _BOX, x, self.succ_mask))
+                else:
+                    v = slot(0, 0)
+                    groups.append((v, len(bits), 1))
+                    bits.append((v, full, 0))
+                    at = len(program)
+                    program += [
+                        (_NEG, v, 0), (_AND, at, x),
+                        (_POS, v, 0), (_AND, at + 2, y),
+                        (_OR, at + 1, at + 3),
+                    ]
+                done[g, ctx] = len(program) - 1
+            elif (g, ctx) in done:
+                continue
+            elif cls is Dep or cls is MDep:
+                rows = full if imaged else team
+                cut = [(z & rows, o & rows) for z, o in pairs[g] if z & rows and o & rows]
+                held = 0
+                for z, o in cut:
+                    held |= z | o
+                v = slot(full & ~held, 0)
+                if imaged:
+                    groups += [(v, len(bits) + i, 1) for i in range(len(cut))]
+                elif cut:
+                    groups.append((v, len(bits), len(cut)))
+                bits += [(v, o, z) for z, o in cut]
+                program.append((_POS, v, 0))
+                done[g, ctx] = len(program) - 1
+            else:
+                if cls is And or cls is IDis:
+                    kids = ((g.left, ctx), (g.right, ctx))
+                elif cls is Or:
+                    kids = ((g.left, contexts + 1), (g.right, contexts + 2))
+                    contexts += 2
+                else:
+                    contexts += 1
+                    kids = ((g.child, contexts),)
+                    imaged = True
+                stack.append((g, ctx, imaged, kids))
+                stack += [(c, k, imaged, None) for c, k in reversed(kids) if flat[c] is None]
+        root = done[f, 0]
+        if team != full:
+            program.append((_OR, root, const(full & ~team)))
+        if self.max_bits is not None and len(bits) > self.max_bits:
+            raise GuardLimitError(
+                f"{len(bits)} certificate bits exceed the guard of "
+                f"{self.max_bits}; raise max_bits to override",
+                guard="max_bits", requested=len(bits), limit=self.max_bits,
+            )
+        # a program false somewhere with every bit unfixed needs no search
+        if _surely_false(program, ones, zeros):
+            return False
+        return _search(ones, zeros, bits, groups, program) is not None
 
 
-_POS, _NEG, _AND, _OR = range(4)
+_POS, _NEG, _AND, _OR, _DIA, _BOX = range(6)
 
 
-def _surely_false(program: list[tuple[int, int, int]], ones: list[int], zeros: list[int]) -> int:
+def _surely_false(program: list[tuple], ones: list[int], zeros: list[int]) -> int:
     """Rows where `program` is false whatever the unfixed slots become.
 
     Instruction (_POS or _NEG, v, 0) reads slot v, positively or
-    negated; (_AND or _OR, x, y) joins instructions x and y; the root
-    comes last. ones[v] and zeros[v] are the rows where slot v is fixed
-    to 1 and to 0. In negation normal form a node's surely-false rows
-    follow from its children's alone, and fixing more rows only adds to
-    them.
+    negated; (_AND or _OR, x, y) joins instructions x and y; (_DIA or
+    _BOX, x, succ) reads instruction x at some or every successor, row
+    i's successors being the mask succ[i]. The root comes last. ones[v]
+    and zeros[v] are the rows where slot v is fixed to 1 and to 0. In
+    negation normal form a node's surely-false rows follow from its
+    children's alone, and fixing more rows only adds to them.
     """
     f: list[int] = []
     for op, x, y in program:
@@ -370,37 +366,55 @@ def _surely_false(program: list[tuple[int, int, int]], ones: list[int], zeros: l
             f.append(ones[x])
         elif op == _AND:
             f.append(f[x] | f[y])
-        else:
+        elif op == _OR:
             f.append(f[x] & f[y])
+        elif op == _DIA:
+            # surely false where every successor is, or there is none
+            fx = f[x]
+            f.append(sum(1 << i for i, sm in enumerate(y) if not sm & ~fx))
+        else:
+            # surely false where some successor is
+            fx = f[x]
+            f.append(sum(1 << i for i, sm in enumerate(y) if sm & fx))
     return f[-1]
 
 
-def _search(full: int, ones: list, zeros: list, bits: list, groups: list, program: list) -> list | None:
+def _search(ones: list, zeros: list, bits: list, groups: list, program: list) -> list | None:
     """The least setting of `bits` under which `program` is surely false
-    on no row of `full`, or None when there is none.
+    on no row, or None when there is none.
 
     Bit (v, r1, r0) makes slot v read it on the rows r1 and its negation
-    on the rows r0; `ones` and `zeros` fix every other row of `full`
+    on the rows r0; `ones` and `zeros` fix every other row of a slot
     before any bit is set. Group (v, first, size) is slot v's bits from
     `first` on; every bit is in one group, and no row reads two bits of
-    one group.
+    one group. A group of two or more bits must be read by no `_DIA` or
+    `_BOX`, so that a row depends on it only through the bit it reads
+    itself.
 
     Bits are fixed in order, 0 before 1. Each prefix is first completed
     with every unfixed bit 0, the least candidate under it, and kept if
     that holds. Otherwise each group with unfixed bits is probed with
     all of them 0, then 1. A row surely false both ways refutes the
-    prefix; one surely false one way forces the one unfixed bit of the
-    group it reads the other way, and a bit forced both ways refutes the
-    prefix. Probing repeats until it forces nothing, and the search then
-    branches on the lowest unfixed bit. Forcing cuts only subtrees
-    without an answer, so the first answer found is the least. The work
-    can be exponential in the number of bits.
+    prefix. One surely false one way forces the other way the one
+    unfixed bit of the group it reads, or the group's lone bit, whatever
+    row is false. A bit forced both ways refutes the prefix. Probing
+    repeats until it forces nothing, and the search then branches on
+    the lowest unfixed bit. Forcing cuts only subtrees without an
+    answer, so the first answer found is the least. The work can be
+    exponential in the number of bits.
     """
     # the rows reading each bit, and per slot those reading one negated
     reads, negated = [], [0] * len(ones)
     for v, r1, r0 in bits:
         reads.append(r1 | r0)
         negated[v] |= r0
+    # the rows reading each group
+    spans = []
+    for _, first, size in groups:
+        span = 0
+        for i in range(first, first + size):
+            span |= reads[i]
+        spans.append(span)
     value: list[int | None] = [None] * len(bits)
     trail: list[int] = []
 
@@ -426,9 +440,9 @@ def _search(full: int, ones: list, zeros: list, bits: list, groups: list, progra
         k = quiet = 0
         while quiet < len(groups):
             v, first, size = groups[k]
+            free = spans[k] & ~(ones[v] | zeros[v])
             k = (k + 1) % len(groups)
             quiet += 1
-            free = full & ~(ones[v] | zeros[v])
             if not free:
                 continue
             # every unfixed bit 0, then 1, then unfixed again
@@ -439,7 +453,11 @@ def _search(full: int, ones: list, zeros: list, bits: list, groups: list, progra
             f1 = _surely_false(program, ones, zeros)
             ones[v], zeros[v] = one, zero
             if f0 | f1:
-                if f0 & f1 or not (force(first, size, f0, 1) and force(first, size, f1, 0)):
+                if size == 1:
+                    if f0 and f1:
+                        return False
+                    fix(first, 0 if f1 else 1)
+                elif f0 & f1 or not (force(first, size, f0, 1) and force(first, size, f1, 0)):
                     return False
                 quiet = 1
         return True
@@ -447,16 +465,18 @@ def _search(full: int, ones: list, zeros: list, bits: list, groups: list, progra
     def completes() -> bool:
         # Whether the prefix with every unfixed bit set to 0 holds.
         one, zero = ones[:], zeros[:]
-        for v, _, _ in groups:
-            free = full & ~(ones[v] | zeros[v])
+        for (v, _, _), span in zip(groups, spans):
+            free = span & ~(ones[v] | zeros[v])
             zero[v] |= free & ~negated[v]
             one[v] |= free & negated[v]
         return not _surely_false(program, one, zero)
 
     # A prefix that propagation keeps has no surely-false row, which the
     # first group probed would find both ways, and no unfixed bit set
-    # either way makes one, or it would have been forced. So a prefix
-    # fixing every bit is an answer; without bits `completes` decides.
+    # either way makes one, or it would have been forced: a row depends
+    # on a group of two or more bits only through the bit it reads, and
+    # on a lone bit through that bit. So a prefix fixing every bit is an
+    # answer; without bits `completes` decides.
     # A decision is (bit, trail length before it), its bit set to 0;
     # when that fails, the bit is forced to 1 one level up and stays on
     # the trail, so the scan for the next decision only runs forward.
@@ -482,49 +502,3 @@ def _search(full: int, ones: list, zeros: list, bits: list, groups: list, progra
             value[i] = None
         fix(pos, 1)
     return [b or 0 for b in value]
-
-
-def _split(graphs: list, rest: int) -> bool:
-    """Can `rest` split into one part per conflict graph?
-
-    A part meets one side at most of each pair of its graph, so each
-    pair gets a bit naming that side, and a member may join a graph it
-    does not fail whose pairs holding it all name its side. In a graph's
-    slot a member reads whether that holds for the slot's pair holding
-    it: the bit on the ones side, its negation on the zeros side, 1 if
-    no pair of the slot holds it, and 0 if it fails the graph. Pairs
-    share a slot while they are disjoint, so no member reads two bits of
-    one slot. `_search` then asks that each member read 1 in every slot
-    of some graph.
-    """
-    ones, zeros, bits, groups, program = [], [], [], [], []
-    root = None
-    for failing, pairs in graphs:
-        failing &= rest
-        keep = rest & ~failing
-        # per slot, the members its pairs hold, then the pairs; an `&`
-        # of copies of one atom repeats its pairs, which need one bit
-        slots = [[0]]
-        for z, o in dict.fromkeys([(z & keep, o & keep) for z, o in pairs]):
-            if z and o:
-                slot = next((slot for slot in slots if not slot[0] & (z | o)), None)
-                if slot is None:
-                    slots.append(slot := [0])
-                slot[0] |= z | o
-                slot.append((z, o))
-        term = None
-        for rows, *slot_pairs in slots:
-            v = len(ones)
-            ones.append(keep & ~rows)
-            zeros.append(failing)
-            if slot_pairs:
-                groups.append((v, len(bits), len(slot_pairs)))
-                bits += [(v, o, z) for z, o in slot_pairs]
-            program.append((_POS, v, 0))
-            if term is not None:
-                program.append((_AND, term, len(program) - 1))
-            term = len(program) - 1
-        if root is not None:
-            program.append((_OR, root, term))
-        root = len(program) - 1
-    return _search(rest, ones, zeros, bits, groups, program) is not None

@@ -339,7 +339,7 @@ def _ml_valid(f: Formula, memo: dict, duals: dict) -> tuple | None:
     n = len(order)
     classes = [(1 << n) - 1]
     if n > 1:
-        ev = _TeamEvaluator(n, val, succ, None, None)
+        ev = _TeamEvaluator(n, val, succ, None)
         ev.point_mask(negated)
         # Once every world is a class alone, the rest can split nothing.
         for m in ev.flat.values():
@@ -404,7 +404,7 @@ def _holding(f: Formula, piece: tuple, syms, cols: dict, full: int) -> int:
     """
     succ, valuation = piece
     n = len(succ)
-    ev = _TeamEvaluator(n, {**dict.fromkeys(syms, 0), **valuation}, succ, None, None)
+    ev = _TeamEvaluator(n, {**dict.fromkeys(syms, 0), **valuation}, succ, None)
     vals: dict = {}
     todo = [(f, 0)]
     while todo:
@@ -548,7 +548,7 @@ def _mliv_valid(
     team = frozenset(roots)
     extra = () if original is None else (original,)
     ev, (mask, *root_masks) = _team_evaluator(
-        model, (team, *([r] for r in roots)), (f, *extra), None, None
+        model, (team, *([r] for r in roots)), (f, *extra), None
     )
     checks = dict.fromkeys([*zip(refuted, root_masks), *((g, mask) for g in (f, *extra))])
     for g, at in checks:

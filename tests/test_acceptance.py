@@ -177,14 +177,14 @@ def test_c03_flatness():
         f = random_dep_free_prop(rng, ["p", "q", "r"], rng.randint(1, 10))
         team = random_team(rng, ["p", "q", "r"], 6)
         flat = all(pl_pointwise(a, f) for a in team.assignments())
-        if pt_eval(team, f, max_split_rows=None) != flat:
+        if pt_eval(team, f, max_bits=None) != flat:
             violations += 1
     for _ in range(1000):
         m = random_model(rng, rng.randint(1, 4), [p, q])
         team = random_subteam(rng, m.worlds)
         f = random_ml_formula(rng, ["p", "q"], rng.randint(1, 8), 2)
         flat = all(ml_point_eval(m, w, f) for w in team)
-        if mt_eval(m, team, f, max_split_rows=None) != flat:
+        if mt_eval(m, team, f, max_bits=None) != flat:
             violations += 1
     elapsed = time.time() - started
     report(
@@ -199,7 +199,7 @@ def _first_satisfying_team(m, f, rng):
     masks = sorted(range(1 << len(worlds)), key=lambda v: -bin(v).count("1"))
     for mask in masks:
         team = {w for i, w in enumerate(worlds) if mask >> i & 1}
-        if mt_eval(m, team, f, max_split_rows=None):
+        if mt_eval(m, team, f, max_bits=None):
             return team
     return None
 
@@ -212,13 +212,13 @@ def test_c04_downward_closure():
     while found < 500:
         f = random_pd_formula(rng, ["p", "q"], rng.randint(1, 8))
         team = random_team(rng, ["p", "q"], 4)
-        if not pt_eval(team, f, max_split_rows=None):
+        if not pt_eval(team, f, max_bits=None):
             continue
         found += 1
         rows = sorted(team.rows)
         for mask in range(1 << len(rows)):
             sub = [row for i, row in enumerate(rows) if mask >> i & 1]
-            if not pt_eval(PropTeam(team.domain, sub), f, max_split_rows=None):
+            if not pt_eval(PropTeam(team.domain, sub), f, max_bits=None):
                 violations += 1
                 break
     found = 0
@@ -232,7 +232,7 @@ def test_c04_downward_closure():
         worlds = sorted(team)
         for mask in range(1 << len(worlds)):
             sub = {w for i, w in enumerate(worlds) if mask >> i & 1}
-            if not mt_eval(m, sub, f, max_split_rows=None):
+            if not mt_eval(m, sub, f, max_bits=None):
                 violations += 1
                 break
     elapsed = time.time() - started
@@ -267,7 +267,7 @@ def _check_translation(f, oracles, spot_rng=None):
         m = oracle.structure(sidx)
         team = oracle.team_worlds(tidx)
         want = bool(oracle.sets(f)[sidx] >> tidx & 1)
-        if mt_eval(m, team, f, max_split_rows=None) != want:
+        if mt_eval(m, team, f, max_bits=None) != want:
             bad += 1
     return bad
 
@@ -399,8 +399,8 @@ def test_c09_invariance():
         doubled = {f"L:{w}" for w in team} | {f"R:{w}" for w in team}
         if not team_bisimilar(m, team, u, doubled):
             violations += 1
-        if mt_eval(m, team, f, max_split_rows=None) != mt_eval(
-            u, doubled, f, max_split_rows=None
+        if mt_eval(m, team, f, max_bits=None) != mt_eval(
+            u, doubled, f, max_bits=None
         ):
             violations += 1
     for _ in range(200):
@@ -410,8 +410,8 @@ def test_c09_invariance():
         f = random_emdl_formula(rng, ["p", "q"], rng.randint(1, 5), 1)
         u = disjoint_union(m1, m2)
         shifted = {f"L:{w}" for w in team}
-        if mt_eval(m1, team, f, max_split_rows=None) != mt_eval(
-            u, shifted, f, max_split_rows=None
+        if mt_eval(m1, team, f, max_bits=None) != mt_eval(
+            u, shifted, f, max_bits=None
         ):
             violations += 1
     for _ in range(200):

@@ -322,14 +322,16 @@ def test_mc_guard_override(tmp_path, capsys):
     rows = [list(r) for r in itertools.product((0, 1), repeat=5)]
     team = tmp_path / "wide.json"
     team.write_text(json.dumps({"domain": [f"x{i}" for i in range(5)], "rows": rows}))
-    f = "dep(x0; x1) | dep(x2; x3)"
+    # two copies of an atom with 16 conflict pairs on the 32 rows need
+    # 32 certificate bits, past the default of 24
+    f = "dep(x0, x1, x2, x3; x4) | dep(x0, x1, x2, x3; x4)"
     code, _, err = run_cli(capsys, "mc", "--team", str(team), f)
     assert code == 3
     assert "error:" in err
-    code, out, _ = run_cli(
-        capsys, "mc", "--team", str(team), "--max-team", "-1", f
-    )
-    assert code in (0, 1)
+    assert run_cli(capsys, "mc", "--team", str(team), "--max-bits", "-1", f)[:2] == (0, "true\n")
+    assert run_cli(capsys, "mc", "--team", str(team), "--max-bits", "32", f)[0] == 0
+    # a split that needs few bits holds however many rows it divides
+    assert run_cli(capsys, "mc", "--team", str(team), "dep(; x0) | dep(; x0)")[:2] == (0, "true\n")
 
 
 def test_guard_details_print_as_json_on_exit_3(tmp_path, capsys):
@@ -341,10 +343,11 @@ def test_guard_details_print_as_json_on_exit_3(tmp_path, capsys):
     rows = [[a, b, c, d, e] for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1) for e in (0, 1)]
     team = tmp_path / "wide.json"
     team.write_text(json.dumps({"domain": [f"x{i}" for i in range(5)], "rows": rows}))
-    code, out, err = run_cli(capsys, "mc", "--team", str(team), "--json", "dep(x0; x1) | dep(x2; x3)")
+    f = "dep(x0, x1, x2, x3; x4) | dep(x0, x1, x2, x3; x4)"
+    code, out, err = run_cli(capsys, "mc", "--team", str(team), "--json", f)
     assert code == 3
-    assert err == "error: team of 32 rows exceeds the split guard of 24; raise max_split_rows to override\n"
-    assert json.loads(out) == {"guard": "max_split_rows", "requested": 32, "limit": 24}
+    assert err == "error: 32 certificate bits exceed the guard of 24; raise max_bits to override\n"
+    assert json.loads(out) == {"guard": "max_bits", "requested": 32, "limit": 24}
     # without --json, the message alone
     assert run_cli(capsys, "translate", f"dep({args}; p)")[1] == ""
 
@@ -359,12 +362,16 @@ def test_guard_details_print_as_json_on_exit_3(tmp_path, capsys):
         (["valid", "--logic", "pd", "--max-selections", "0", "dep(; p)"], "--max-selections"),
         (["valid", "--logic", "ml", "--max-selections", "-1", "p"], "--max-selections"),
         (["mc", "--team", "TEAM", "--max-choices", "0", "p"], "--max-choices"),
+        (["mc", "--team", "TEAM", "--max-team", "-1", "p"], "--max-team"),
+        (["mc", "--model", "MODEL", "--max-choices", "-1", "p"], "--max-choices"),
     ],
 )
 def test_guard_flags_that_do_not_apply_are_usage_errors(tmp_path, capsys, argv, flag):
     team = tmp_path / "t.json"
     team.write_text(json.dumps({"domain": ["p"], "rows": [[1]]}))
-    argv = [str(team) if a == "TEAM" else a for a in argv]
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"worlds": ["a"], "edges": [], "valuation": {"p": ["a"]}}))
+    argv = [str(team) if a == "TEAM" else str(model) if a == "MODEL" else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert flag in err
@@ -374,9 +381,9 @@ def test_guard_flags_that_do_not_apply_are_usage_errors(tmp_path, capsys, argv, 
     "argv",
     [
         ["valid", "--logic", "pd", "--max-team", "N", "p | !p"],
-        ["mc", "--team", "TEAM", "--max-team", "N", "dep(; p) | dep(; p)"],
+        ["mc", "--team", "TEAM", "--max-bits", "N", "dep(; p) | dep(; p)"],
         ["sat", "--max-team", "N", "dep(; p)"],
-        ["mc", "--model", "MODEL", "--max-choices", "N", "<> p"],
+        ["mc", "--model", "MODEL", "--max-bits", "N", "<> p"],
         ["valid", "--logic", "emdl", "--max-selections", "N", "dep(; p) | p"],
         ["dqbf-eval", "--max-skolem-bits", "N", "INST"],
     ],
@@ -410,8 +417,9 @@ def test_guard_flags_that_apply_still_work(tmp_path, capsys):
     model = tmp_path / "m.json"
     data = {"worlds": ["a", "b"], "edges": [["a", "a"], ["a", "b"]], "valuation": {"p": ["b"]}}
     model.write_text(json.dumps({**data, "team": ["a"]}))
-    code, _, err = run_cli(capsys, "mc", "--model", str(model), "--max-choices", "1", "<> dep(; p)")
-    assert code == 3 and "successor choices" in err
+    code, _, err = run_cli(capsys, "mc", "--model", str(model), "--max-bits", "0", "<> dep(; p)")
+    assert code == 3 and "certificate bits" in err
+    assert run_cli(capsys, "mc", "--model", str(model), "--max-bits", "1", "<> dep(; p)")[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -194,11 +194,10 @@ def test_witness_is_least_past_the_brute_force():
 def test_reduction_validity_matches_the_skolem_search(monkeypatch):
     # Past two existentials the reduction splits the team of all
     # assignments among three or four dependence atoms; that split is
-    # searched on their conflict graphs, with enumeration refused.
-    def refuse(*args):
-        raise AssertionError("split enumerated")
-
-    monkeypatch.setattr(team_eval._TeamEvaluator, "_or_rest", refuse)
+    # one search over their pairs' orientation bits.
+    searched = []
+    search = team_eval._search
+    monkeypatch.setattr(team_eval, "_search", lambda *a: searched.append(1) or search(*a))
     rng = random.Random(16)
     truths = []
     for n_univ, n_exist in ((3, 3), (4, 3), (4, 4)):
@@ -212,6 +211,7 @@ def test_reduction_validity_matches_the_skolem_search(monkeypatch):
             assert pd_valid(reduce_to_pd(inst)) == truth
             truths.append(truth)
     assert True in truths and False in truths
+    assert len(searched) == len(truths)
 
 
 def test_propagation_cuts_the_evaluations(monkeypatch):

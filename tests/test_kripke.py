@@ -32,6 +32,7 @@ from oracles import (
     brute_mt,
     random_emdl_formula,
     random_ml_formula,
+    random_mliv_formula,
     random_model,
     random_subteam,
 )
@@ -196,22 +197,36 @@ def test_team_must_be_subset_of_worlds():
 
 
 def test_choice_guard():
+    # Four worlds see all eight, so their successor choices number 4096;
+    # the diamond's search needs no bit for an atom true everywhere and
+    # one for each of the pairs of `dep(; q)` and `dep(r; q)`.
     worlds = [f"w{i}" for i in range(8)]
     edges = [(a, b) for a in worlds[:4] for b in worlds]
-    m = KripkeStructure(worlds, edges, {p: set(worlds)})
-    with pytest.raises(GuardLimitError) as info:
-        mt_eval(m, set(worlds[:4]), Diamond(MDep((), Atom(p))), max_choices=10)
-    assert (info.value.guard, info.value.requested, info.value.limit) == ('max_choices', 4096, 10)
-    assert mt_eval(m, set(worlds[:4]), Diamond(MDep((), Atom(p))))
+    r = PropSymbol("r")
+    m = KripkeStructure(
+        worlds, edges, {p: set(worlds), q: set(worlds[:2] + worlds[4:6]), r: set(worlds[::2])}
+    )
+    team = set(worlds[:4])
+    assert mt_eval(m, team, Diamond(MDep((), Atom(p))), max_bits=0)
+    for f, bits in ((Diamond(MDep((), Atom(q))), 1), (Diamond(MDep((Atom(r),), Atom(q))), 2)):
+        with pytest.raises(GuardLimitError) as info:
+            mt_eval(m, team, f, max_bits=bits - 1)
+        assert (info.value.guard, info.value.requested, info.value.limit) == ('max_bits', bits, bits - 1)
+        assert mt_eval(m, team, f, max_bits=bits)
 
 
 def test_split_guard_is_lazy():
+    # only certificate bits count: atoms constant on the team have no
+    # pair, so their split needs none, however many worlds it divides
     worlds = [f"w{i}" for i in range(30)]
-    m = KripkeStructure(worlds, [], {p: set(worlds), q: set()})
-    # a flat disjunction never reaches the splitter
-    assert mt_eval(m, set(worlds), parse_modal("p | !p"))
-    with pytest.raises(GuardLimitError):
-        mt_eval(m, set(worlds), parse_modal("dep(; p) | dep(; q)"))
+    r = PropSymbol("r")
+    m = KripkeStructure(worlds, [], {p: set(worlds), q: set(), r: set(worlds[::2])})
+    assert mt_eval(m, set(worlds), parse_modal("p | !p"), max_bits=0)
+    assert mt_eval(m, set(worlds), parse_modal("dep(; p) | dep(; q)"), max_bits=0)
+    with pytest.raises(GuardLimitError) as info:
+        mt_eval(m, set(worlds), parse_modal("dep(; r) | dep(; r)"), max_bits=1)
+    assert (info.value.guard, info.value.requested, info.value.limit) == ('max_bits', 2, 1)
+    assert mt_eval(m, set(worlds), parse_modal("dep(; r) | dep(; r)"))
 
 
 def test_disjoint_union():
@@ -258,12 +273,12 @@ def test_against_brute_oracle_seeded():
         m = random_model(rng, rng.randint(1, 3), [p, q])
         team = random_subteam(rng, m.worlds)
         f = random_emdl_formula(rng, ["p", "q"], rng.randint(1, 6), 2)
-        assert mt_eval(m, team, f, max_split_rows=None) == brute_mt(m, team, f)
+        assert mt_eval(m, team, f, max_bits=None) == brute_mt(m, team, f)
         g = parse_modal(render(f))
         assert g == f
         pair_team = random_subteam(pair_rng, m.worlds)
         for h in (And(f, g), Or(f, g)):
-            assert mt_eval(m, pair_team, h, max_split_rows=None) == brute_mt(m, pair_team, h)
+            assert mt_eval(m, pair_team, h, max_bits=None) == brute_mt(m, pair_team, h)
 
 
 def test_idis_formulas_against_oracle():
@@ -299,12 +314,25 @@ BOXED_SHAPES = [
     lambda rng, s: _random_mdep(rng, s),
 ]
 
-# Disjunct shapes without one: their splits are enumerated.
+# Disjunct shapes without one: a diamond, an `ior`, a disjunction.
 NO_GRAPH_SHAPES = [
     lambda rng, s: Diamond(_random_mdep(rng, s)),
     lambda rng, s: IDis(_random_literal(rng, s), _random_mdep(rng, s)),
     lambda rng, s: And(Or(_random_mdep(rng, s), _random_mdep(rng, s)), _random_literal(rng, s)),
 ]
+
+
+def _spy_searches(monkeypatch) -> list:
+    """Record the program of every `_search` from here on."""
+    programs = []
+    search = team_eval._search
+
+    def spy(ones, zeros, bits, groups, program):
+        programs.append(program)
+        return search(ones, zeros, bits, groups, program)
+
+    monkeypatch.setattr(team_eval, "_search", spy)
+    return programs
 
 
 def _wide_teams(rng, m):
@@ -314,34 +342,24 @@ def _wide_teams(rng, m):
 
 def test_boxed_dependence_splits_match_brute_force(monkeypatch):
     # Splits between boxed dependence atoms over structures with edges
-    # are searched on their conflict graphs; the brute oracle
+    # are searched over their pairs' orientation bits; the brute oracle
     # enumerates every split and image instead.
-    routed = []
-    split = team_eval._split
-    monkeypatch.setattr(team_eval, "_split", lambda *a: routed.append(1) or split(*a))
+    routed = _spy_searches(monkeypatch)
     rng = random.Random(31)
     syms = [p, q, r]
     for _ in range(150):
         m = random_model(rng, 7, syms, edge_p=rng.choice((0.2, 0.35)))
         f = Or(rng.choice(BOXED_SHAPES[:5])(rng, syms), rng.choice(BOXED_SHAPES)(rng, syms))
         for team in _wide_teams(rng, m):
-            assert mt_eval(m, team, f, max_split_rows=None) == brute_mt(m, team, f)
+            assert mt_eval(m, team, f, max_bits=None) == brute_mt(m, team, f)
     assert len(routed) > 200
 
 
 def test_boxed_splits_among_graphed_disjuncts_match_brute_force(monkeypatch):
     # Three to five disjuncts with conflict graphs through the box, on
-    # structures with edges, are split by the search alone: enumeration
-    # is refused.
-    def refuse(*args):
-        raise AssertionError("split enumerated")
-
-    monkeypatch.setattr(team_eval._TeamEvaluator, "_or_rest", refuse)
-    widths = []
-    split = team_eval._split
-    monkeypatch.setattr(
-        team_eval, "_split", lambda graphs, rest: widths.append(len(graphs)) or split(graphs, rest)
-    )
+    # structures with edges, are split by one search, whose program ORs
+    # them.
+    programs = _spy_searches(monkeypatch)
     rng = random.Random(41)
     syms = [p, q, r]
     verdicts = set()
@@ -351,19 +369,16 @@ def test_boxed_splits_among_graphed_disjuncts_match_brute_force(monkeypatch):
         for _ in range(rng.randint(2, 4)):
             f = Or(f, rng.choice(BOXED_SHAPES)(rng, syms))
         for team in _wide_teams(rng, m):
-            verdict = mt_eval(m, team, f, max_split_rows=None)
+            verdict = mt_eval(m, team, f, max_bits=None)
             assert verdict == brute_mt(m, team, f)
             verdicts.add(verdict)
     assert verdicts == {True, False}
-    assert len(widths) > 150 and min(widths) >= 3
+    widths = [sum(op == team_eval._OR for op, _, _ in program) for program in programs]
+    assert len(widths) > 150 and min(widths) >= 2
 
 
 def test_modal_splits_without_a_conflict_graph_match_brute_force(monkeypatch):
-    enumerated = []
-    rest = team_eval._TeamEvaluator._or_rest
-    monkeypatch.setattr(
-        team_eval._TeamEvaluator, "_or_rest", lambda *a: enumerated.append(1) or rest(*a)
-    )
+    searched = _spy_searches(monkeypatch)
     rng = random.Random(37)
     syms = [p, q]
     for shape in NO_GRAPH_SHAPES:
@@ -371,8 +386,57 @@ def test_modal_splits_without_a_conflict_graph_match_brute_force(monkeypatch):
             m = random_model(rng, 6, syms, edge_p=0.3)
             f = Or(shape(rng, syms), rng.choice(BOXED_SHAPES)(rng, syms))
             for team in _wide_teams(rng, m):
-                assert mt_eval(m, team, f, max_split_rows=None) == brute_mt(m, team, f)
-    assert enumerated
+                assert mt_eval(m, team, f, max_bits=None) == brute_mt(m, team, f)
+    assert searched
+
+
+# Choice points above and below images: diamonds and `ior` under
+# splits, and splits under diamonds and boxes.
+def _part(rng):
+    if rng.random() < 0.5:
+        return random_mliv_formula(rng, ["p", "q"], rng.randint(1, 6), 2)
+    return random_emdl_formula(rng, ["p", "q"], rng.randint(1, 6), 2)
+
+
+def _atom_dep(rng):
+    return _random_mdep(rng, [p, q]) if rng.random() < 0.3 else MDep((Atom(rng.choice((p, q))),), Atom(rng.choice((p, q))))
+
+
+NESTED_CHOICE_SHAPES = [
+    lambda rng: Or(_part(rng), _part(rng)),
+    lambda rng: Diamond(Or(_part(rng), _part(rng))),
+    lambda rng: Box(Or(_part(rng), _part(rng))),
+    lambda rng: Or(Diamond(_part(rng)), IDis(_part(rng), _part(rng))),
+    lambda rng: And(Or(_part(rng), _part(rng)), Diamond(Or(_part(rng), _part(rng)))),
+    lambda rng: IDis(Or(_part(rng), _part(rng)), Box(Or(_part(rng), Diamond(_part(rng))))),
+    # atoms with two or more pairs under an image, each pair a bit
+    lambda rng: Diamond(And(_atom_dep(rng), Or(_atom_dep(rng), _random_literal(rng, [p, q])))),
+    lambda rng: Box(Or(_atom_dep(rng), Diamond(_atom_dep(rng)))),
+    # one subformula twice: on two parts of a split, and on a team and
+    # its image, where each occurrence needs bits of its own
+    lambda rng: (lambda x: Or(x, x))(_part(rng)),
+    lambda rng: (lambda x: Or(And(Box(x), x), _part(rng)))(_part(rng)),
+    lambda rng: (lambda x: IDis(And(Diamond(x), x), _part(rng)))(_atom_dep(rng)),
+]
+
+
+def test_nested_choice_points_match_brute_force(monkeypatch):
+    # The brute oracle enumerates every split, successor team and `ior`
+    # side; the evaluator runs one search per choice point, through the
+    # images of its diamonds and boxes.
+    programs = _spy_searches(monkeypatch)
+    rng = random.Random(47)
+    verdicts = []
+    for _ in range(3000):
+        m = random_model(rng, rng.randint(1, 5), [p, q], edge_p=rng.choice((0.25, 0.4, 0.6)))
+        team = random_subteam(rng, m.worlds)
+        f = rng.choice(NESTED_CHOICE_SHAPES)(rng)
+        verdict = mt_eval(m, team, f, max_bits=None)
+        assert verdict == brute_mt(m, team, f), (render(f), kripke_to_dict(m, team))
+        verdicts.append(verdict)
+    assert 300 < verdicts.count(False) < 2700
+    imaged = [pr for pr in programs if any(op in (team_eval._DIA, team_eval._BOX) for op, _, _ in pr)]
+    assert len(imaged) > 300
 
 
 @st.composite
@@ -415,16 +479,16 @@ def modal_team_formulas(draw, depth=0):
 @settings(max_examples=150, deadline=None)
 def test_modal_truth_matches_oracle(mt, f):
     m, team = mt
-    assert mt_eval(m, team, f, max_split_rows=None) == brute_mt(m, team, f)
+    assert mt_eval(m, team, f, max_bits=None) == brute_mt(m, team, f)
 
 
 @given(small_models(), modal_team_formulas())
 @settings(max_examples=100, deadline=None)
 def test_modal_downward_closure(mt, f):
     m, team = mt
-    if not mt_eval(m, team, f, max_split_rows=None):
+    if not mt_eval(m, team, f, max_bits=None):
         return
     ordered = sorted(team)
     for mask in range(1 << len(ordered)):
         sub = {w for i, w in enumerate(ordered) if mask >> i & 1}
-        assert mt_eval(m, sub, f, max_split_rows=None)
+        assert mt_eval(m, sub, f, max_bits=None)

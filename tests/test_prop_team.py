@@ -171,20 +171,47 @@ def test_max_team():
 
 
 def test_split_guard_trips_on_wide_teams():
+    # the guard counts certificate bits, not rows: two atoms with two
+    # conflict pairs each split the 32 rows on 4 bits, while each copy
+    # of an atom with 16 classes brings 16 bits of its own
     syms = tuple(PropSymbol(f"x{i}") for i in range(5))
     team = max_team(syms)
-    f = Or(Dep((syms[0],), syms[1]), Dep((syms[2],), syms[3]))
+    assert pt_eval(team, Or(Dep((syms[0],), syms[1]), Dep((syms[2],), syms[3]))) is False
+    wide = Dep(syms[:4], syms[4])
+    f = Or(wide, wide)
     with pytest.raises(GuardLimitError) as info:
         pt_eval(team, f)
-    assert (info.value.guard, info.value.requested, info.value.limit) == ('max_split_rows', 32, 24)
-    assert pt_eval(team, f, max_split_rows=None) in (True, False)
+    assert (info.value.guard, info.value.requested, info.value.limit) == ('max_bits', 32, 24)
+    assert pt_eval(team, f, max_bits=None) is True
+    # pd_valid searches with no bound on the bits
+    assert pd_valid(f) is True
+
+
+def test_a_split_below_a_split_decides_on_32_rows():
+    # The first disjunct, itself a split under `&`, once sent the
+    # 32-row split of pd_valid to subteam enumeration, which ran past
+    # 8 s; the search has three bits. It is False: `e & !e` takes no
+    # row and the first disjunct no row with c false, so those rows all
+    # go to `dep(; d)`, and they disagree on d.
+    f = parse_prop("((dep(; a) | dep(; b)) & c) | dep(; d) | (e & !e)")
+    assert pd_valid(f) is False
+    assert pt_eval(max_team(symbols(f)), f) is False
 
 
 def test_split_guard_is_lazy():
-    # a flat disjunction never reaches the splitter, however wide the team
+    # only a search counts bits: a flat disjunction, a split with one
+    # disjunct that is not flat, and a split whose atoms have no pair on
+    # the team never trip even a guard of 0, however wide the team
     syms = tuple(PropSymbol(f"x{i}") for i in range(5))
     team = max_team(syms)
-    assert pt_eval(team, Or(Atom(syms[0]), NegAtom(syms[0])))
+    x0, x1 = Atom(syms[0]), Atom(syms[1])
+    assert pt_eval(team, Or(x0, NegAtom(syms[0])), max_bits=0)
+    assert not pt_eval(team, Or(Dep((), syms[0]), x1), max_bits=0)
+    only_x0 = PropTeam(syms, [row for row in team.rows if row[0]])
+    assert pt_eval(only_x0, Or(Dep((), syms[0]), Dep((syms[0],), syms[0])), max_bits=0)
+    with pytest.raises(GuardLimitError) as info:
+        pt_eval(team, Or(Dep((), syms[0]), Dep((), syms[1])), max_bits=0)
+    assert (info.value.guard, info.value.requested, info.value.limit) == ('max_bits', 2, 0)
 
 
 def test_pd_valid_frozen_examples():
@@ -245,12 +272,12 @@ def test_against_brute_oracle_seeded():
     for _ in range(250):
         f = random_pd_formula(rng, ["p", "q"], rng.randint(1, 9))
         team = random_team(rng, ["p", "q"], 4)
-        assert pt_eval(team, f, max_split_rows=None) == brute_pt(team, f)
+        assert pt_eval(team, f, max_bits=None) == brute_pt(team, f)
         g = parse_prop(render(f))
         assert g == f
         pair_team = random_team(pair_rng, ["p", "q"], 4)
         for h in (And(f, g), Or(f, g)):
-            assert pt_eval(pair_team, h, max_split_rows=None) == brute_pt(pair_team, h)
+            assert pt_eval(pair_team, h, max_bits=None) == brute_pt(pair_team, h)
 
 
 def _modal_twin(f):
@@ -303,9 +330,22 @@ def _check_against_set_oracle(rng, drop_rng, oracle, m, f):
     for mask in (rng.randrange(1 << oracle.n_rows), full, near_full):
         team = oracle.team_of(mask)
         expected = bool(bits >> mask & 1)
-        assert pt_eval(team, f, max_split_rows=None) == expected
+        assert pt_eval(team, f, max_bits=None) == expected
         members = {w for i, w in enumerate(worlds) if mask >> i & 1}
-        assert mt_eval(m, members, modal, max_split_rows=None) == expected
+        assert mt_eval(m, members, modal, max_bits=None) == expected
+
+
+def _spy_searches(monkeypatch) -> list:
+    """Record the program of every `_search` from here on."""
+    programs = []
+    search = team_eval._search
+
+    def spy(ones, zeros, bits, groups, program):
+        programs.append(program)
+        return search(ones, zeros, bits, groups, program)
+
+    monkeypatch.setattr(team_eval, "_search", spy)
+    return programs
 
 
 def _rows_as_worlds(oracle):
@@ -324,9 +364,7 @@ def test_graphed_split_path_matches_enumeration(monkeypatch):
     # case runs on the full team, the one pd_valid checks, and on the
     # full team less one row, which reach the search unless flat
     # disjuncts absorb the rows.
-    routed = []
-    split = team_eval._split
-    monkeypatch.setattr(team_eval, "_split", lambda *a: routed.append(1) or split(*a))
+    routed = _spy_searches(monkeypatch)
     rng = random.Random(17)
     drop_rng = random.Random(18)
     dom = (p, q, r)
@@ -341,12 +379,9 @@ def test_graphed_split_path_matches_enumeration(monkeypatch):
 
 def test_splits_without_a_conflict_graph_match_enumeration(monkeypatch):
     # a disjunct that is a disjunction of two dependence atoms has no
-    # conflict graph, so its splits are enumerated
-    enumerated = []
-    rest = team_eval._TeamEvaluator._or_rest
-    monkeypatch.setattr(
-        team_eval._TeamEvaluator, "_or_rest", lambda *a: enumerated.append(1) or rest(*a)
-    )
+    # conflict graph; its split is one search all the same, the inner
+    # disjunction an OR in the program like the outer one
+    searched = _spy_searches(monkeypatch)
     rng = random.Random(19)
     drop_rng = random.Random(20)
     dom = (p, q, r)
@@ -356,13 +391,14 @@ def test_splits_without_a_conflict_graph_match_enumeration(monkeypatch):
         no_graph = And(Or(_random_dep(rng, dom), _random_dep(rng, dom)), _random_literal(rng, dom))
         f = Or(no_graph, rng.choice(TWO_COHERENT_SHAPES)(rng, dom))
         _check_against_set_oracle(rng, drop_rng, oracle, m, f)
-    assert enumerated
+    assert searched
 
 
 # The five slowest ops of the benchmark's `prop` corpus (seed 7) while
-# only splits between two bare dependence atoms were searched: each is a
-# 16-row split between a dependence atom wrapped in `&` or `|` and a
-# second dependence disjunct.
+# only splits between two bare dependence atoms were searched, and
+# splits among other disjuncts enumerated subteams: each is a 16-row
+# split between a dependence atom wrapped in `&` or `|` and a second
+# dependence disjunct.
 SPLIT_HEAVY = [
     "(((p | dep(j, j; z)) & z) | (p & (!z | dep(f, j, f; f))))",
     "((dep(; r) & v) | dep(r, u, v; a))",
@@ -376,30 +412,24 @@ SPLIT_HEAVY = [
 def test_two_coherent_splits_are_never_enumerated(monkeypatch, text):
     f = parse_prop(text)
     expected = pd_valid_bruteforce(f, symbols(f))
-    enumerated = []
-    rest = team_eval._TeamEvaluator._or_rest
+    # the whole formula is the one choice point, decided without any
+    # subteam enumerated
+    decided = []
+    holds = team_eval._TeamEvaluator._holds
     monkeypatch.setattr(
-        team_eval._TeamEvaluator, "_or_rest", lambda *a: enumerated.append(1) or rest(*a)
+        team_eval._TeamEvaluator, "_holds", lambda self, g, team: decided.append(g) or holds(self, g, team)
     )
     assert pd_valid(f) == expected
-    assert enumerated == []
+    assert decided == [f]
 
 
 def test_splits_among_graphed_disjuncts_match_brute_force(monkeypatch):
     # Three to five disjuncts with conflict graphs, each a dependence
     # atom alone, under `&` with literals or under an absorbing `|`, are
-    # split by the search alone: enumeration is refused. Each formula
-    # runs on a random team, the full team and the full team less one
-    # row, against the brute force, which enumerates every split.
-    def refuse(*args):
-        raise AssertionError("split enumerated")
-
-    monkeypatch.setattr(team_eval._TeamEvaluator, "_or_rest", refuse)
-    widths = []
-    split = team_eval._split
-    monkeypatch.setattr(
-        team_eval, "_split", lambda graphs, rest: widths.append(len(graphs)) or split(graphs, rest)
-    )
+    # split by one search, whose program ORs them. Each formula runs on
+    # a random team, the full team and the full team less one row,
+    # against the brute force, which enumerates every split.
+    programs = _spy_searches(monkeypatch)
     rng = random.Random(23)
     dom = (p, q, r)
     full = sorted(max_team(dom).rows)
@@ -412,17 +442,34 @@ def test_splits_among_graphed_disjuncts_match_brute_force(monkeypatch):
         del near_full[rng.randrange(len(full))]
         for rows in (random_team(rng, ["p", "q", "r"], 8).rows, full, near_full):
             team = PropTeam(dom, rows)
-            verdict = pt_eval(team, f, max_split_rows=None)
+            verdict = pt_eval(team, f, max_bits=None)
             assert verdict == brute_pt(team, f), (render(f), sorted(rows))
             verdicts.add(verdict)
     assert verdicts == {True, False}
-    assert len(widths) > 150 and min(widths) >= 3
+    widths = [sum(op == team_eval._OR for op, _, _ in program) for program in programs]
+    assert len(widths) > 150 and min(widths) >= 2
+
+
+def test_nested_splits_match_brute_force():
+    # Splits of random PD formulas, themselves holding splits under `&`
+    # and `|`, on teams of up to 8 rows of three symbols.
+    rng = random.Random(53)
+    dom = ["p", "q", "r"]
+    verdicts = []
+    for _ in range(2000):
+        f = Or(random_pd_formula(rng, dom, rng.randint(1, 8)), random_pd_formula(rng, dom, rng.randint(1, 8)))
+        team = random_team(rng, dom, 8)
+        verdict = pt_eval(team, f, max_bits=None)
+        assert verdict == brute_pt(team, f), (render(f), sorted(team.rows))
+        verdicts.append(verdict)
+    assert 200 < verdicts.count(False) < 1800
 
 
 def test_a_long_conjunction_splits_without_recursion():
-    # The conflict graph of a 3000-conjunct chain is built on a fold, so
-    # the split never recurses into the chain; its repeated pairs need
-    # one bit each. The chain alternates the two conjuncts of `short`.
+    # The program of a 3000-conjunct chain is built on an explicit
+    # stack, so the split never recurses into the chain; conjuncts on
+    # one team share their bits, so its repeated atoms need one slot
+    # each. The chain alternates the two conjuncts of `short`.
     short = Or(Dep((p,), q), And(Dep((), p), Dep((q,), r)))
     chain = Dep((), p)
     for i in range(2999):
@@ -446,7 +493,7 @@ def test_a_flat_formula_keeps_one_mask_per_node():
     assert ev.eval(f, ev.full) is False
     assert ev.flat.keys() == set(walk(f))
     assert None not in ev.flat.values()
-    assert ev.memo == ev.chain == ev.graph == {}
+    assert ev.chain == ev.pairs == {}
 
 
 def test_formulas_sharing_subtrees_enter_each_node_once(monkeypatch):
@@ -463,7 +510,26 @@ def test_formulas_sharing_subtrees_enter_each_node_once(monkeypatch):
     assert len(entered) == len(set(entered)) == len(set(walk(f)) | set(walk(g)))
 
 
+def test_a_shared_subformula_is_decided_once_per_team(monkeypatch):
+    # 2^16 occurrences of one split on 16 nested `&` of a node with
+    # itself: the walk visits each conjunction once per team, and the
+    # split is one choice point
+    decided = []
+    holds = team_eval._TeamEvaluator._holds
+    monkeypatch.setattr(
+        team_eval._TeamEvaluator, "_holds", lambda self, g, team: decided.append(g) or holds(self, g, team)
+    )
+    split = Or(Dep((), p), Dep((), q))
+    f = split
+    for _ in range(16):
+        f = And(f, f)
+    assert pt_eval(max_team((p, q)), f) is False
+    assert pt_eval(PropTeam((p, q), [(0, 0), (0, 1), (1, 1)]), f) is True
+    assert decided == [split, split]
+
+
 def test_a_dependence_atom_has_its_graph_on_entry():
+    # its conflict graph is its pairs: no member fails a dependence atom
     # over (p, q, r) member a is the assignment a in binary, p first
     p_true = 0b11110000
     q_true = 0b11001100
@@ -471,9 +537,8 @@ def test_a_dependence_atom_has_its_graph_on_entry():
     for f in (Dep((p,), q), MDep((Atom(p),), Atom(q))):
         ev = _full_team_evaluator()
         _fold(f, ev._add, ev.flat)
-        assert ev.flat[f] is None and ev.memo == {f: {}}
-        failing, graph_pairs = ev.graph[f]
-        assert failing == 0 and set(graph_pairs) == pairs
+        assert ev.flat[f] is None and set(ev.pairs) == {f}
+        assert set(ev.pairs[f]) == pairs
 
 
 teams_2 = st.lists(
@@ -500,16 +565,16 @@ def pd_formulas(draw, depth=0):
 @settings(max_examples=200, deadline=None)
 def test_downward_closure_property(rows, f):
     team = T(["p", "q"], rows)
-    if not pt_eval(team, f, max_split_rows=None):
+    if not pt_eval(team, f, max_bits=None):
         return
     ordered = sorted(team.rows)
     for mask in range(1 << len(ordered)):
         sub = [row for i, row in enumerate(ordered) if mask >> i & 1]
-        assert pt_eval(T(["p", "q"], sub), f, max_split_rows=None)
+        assert pt_eval(T(["p", "q"], sub), f, max_bits=None)
 
 
 @given(teams_2, pd_formulas())
 @settings(max_examples=200, deadline=None)
 def test_team_truth_matches_oracle(rows, f):
     team = T(["p", "q"], rows)
-    assert pt_eval(team, f, max_split_rows=None) == brute_pt(team, f)
+    assert pt_eval(team, f, max_bits=None) == brute_pt(team, f)

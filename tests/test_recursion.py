@@ -1,6 +1,6 @@
 """Which library functions call themselves.
 
-README's "Deep nesting" says which passes still recurse; every other
+README's "Deep nesting" says which pass still recurses; every other
 pass keeps its own stack. This test reads `src/teamlogic/*.py` with
 `ast` and lists the functions that call themselves directly: a module
 function calling its own name, or a method calling `self.<its name>`.
@@ -12,6 +12,19 @@ import ast
 from pathlib import Path
 
 import teamlogic
+from teamlogic import (
+    And,
+    Atom,
+    Box,
+    Dep,
+    KripkeStructure,
+    MDep,
+    PropSymbol,
+    PropTeam,
+    max_team,
+    mt_eval,
+    pt_eval,
+)
 
 SRC = Path(teamlogic.__file__).parent
 
@@ -50,8 +63,24 @@ def _self_recursive() -> list[str]:
 
 
 def test_only_the_known_passes_recurse():
-    assert sorted(_self_recursive()) == [
-        "team_eval._TeamEvaluator._eval",
-        "team_eval._TeamEvaluator._or_rest",
-        "translate._tableau",
-    ]
+    assert sorted(_self_recursive()) == ["translate._tableau"]
+
+
+def test_team_truth_of_deep_formulas_gets_a_verdict():
+    # The team evaluator walks its formula on an explicit stack, so
+    # depth past the recursion limit costs no recursion: 2000 boxes
+    # around a dependence atom, and a chain of 3000 of them.
+    p = PropSymbol("p")
+    boxed = MDep((), Atom(p))
+    for _ in range(2000):
+        boxed = Box(boxed)
+    m = KripkeStructure(["a", "b"], [("a", "b"), ("b", "a"), ("b", "b")], {p: {"a"}})
+    # the image of {a} is {b}, then {a, b} for good
+    assert mt_eval(m, {"a"}, boxed) is False
+    assert mt_eval(m, {"a"}, boxed.child) is False
+    assert mt_eval(m, {"b"}, MDep((), Atom(p))) is True
+    chain = Dep((), p)
+    for _ in range(2999):
+        chain = And(chain, Dep((), p))
+    assert pt_eval(max_team([p]), chain) is False
+    assert pt_eval(PropTeam([p], [(1,)]), chain) is True

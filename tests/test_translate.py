@@ -297,11 +297,11 @@ def test_translation_equivalence_spot_checks():
         g = emdl_to_mliv(f)
         m = random_model(rng, rng.randint(1, 3), [p, q])
         team = random_subteam(rng, m.worlds)
-        a = mt_eval(m, team, f, max_split_rows=None)
-        b = mt_eval(m, team, g, max_split_rows=None)
+        a = mt_eval(m, team, f, max_bits=None)
+        b = mt_eval(m, team, g, max_bits=None)
         assert a == b, render(f)
         c = any(
-            mt_eval(m, team, sel_f, max_split_rows=None)
+            mt_eval(m, team, sel_f, max_bits=None)
             for _, sel_f in eliminate_idis(g)
         )
         assert a == c, render(f)
@@ -540,14 +540,13 @@ def test_replay_splits_two_coherent_disjuncts_by_search(monkeypatch):
     # Each formula splits a team of 64 or more worlds between two
     # disjuncts with conflict graphs, a dependence atom against a
     # conjunction with a boxed one or a doubly boxed one. Enumerating
-    # those splits ran out of memory or past 20 s; with enumeration
-    # refused, both must reach a verdict by the graph search. The teams are eight
-    # copies of each world of a small random structure, so the
-    # representatives `brute_mt` judges are few.
-    def refuse(*args):
-        raise AssertionError("split enumerated")
-
-    monkeypatch.setattr(team_eval._TeamEvaluator, "_or_rest", refuse)
+    # those splits ran out of memory or past 20 s; both must reach a
+    # verdict by one search each. The teams are eight copies of each
+    # world of a small random structure, so the representatives
+    # `brute_mt` judges are few.
+    searched = []
+    search = team_eval._search
+    monkeypatch.setattr(team_eval, "_search", lambda *a: searched.append(1) or search(*a))
     formulas = [
         parse_modal(text)
         for text in (
@@ -567,10 +566,31 @@ def test_replay_splits_two_coherent_disjuncts_by_search(monkeypatch):
         )
         assert len(m.worlds) >= 64
         for f in formulas:
-            verdict = mt_eval(m, m.worlds, f, max_split_rows=None)
+            verdict = mt_eval(m, m.worlds, f, max_bits=None)
             assert verdict == brute_mt(m, bisim_representatives(m, m.worlds, f), f)
             seen.add(verdict)
     assert seen == {True, False}
+    assert searched
+
+
+def test_a_fourteen_ior_unfolding_replays_by_search():
+    # The unfolding has 14 `ior`, each atom an `|` of disjuncts
+    # `pattern & (t ior !t)`, and the replay splits the team of 15 roots
+    # of a 46-world countermodel between them. Enumerating that split
+    # took 26 s; the countermodel refutes every selection of the
+    # unfolding at one of the roots.
+    f = parse_modal(
+        "(((dep((p & q), <>q; (!r & p)) & (!r & dep((p | p), (r & r); []p)))"
+        " | dep((q & !r); []!p)) | dep((!r | p), []q; (r | q)))"
+    )
+    g = emdl_to_mliv(f)
+    assert count_idis(g) == 14
+    res = emdl_valid(f)
+    assert isinstance(res, Invalid) and res.checked == 15
+    roots = sorted(res.team)
+    assert len(roots) == 15
+    for _, sel in eliminate_idis(g):
+        assert any(not _bml_point(res.model, t, sel) for t in roots)
 
 
 def test_uncapped_emdl_decisions_are_certified():
