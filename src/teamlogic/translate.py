@@ -26,10 +26,11 @@ One decision does its shared work once. Formula nodes are interned, so
 the selections of one formula share every subtree no `ior` sits in,
 and with it the values each node keeps (rendering, symbols,
 non-Boolean subformulas) and the duals taken of it. Their tableaux
-share one memo of formula sets; an entry depends on its formula set
-alone, so the verdicts and countermodels are those of a fresh memo per
-selection, and a formula set hashes and compares its members by
-identity. A refuted selection leaves a piece on integer worlds, its
+share one index, a bit for each formula met, and one memo of formula
+sets as integers over it; an entry depends on its formula set alone,
+so the verdicts and countermodels are those of a fresh memo per
+selection. The selection filter compiles `f` once into a post-order
+program and runs it on each piece. A refuted selection leaves a piece on integer worlds, its
 filtration computed from the pointwise masks of one team evaluator
 over those worlds, and the pieces become one `KripkeStructure` with
 string world names, built once per decision with the names a chain of
@@ -60,7 +61,6 @@ from .formula import (
     Formula,
     IDis,
     MDep,
-    NegAtom,
     Or,
     _Value,
     _admit,
@@ -253,45 +253,171 @@ class _TableauNode:
         self.children = children
 
 
+class _Index:
+    """The formulas the tableaux of one decision have met, one bit each.
+
+    A formula set is the int of its members' bits, and `bit` maps each
+    formula to its own. For the formula of bit 1 << i, `form[i]` is the
+    formula, `text[i]` its rendering and `part[i]` what the tableau
+    reads of it, filled on first reading (`read`): the bits of both
+    conjuncts as one int, the pair of the disjuncts' bits, the child's
+    bit for a box, (the child's rendering, its bit) for a diamond, and
+    (symbol, polarity) for a literal. `junctions` is the mask of the
+    conjunctions and disjunctions.
+    """
+
+    __slots__ = ("bit", "form", "text", "part", "junctions")
+
+    def __init__(self):
+        self.bit: dict = {}
+        self.form: list = []
+        self.text: list = []
+        self.part: list = []
+        self.junctions = 0
+
+    def enter(self, fs) -> int:
+        """The set `fs` as an int. Rendering its members renders every
+        formula the tableau can meet from it."""
+        s = 0
+        for f in fs:
+            render(f)
+            s |= self.of(f)
+        return s
+
+    def of(self, g: Formula) -> int:
+        """The bit of `g`, a new one if `g` was not met yet."""
+        b = self.bit.get(g)
+        if b is None:
+            b = self.bit[g] = 1 << len(self.form)
+            self.form.append(g)
+            self.text.append(g._text)
+            self.part.append(None)
+            if type(g) is And or type(g) is Or:
+                self.junctions |= b
+        return b
+
+    def read(self, i: int):
+        """`part[i]`, filled now; its parts get their bits."""
+        g = self.form[i]
+        cls = type(g)
+        if cls is And:
+            p = self.of(g.left) | self.of(g.right)
+        elif cls is Or:
+            p = (self.of(g.left), self.of(g.right))
+        elif cls is Diamond:
+            p = (g.child._text, self.of(g.child))
+        elif cls is Box:
+            p = self.of(g.child)
+        else:
+            p = (g.sym, cls is Atom)
+        self.part[i] = p
+        return p
+
+
 def _tableau(fs: frozenset, memo: dict) -> _TableauNode | None:
     """Satisfiability of a set of plain modal formulas, as a model or None.
 
-    Conjunctions expand, disjunctions branch left first, and a fully
-    expanded set spawns one child per diamond, carrying every boxed
-    formula along. Memoizing on the formula set makes repeated subgoals
-    free and shares submodels, so the result is a DAG.
+    The pick is the least rendering among the set's conjunctions and
+    disjunctions: a conjunction expands, a disjunction branches left
+    first. A fully expanded set with a clash of literals is closed;
+    otherwise it spawns one child per diamond, in the order of their
+    children's renderings, each carrying every boxed formula along.
+
+    Sets are ints over the bits of `memo[None]`, an `_Index`, and every
+    set met is memoized, so repeated subgoals are free and submodels are
+    shared: the result is a DAG. An explicit stack stands in for
+    recursion: `pending` lists the sets awaiting the result of the set
+    `s` under way, and a frame is an open disjunction, (the sets
+    awaiting it, its right branch), or a node whose children are under
+    way, [the sets awaiting it, the node, the child sets still to do,
+    the children so far].
     """
-    if fs in memo:
-        return memo[fs]
-    pick = min((x for x in fs if isinstance(x, (And, Or))), key=render, default=None)
-    if isinstance(pick, And):
-        result = _tableau(fs - {pick} | {pick.left, pick.right}, memo)
-    elif isinstance(pick, Or):
-        result = _tableau(fs - {pick} | {pick.left}, memo)
-        if result is None:
-            result = _tableau(fs - {pick} | {pick.right}, memo)
-    else:
-        positive = {x.sym for x in fs if isinstance(x, Atom)}
-        negative = {x.sym for x in fs if isinstance(x, NegAtom)}
-        if positive & negative:
-            result = None
-        else:
-            boxed = [x.child for x in fs if isinstance(x, Box)]
-            children = []
-            result_literals = frozenset(
-                {(s, True) for s in positive} | {(s, False) for s in negative}
-            )
-            result = _TableauNode(result_literals, ())
-            for g in sorted((x.child for x in fs if isinstance(x, Diamond)), key=render):
-                child = _tableau(frozenset([g, *boxed]), memo)
-                if child is None:
-                    result = None
+    index = memo.get(None)
+    if index is None:
+        index = memo[None] = _Index()
+    s = index.enter(fs)
+    text, part, junctions = index.text, index.part, index.junctions
+    frames: list = []
+    pending: list = []
+    while True:
+        # expand `s` until its result is known
+        while True:
+            result = memo.get(s, memo)  # `memo` itself: `s` not met yet
+            if result is not memo:
+                break
+            pending.append(s)
+            c = s & junctions
+            if c:
+                pick = c & -c
+                least = text[pick.bit_length() - 1]
+                c ^= pick
+                while c:
+                    low = c & -c
+                    c ^= low
+                    t = text[low.bit_length() - 1]
+                    if t < least:
+                        pick, least = low, t
+                s ^= pick
+                i = pick.bit_length() - 1
+                branches = part[i]
+                if branches is None:
+                    branches = index.read(i)
+                    junctions = index.junctions
+                if type(branches) is int:
+                    s |= branches
+                    continue
+                frames.append((pending, s | branches[1]))
+                pending = []
+                s |= branches[0]
+                continue
+            # saturated: literals, diamonds and boxes are left
+            lits, kids, boxed = [], [], 0
+            for i in _bits(s):
+                p = part[i]
+                if p is None:
+                    p = index.read(i)
+                    junctions = index.junctions
+                if type(p) is int:
+                    boxed |= p
+                elif type(p[0]) is str:
+                    kids.append(p)
+                else:
+                    lits.append(p)
+            if len({sym for sym, _ in lits}) < len(lits):
+                result = None
+                break
+            node = _TableauNode(frozenset(lits), ())
+            if not kids:
+                result = node
+                break
+            kids.sort()
+            todo = [child | boxed for _, child in reversed(kids)]
+            frames.append([pending, node, todo, []])
+            pending = []
+            s = todo.pop()
+        # hand `result` out until a frame has more to do
+        while True:
+            for t in pending:
+                memo[t] = result
+            if not frames:
+                return result
+            frame = frames.pop()
+            if type(frame) is tuple:
+                pending, right = frame
+                if result is None:
+                    s = right
                     break
-                children.append(child)
-            if result is not None:
-                result.children = tuple(children)
-    memo[fs] = result
-    return result
+            else:
+                pending, node, todo, children = frame
+                if result is not None:
+                    children.append(result)
+                    if todo:
+                        frames.append(frame)
+                        pending = []
+                        s = todo.pop()
+                        break
+                    node.children = tuple(children)
+                    result = node
 
 
 def _ml_valid(f: Formula, memo: dict, duals: dict) -> tuple | None:
@@ -386,62 +512,44 @@ def _merge(pieces: list[tuple], syms) -> tuple[KripkeStructure, list[str]]:
     return KripkeStructure(worlds, edges, valuation), roots
 
 
-def _holding(f: Formula, piece: tuple, syms, cols: dict, full: int) -> int:
+def _holding(f: Formula, piece: tuple, syms, cols: dict, full: int, program: list) -> int:
     """The selections of `f` that hold pointwise at the root of `piece`,
     as a mask over selection numbers (bit s for selection s).
 
-    One pass over `f` gives each node, at the position of its first
-    `ior`, one selection mask per world of the piece: `ior` at position
-    i keeps its left side's mask where column `cols[i]` is 0 and its
-    right side's where it is 1, `&` and `|` are AND and OR, and the
-    diamond and the box are OR and AND over the successors. A subtree
-    without `ior` is the same in every selection, so its mask at a world
-    is `full` or 0 by its pointwise truth there, read from one team
-    evaluator over the piece. Symbols of `syms` the piece lacks are
-    false everywhere, as in the merged structure. Values are keyed by
-    node and position, since one interned node can sit at several
-    positions; an explicit stack stands in for recursion.
+    Each node of `f` gets one selection mask per world of the piece:
+    `ior` at position i keeps its left side's mask where column
+    `cols[i]` is 0 and its right side's where it is 1, `&` and `|` are
+    AND and OR, and the diamond and the box are OR and AND over the
+    successors. A subtree without `ior` is the same in every selection,
+    so its mask at a world is `full` or 0 by its pointwise truth there,
+    read from one team evaluator over the piece. Symbols of `syms` the
+    piece lacks are false everywhere, as in the merged structure.
+
+    `program`, kept by the caller for the pieces of one decision, is
+    filled on the first call (`_compile_holding`) and run on each.
     """
+    if not program:
+        _compile_holding(f, program)
     succ, valuation = piece
     n = len(succ)
     ev = _TeamEvaluator(n, {**dict.fromkeys(syms, 0), **valuation}, succ, None)
-    vals: dict = {}
-    todo = [(f, 0)]
-    while todo:
-        key = todo[-1]
-        if key in vals:
-            todo.pop()
-            continue
-        x, pos = key
-        if not x._nior:
+    vals: list = []
+    for cls, x, a, b in program:
+        if cls is None:
             m = ev.point_mask(x)
-            vals[key] = [full if m >> w & 1 else 0 for w in range(n)]
-            todo.pop()
-            continue
-        if isinstance(x, IDis):
-            kids = ((x.left, pos + 1), (x.right, pos + 1 + x.left._nior))
-        elif isinstance(x, (And, Or)):
-            kids = ((x.left, pos), (x.right, pos + x.left._nior))
+            vals.append([full if m >> w & 1 else 0 for w in range(n)])
+        elif cls is IDis:
+            r = cols[x]
+            vals.append([u & ~r | v & r for u, v in zip(vals[a], vals[b])])
+        elif cls is And:
+            vals.append([u & v for u, v in zip(vals[a], vals[b])])
+        elif cls is Or:
+            vals.append([u | v for u, v in zip(vals[a], vals[b])])
         else:
-            kids = ((x.child, pos),)
-        missing = [k for k in kids if k not in vals]
-        if missing:
-            todo += missing
-            continue
-        todo.pop()
-        if isinstance(x, IDis):
-            left, right = (vals[k] for k in kids)
-            r = cols[pos]
-            vals[key] = [a & ~r | b & r for a, b in zip(left, right)]
-        elif isinstance(x, And):
-            vals[key] = [a & b for a, b in zip(*(vals[k] for k in kids))]
-        elif isinstance(x, Or):
-            vals[key] = [a | b for a, b in zip(*(vals[k] for k in kids))]
-        else:
-            child = vals[kids[0]]
+            child = vals[a]
             out = []
             for vs in succ:
-                if isinstance(x, Diamond):
+                if cls is Diamond:
                     acc = 0
                     for v in vs:
                         acc |= child[v]
@@ -450,8 +558,36 @@ def _holding(f: Formula, piece: tuple, syms, cols: dict, full: int) -> int:
                     for v in vs:
                         acc &= child[v]
                 out.append(acc)
-            vals[key] = out
-    return vals[f, 0][0]
+            vals.append(out)
+    return vals[-1][0]
+
+
+def _compile_holding(f: Formula, program: list) -> None:
+    """Fill `program` with the steps of `_holding` for `f`, one per
+    occurrence of a node, in post-order from an explicit stack, the
+    root's last: `(None, g, 0, 0)` for a subtree g without `ior`, and
+    for a node with `ior`, whose first `ior` is at position i,
+    `(IDis, i, a, b)`, `(And, i, a, b)`, `(Or, i, a, b)`,
+    `(Diamond, i, a, 0)` or `(Box, i, a, 0)`, where a and b number the
+    steps of its parts.
+    """
+    done: list = []  # the steps of the finished subtrees, in order
+    todo: list = [(f, 0, False)]
+    while todo:
+        x, pos, ready = todo.pop()
+        cls = type(x)
+        if not x._nior:
+            done.append(len(program))
+            program.append((None, x, 0, 0))
+        elif ready:
+            b = done.pop() if cls is not Diamond and cls is not Box else 0
+            program.append((cls, pos, done.pop(), b))
+            done.append(len(program) - 1)
+        elif cls is Diamond or cls is Box:
+            todo += ((x, pos, True), (x.child, pos, False))
+        else:
+            first = pos + (cls is IDis)
+            todo += ((x, pos, True), (x.right, first + x.left._nior, False), (x.left, first, False))
 
 
 def ml_valid(f: Formula) -> Valid | Invalid:
@@ -527,6 +663,7 @@ def _mliv_valid(
     chosen: dict = {}
     refuted: dict[Formula, tuple] = {}
     s, open_, cols = 0, None, None
+    program: list = []
     while True:
         choices = tuple("R" if s >> (m - 1 - i) & 1 else "L" for i in range(m))
         candidate = _select(f, choices, chosen)
@@ -540,7 +677,7 @@ def _mliv_valid(
         if open_:
             if cols is None:
                 cols = _full_team_columns(range(m))
-            open_ &= _holding(f, piece, syms, cols, full)
+            open_ &= _holding(f, piece, syms, cols, full, program)
         if not open_:
             break
         s = (open_ & -open_).bit_length() - 1

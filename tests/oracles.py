@@ -9,7 +9,11 @@ exceptions say what they share. `pd_valid_bruteforce` checks the
 package's team evaluator on every team to cross-check that validity
 needs only the team of all assignments. The reference countermodels for
 `ml_valid` and `mliv_valid` take the package's tableau as given and
-rebuild everything after it on string worlds. `dqbf_least_witness_kleene`
+rebuild everything after it on string worlds. `reference_tableau` and
+`reference_holding` judge the package's tableau and selection filter:
+they are the same procedures as plain recursion over frozensets and
+nodes, building the package's `_TableauNode` and reading masks from its
+team evaluator. `dqbf_least_witness_kleene`
 runs the package's three-valued matrix evaluation under the plain prefix
 search, without `dqbf_eval`'s propagation. Corpus generators enumerate
 formula spaces bottom up by AST size.
@@ -39,12 +43,15 @@ from teamlogic import (
     Or,
     PropSymbol,
     PropTeam,
+    count_idis,
     is_pure_ml,
+    render,
     symbols,
     walk,
 )
 from teamlogic.formula import _admit, _as_symbol
 from teamlogic.team_eval import _TeamEvaluator
+from teamlogic.translate import _TableauNode
 
 
 # ---------------------------------------------------------------------------
@@ -1121,6 +1128,100 @@ def ml_valid_small_models(
 
 # ---------------------------------------------------------------------------
 # reference countermodels for `ml_valid` and `mliv_valid`
+
+
+def reference_tableau(fs: frozenset, memo: dict):
+    """The package's tableau written as plain recursion over frozensets,
+    a judge of `translate._tableau`: the same model DAG, node for node,
+    or None.
+
+    The pick is the least rendering among the set's conjunctions and
+    disjunctions: a conjunction expands, a disjunction branches left
+    first. A set without either is refuted by a clash of literals, or
+    spawns one child per diamond in the order of their children's
+    renderings, each carrying every boxed formula along. `memo` maps
+    every set met to its result, so repeated subgoals share submodels.
+    """
+    if fs in memo:
+        return memo[fs]
+    pick = min((x for x in fs if isinstance(x, (And, Or))), key=render, default=None)
+    if isinstance(pick, And):
+        result = reference_tableau(fs - {pick} | {pick.left, pick.right}, memo)
+    elif isinstance(pick, Or):
+        result = reference_tableau(fs - {pick} | {pick.left}, memo)
+        if result is None:
+            result = reference_tableau(fs - {pick} | {pick.right}, memo)
+    else:
+        positive = {x.sym for x in fs if isinstance(x, Atom)}
+        negative = {x.sym for x in fs if isinstance(x, NegAtom)}
+        if positive & negative:
+            result = None
+        else:
+            boxed = [x.child for x in fs if isinstance(x, Box)]
+            children = []
+            result_literals = frozenset(
+                {(s, True) for s in positive} | {(s, False) for s in negative}
+            )
+            result = _TableauNode(result_literals, ())
+            for g in sorted((x.child for x in fs if isinstance(x, Diamond)), key=render):
+                child = reference_tableau(frozenset([g, *boxed]), memo)
+                if child is None:
+                    result = None
+                    break
+                children.append(child)
+            if result is not None:
+                result.children = tuple(children)
+    memo[fs] = result
+    return result
+
+
+def reference_holding(f: Formula, piece: tuple, syms, cols: dict, full: int) -> int:
+    """The selections of the `ior` formula `f` that hold pointwise at
+    the root of `piece`, as a mask over selection numbers: a judge of
+    `translate._holding`, recursing over `f` with one value per node and
+    `ior` position.
+
+    A value is one selection mask per world of the piece. `ior` at
+    position i keeps its left side's mask where column `cols[i]` is 0
+    and its right side's where it is 1, `&` and `|` are AND and OR, the
+    diamond and the box are OR and AND over the successors, and a
+    subtree without `ior` is `full` or 0 by its pointwise truth there.
+    Symbols of `syms` the piece lacks are false everywhere.
+    """
+    succ, valuation = piece
+    n = len(succ)
+    ev = _TeamEvaluator(n, {**dict.fromkeys(syms, 0), **valuation}, succ, None)
+
+    def value(x: Formula, pos: int) -> list[int]:
+        if not count_idis(x):
+            m = ev.point_mask(x)
+            return [full if m >> w & 1 else 0 for w in range(n)]
+        if isinstance(x, IDis):
+            left = value(x.left, pos + 1)
+            right = value(x.right, pos + 1 + count_idis(x.left))
+            r = cols[pos]
+            return [a & ~r | b & r for a, b in zip(left, right)]
+        if isinstance(x, (And, Or)):
+            left = value(x.left, pos)
+            right = value(x.right, pos + count_idis(x.left))
+            if isinstance(x, And):
+                return [a & b for a, b in zip(left, right)]
+            return [a | b for a, b in zip(left, right)]
+        child = value(x.child, pos)
+        out = []
+        for vs in succ:
+            if isinstance(x, Diamond):
+                acc = 0
+                for v in vs:
+                    acc |= child[v]
+            else:
+                acc = full
+                for v in vs:
+                    acc &= child[v]
+            out.append(acc)
+        return out
+
+    return value(f, 0)[0]
 
 
 def reference_tableau_model(root, syms) -> tuple[KripkeStructure, str]:

@@ -219,10 +219,27 @@ def test_deep_nesting_gets_a_verdict(capsys):
     code, out, err = run_cli(capsys, "sat", "--nonempty", chain)
     team = '{"domain": ["p"], "rows": [[0]]}'
     assert (code, out.splitlines(), err) == (0, ["sat", team], "")
+    # nor the tableau, one expansion per box, conjunct or disjunct
+    for logic in ("ml", "emdl"):
+        code, out, err = run_cli(capsys, "valid", "--logic", logic, "[]" * 2000 + "(p | !p)")
+        assert (code, out.strip(), err) == (0, "valid", "")
+    for text in (
+        " & ".join(f"(p{i} | q{i})" for i in range(1000)),
+        " | ".join(f"(p{i} & q{i})" for i in range(800)),
+    ):
+        code, out, err = run_cli(capsys, "valid", "--logic", "ml", text)
+        assert (code, out.splitlines()[0], err) == (1, "invalid", "")
 
 
-def test_recursion_past_the_limit_is_an_internal_error(capsys):
-    # the tableau still recurses, one level per box
+def test_recursion_past_the_limit_is_an_internal_error(capsys, monkeypatch):
+    # no pass recurses any more, so a library call is made to raise as
+    # one past the limit would, deep inside the decision
+    import teamlogic.translate as translate
+
+    def too_deep(fs, memo):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(translate, "_tableau", too_deep)
     code, out, err = run_cli(capsys, "valid", "--logic", "ml", "[]" * 2000 + "p")
     assert code == 4
     assert out == ""

@@ -1,11 +1,14 @@
-"""Which library functions call themselves.
+"""No library function recurses.
 
-README's "Deep nesting" says which pass still recurses; every other
-pass keeps its own stack. This test reads `src/teamlogic/*.py` with
-`ast` and lists the functions that call themselves directly: a module
-function calling its own name, or a method calling `self.<its name>`.
-Mutual recursion, such as `_eval` → `_eval_or` → `_eval`, is not
-detected.
+README's "Deep nesting" says every pass keeps its own stack. This test
+reads `src/teamlogic/*.py` with `ast` and builds the call graph by name
+of the top-level functions and the methods: a call of a bare name goes
+to the top-level function of that name in the same module, else to
+those of that name in the other modules, which is how imported
+functions are called here; a call of `self.<name>` goes to the method of
+that name in the same class. A function on a cycle of that graph, one
+calling itself included, may recurse. Calls through other names, such
+as a function passed as an argument, are not followed.
 """
 
 import ast
@@ -27,43 +30,81 @@ from teamlogic import (
 )
 
 SRC = Path(teamlogic.__file__).parent
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _calls_itself(func: ast.AST, method: bool) -> bool:
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Call):
-            continue
-        callee = node.func
-        if method:
-            if (
-                isinstance(callee, ast.Attribute)
-                and isinstance(callee.value, ast.Name)
-                and callee.value.id == "self"
-                and callee.attr == func.name
-            ):
-                return True
-        elif isinstance(callee, ast.Name) and callee.id == func.name:
-            return True
-    return False
-
-
-def _self_recursive() -> list[str]:
-    found = []
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for top in tree.body:
-            if isinstance(top, functions) and _calls_itself(top, method=False):
-                found.append(f"{path.stem}.{top.name}")
+def _call_graph(sources: dict[str, str]) -> dict[str, set[str]]:
+    """Module name -> source text, to qualified name -> the qualified
+    names it calls."""
+    defs: dict[str, tuple] = {}  # qualified name -> (node, module, class or None)
+    for module, text in sources.items():
+        for top in ast.parse(text).body:
+            if isinstance(top, FUNCTIONS):
+                defs[f"{module}.{top.name}"] = (top, module, None)
             elif isinstance(top, ast.ClassDef):
                 for member in top.body:
-                    if isinstance(member, functions) and _calls_itself(member, method=True):
-                        found.append(f"{path.stem}.{top.name}.{member.name}")
-    return found
+                    if isinstance(member, FUNCTIONS):
+                        defs[f"{module}.{top.name}.{member.name}"] = (member, module, top.name)
+    graph = {}
+    for name, (func, module, cls) in defs.items():
+        callees = set()
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if isinstance(callee, ast.Name):
+                local = f"{module}.{callee.id}"
+                if local in defs:
+                    callees.add(local)
+                else:
+                    callees |= {
+                        d for d, (_, _, c) in defs.items()
+                        if c is None and d.rsplit(".", 1)[1] == callee.id
+                    }
+            elif (
+                cls is not None
+                and isinstance(callee, ast.Attribute)
+                and isinstance(callee.value, ast.Name)
+                and callee.value.id == "self"
+                and f"{module}.{cls}.{callee.attr}" in defs
+            ):
+                callees.add(f"{module}.{cls}.{callee.attr}")
+        graph[name] = callees
+    return graph
+
+
+def _on_cycles(graph: dict[str, set[str]]) -> list[str]:
+    """The functions that can reach themselves in `graph`."""
+    found = []
+    for name in graph:
+        seen, todo = set(), list(graph[name])
+        while todo:
+            g = todo.pop()
+            if g not in seen:
+                seen.add(g)
+                todo += graph[g]
+        if name in seen:
+            found.append(name)
+    return sorted(found)
+
+
+def test_the_cycle_finder_sees_direct_and_mutual_recursion():
+    sources = {
+        "a": "def f(x):\n    return f(x)\n\ndef g():\n    return h()\n",
+        "b": (
+            "def h():\n    return g()\n\ndef leaf():\n    return len([])\n\n"
+            "class C:\n    def m(self):\n        return self.n()\n\n"
+            "    def n(self):\n        return self.m()\n\n"
+            "    def o(self):\n        return leaf()\n"
+        ),
+    }
+    assert _on_cycles(_call_graph(sources)) == ["a.f", "a.g", "b.C.m", "b.C.n", "b.h"]
 
 
 def test_only_the_known_passes_recurse():
-    assert sorted(_self_recursive()) == ["translate._tableau"]
+    # there are none left: every pass keeps its own stack
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _on_cycles(_call_graph(sources)) == []
 
 
 def test_team_truth_of_deep_formulas_gets_a_verdict():

@@ -48,8 +48,10 @@ from oracles import (
     random_ml_formula,
     random_mliv_formula,
     random_model,
+    reference_holding,
     reference_mliv_valid,
     reference_ml_countermodel,
+    reference_tableau,
     reference_tableau_model,
 )
 
@@ -517,23 +519,111 @@ def test_mliv_countermodels_match_the_reference_construction():
 
 
 def test_selections_share_one_tableau_memo(monkeypatch):
-    # three tableaux, whose boxed subgoals the later ones find in the memo
+    # three tableaux, whose boxed subgoals the later ones find in the
+    # memo: the shared memo keeps fewer sets than fresh ones would
     f = parse_modal("(!r | ((q ior q) | !q) ior !r) & [] [] (q ior !p | !q ior q | (!p | r))")
     assert count_idis(f) == 4
     calls = []
     tableau = translate._tableau
 
-    def counting(fs, memo):
-        calls.append(fs)
+    def recording(fs, memo):
+        calls.append((fs, memo))
         return tableau(fs, memo)
 
-    monkeypatch.setattr(translate, "_tableau", counting)
+    monkeypatch.setattr(translate, "_tableau", recording)
     res = mliv_valid(f)
-    shared = len(calls)
-    calls.clear()
-    want = _mliv_reference(f)
-    assert isinstance(res, Invalid) and _same_verdict(res, want)
-    assert shared < len(calls)
+    monkeypatch.undo()
+    assert isinstance(res, Invalid) and _same_verdict(res, _mliv_reference(f))
+    assert len(calls) == 3
+    (memo,) = {id(memo): memo for _, memo in calls}.values()
+    fresh = 0
+    for fs, _ in calls:
+        alone: dict = {}
+        tableau(fs, alone)
+        fresh += len(alone) - 1  # the index is no set
+    assert len(memo) - 1 < fresh
+
+
+def _same_dags(pairs) -> bool:
+    """Whether each (tableau, reference) pair of results is one model
+    DAG: the same literals and children in order, with one node of each
+    for one of the other across all pairs, so sharing is the same."""
+    ours: dict = {}
+    theirs: dict = {}
+    todo = list(pairs)
+    while todo:
+        a, b = todo.pop()
+        if a is None or b is None:
+            if a is not b:
+                return False
+            continue
+        if id(a) in ours or id(b) in theirs:
+            if ours.get(id(a)) != id(b) or theirs.get(id(b)) != id(a):
+                return False
+            continue
+        ours[id(a)], theirs[id(b)] = id(b), id(a)
+        if a.literals != b.literals or len(a.children) != len(b.children):
+            return False
+        todo += zip(a.children, b.children)
+    return True
+
+
+def test_tableau_matches_the_recursive_reference():
+    # every selection of each formula, on one memo per formula as in a
+    # decision, and now and then two formulas at once
+    rng = random.Random(89)
+    opened = closed = shared = 0
+    for _ in range(800):
+        f = random_mliv_formula(rng, ["p", "q", "r"], rng.randint(3, 30), rng.randint(0, 3))
+        if count_idis(f) > 5:
+            continue
+        memo: dict = {}
+        ref_memo: dict = {}
+        pairs = []
+        for _, g in eliminate_idis(f):
+            fs = frozenset([dual(g)])
+            if rng.random() < 0.2:
+                fs |= {dual(random_ml_formula(rng, ["p", "q"], rng.randint(1, 6), 2))}
+            pairs.append((translate._tableau(fs, memo), reference_tableau(fs, ref_memo)))
+            opened += pairs[-1][1] is not None
+            closed += pairs[-1][1] is None
+        assert _same_dags(pairs), render(f)
+        assert len(memo) - 1 == len(ref_memo), render(f)
+        # a node that several sets lead to
+        nodes = [t for t in ref_memo.values() if t is not None]
+        shared += len(nodes) > len(set(map(id, nodes)))
+    assert opened > 1000 and closed > 100 and shared > 200
+
+
+def _random_piece(rng, syms):
+    n = rng.randint(1, 5)
+    succ = [[v for v in range(n) if rng.random() < 0.4] for _ in range(n)]
+    valuation = {PropSymbol(s): rng.getrandbits(n) for s in syms if rng.random() < 0.8}
+    return succ, valuation
+
+
+def test_holding_matches_the_recursive_reference():
+    # one program per formula, run on the pieces of its decision and
+    # on random ones, some lacking symbols of the formula
+    rng = random.Random(97)
+    seen = set()
+    for _ in range(200):
+        f = random_mliv_formula(rng, ["p", "q", "r"], rng.randint(3, 30), rng.randint(0, 3))
+        m = count_idis(f)
+        if not 1 <= m <= 6:
+            continue
+        syms = symbols(f)
+        cols = team_eval._full_team_columns(range(m))
+        full = (1 << (1 << m)) - 1
+        pieces = [translate._ml_valid(g, {}, {}) for _, g in eliminate_idis(f)]
+        pieces = [x for x in pieces if x is not None]
+        pieces += [_random_piece(rng, ["p", "q", "r"]) for _ in range(4)]
+        program: list = []
+        for piece in pieces:
+            got = translate._holding(f, piece, syms, cols, full, program)
+            assert got == reference_holding(f, piece, syms, cols, full), render(f)
+            seen.add(got == 0 or got == full)
+    assert seen == {True, False}
 
 
 def test_replay_splits_two_coherent_disjuncts_by_search(monkeypatch):
