@@ -18,13 +18,13 @@ as the pairs of member sets that agree on every component and disagree
 on the target; a team satisfies it when it meets no pair on both sides.
 
 Evaluation walks the formula top-down on an explicit stack as far as
-the first choice point on each path: a `|` with two or more disjuncts
-that are not flat, a diamond that is not flat, or an `ior` with two
-sides that are not flat. Above it each node has one known team: `&`
-hands its own to both sides, the box its image, a `|` what its flat
-disjuncts leave to its one other disjunct, and an `ior` with a flat
-side its own to the other side, unless the flat side holds. So a flat
-node there is one subset test, and a dependence atom one test per pair.
+the first choice point on each path: a `|` or an `ior` with two sides
+that are not flat, or a diamond that is not flat. Above it each node
+has one known team: `&` hands its own to both sides, the box its
+image, a `|` with a flat side what that side leaves to the other, and
+an `ior` with a flat side its own to the other side, unless the flat
+side holds. So a flat node there is one subset test, and a dependence
+atom one test per pair.
 
 Team truth is in NP (Ebbing and Lohmann, SOFSEM 2012), and a choice
 point is decided by `_search`, the propagation search that also finds
@@ -114,10 +114,8 @@ class _TeamEvaluator:
     entered to its pointwise mask, or to None when it is not flat; it is
     the `done` of the `_fold` that enters each formula handed to `eval`
     or `point_mask`, children first through `_add`, so a node shared by
-    several formulas is entered once. Only nodes that are not flat keep
-    more: a disjunction its chain, the union of its flat disjuncts'
-    masks and its other disjuncts, left to right, and a dependence atom
-    its conflict pairs, each a (zeros, ones) couple of member masks.
+    several formulas is entered once. A dependence atom also keeps its
+    conflict pairs, each a (zeros, ones) couple of member masks.
     """
 
     def __init__(
@@ -137,7 +135,6 @@ class _TeamEvaluator:
             self.succ_mask.append(sm)
         self.max_bits = max_bits
         self.flat: dict[Formula, int | None] = {}
-        self.chain: dict[Formula, tuple[int, tuple[Formula, ...]]] = {}
         self.pairs: dict[Formula, tuple[tuple[int, int], ...]] = {}
 
     def _add(self, f: Formula, kids: tuple) -> int | None:
@@ -152,8 +149,6 @@ class _TeamEvaluator:
             ml, mr = kids
             if ml is not None and mr is not None:
                 return (ml & mr) if cls is And else (ml | mr)
-            if cls is Or:
-                self.chain[f] = self._or_chain(f)
         elif cls is Diamond or cls is Box:
             mc = kids[0]
             if mc is not None:
@@ -166,21 +161,6 @@ class _TeamEvaluator:
             # callers admit their formulas: the components are flat
             self.pairs[f] = _conflict_pairs(kids[:-1], kids[-1], self.full)
         return None
-
-    def _or_chain(self, f: Formula) -> tuple[int, tuple[Formula, ...]]:
-        """Flatten nested disjunctions: flat union, other disjuncts in order."""
-        flat_union, nonflat = 0, ()
-        for g in (f.left, f.right):
-            m = self.flat[g]
-            if m is not None:
-                flat_union |= m
-            elif type(g) is Or:
-                union, rest = self.chain[g]
-                flat_union |= union
-                nonflat += rest
-            else:
-                nonflat += (g,)
-        return flat_union, nonflat
 
     def _pre(self, mask: int) -> int:
         """The members with a successor in `mask`."""
@@ -224,15 +204,16 @@ class _TeamEvaluator:
                 for zeros, ones in self.pairs[g]:
                     if team & zeros and team & ones:
                         return False
-            elif cls is Or and len(self.chain[g][1]) == 1:
-                flat_union, (rest,) = self.chain[g]
-                todo.append((rest, team & ~flat_union))
-            elif cls is IDis and flat[g.left] is not None:
-                if team & ~flat[g.left]:
-                    todo.append((g.right, team))
-            elif cls is IDis and flat[g.right] is not None:
-                if team & ~flat[g.right]:
-                    todo.append((g.left, team))
+            elif cls is Or or cls is IDis:
+                m, rest = flat[g.left], g.right
+                if m is None:
+                    m, rest = flat[g.right], g.left
+                if m is None:
+                    choices[g, team] = None
+                elif cls is Or:
+                    todo.append((rest, team & ~m))
+                elif team & ~m:
+                    todo.append((rest, team))
             else:
                 choices[g, team] = None
         return all(self._holds(g, team) for g, team in choices)

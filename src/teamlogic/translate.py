@@ -22,15 +22,16 @@ more. A world refutes a selection pointwise, and a selection is flat,
 so the team of the pieces' roots refutes every selection, hence the
 formula, once none is left. `checked` counts the tableaux run.
 
-One decision does its shared work once. Formula nodes are interned, so
-the selections of one formula share every subtree no `ior` sits in,
-and with it the values each node keeps (rendering, symbols,
-non-Boolean subformulas) and the duals taken of it. Their tableaux
-share one index, a bit for each formula met, and one memo of formula
-sets as integers over it; an entry depends on its formula set alone,
-so the verdicts and countermodels are those of a fresh memo per
-selection. The selection filter compiles `f` once into a post-order
-program and runs it on each piece. A refuted selection leaves a piece on integer worlds, its
+One decision does its shared work once. The `ior` formula is compiled
+once, up front, into a post-order program: each selection is read off
+it, and the selection filter runs it on each piece. Formula nodes are
+interned, so the selections of one formula share every subtree no
+`ior` sits in, and with it the values each node keeps (rendering,
+symbols, non-Boolean subformulas) and the duals taken of it. Their
+tableaux share one index, a bit for each formula met, and one memo of
+formula sets as integers over it; an entry depends on its formula set
+alone, so the verdicts and countermodels are those of a fresh memo per
+selection. A refuted selection leaves a piece on integer worlds, its
 filtration computed from the pointwise masks of one team evaluator
 over those worlds, and the pieces become one `KripkeStructure` with
 string world names, built once per decision with the names a chain of
@@ -128,58 +129,56 @@ class Invalid(_Value):
         return False
 
 
-def _select(f: Formula, choices: tuple[str, ...], memo: dict) -> Formula:
-    """The plain modal formula that `choices` picks out of `f`.
+def _program(f: Formula) -> list:
+    """The steps of the `ior` formula `f`, one per occurrence of a node,
+    in post-order from an explicit stack, the root's last: `(None, g,
+    0, 0)` for a subtree g without `ior`, and for a node with `ior`,
+    whose first `ior` is at position i, `(IDis, i, a, b)`, `(And, i, a,
+    b)`, `(Or, i, a, b)`, `(Diamond, i, a, 0)` or `(Box, i, a, 0)`,
+    where a and b number the steps of its parts. `_select` reads a
+    selection off it and `_holding` runs it on a piece.
+    """
+    program: list = []
+    done: list = []  # the steps of the finished subtrees, in order
+    todo: list = [(f, 0, False)]
+    while todo:
+        x, pos, ready = todo.pop()
+        cls = type(x)
+        if not x._nior:
+            done.append(len(program))
+            program.append((None, x, 0, 0))
+        elif ready:
+            b = done.pop() if cls is not Diamond and cls is not Box else 0
+            program.append((cls, pos, done.pop(), b))
+            done.append(len(program) - 1)
+        elif cls is Diamond or cls is Box:
+            todo += ((x, pos, True), (x.child, pos, False))
+        else:
+            first = pos + (cls is IDis)
+            todo += ((x, pos, True), (x.right, first + x.left._nior, False), (x.left, first, False))
+    return program
 
-    Occurrences of `ior` are numbered in preorder, so a subtree's `ior`
-    hold consecutive positions. Only the nodes above an `ior` are
-    rebuilt: a subtree without `ior` comes back as the same object, and
-    `memo`, shared by the selections of `f`, maps a subtree and the
-    choices at its positions to its selection, so consecutive
-    selections share all they agree on. The side an `ior` drops is
-    skipped, its occurrences counted off its cached count. An explicit
-    stack stands in for recursion; besides subtrees it holds counts to
-    skip, classes to rebuild from the results on `out`, and memo keys
-    under which to keep the result on top.
+
+def _select(program: list, choices: tuple[str, ...]) -> Formula:
+    """The plain modal formula that `choices` picks out of the `ior`
+    formula compiled to `program` (`_program`).
+
+    A subtree without `ior` comes back as itself, an `ior` as the side
+    its choice picks, and every other node is rebuilt from its parts.
+    Nodes are interned, so the selections of one formula share every
+    subtree they agree on.
     """
     out: list[Formula] = []
-    todo: list = [f]
-    pos = 0
-    while todo:
-        x = todo.pop()
-        if type(x) is int:
-            pos += x
-        elif type(x) is tuple:
-            memo[x] = out[-1]
-        elif isinstance(x, type):
-            if x is And or x is Or:
-                right = out.pop()
-                out[-1] = x(out[-1], right)
-            else:
-                out[-1] = x(out[-1])
-        elif not x._nior:
+    for cls, x, a, b in program:
+        if cls is None:
             out.append(x)
+        elif cls is IDis:
+            out.append(out[b] if choices[x] == "R" else out[a])
+        elif cls is And or cls is Or:
+            out.append(cls(out[a], out[b]))
         else:
-            key = (x, choices[pos : pos + x._nior])
-            done = memo.get(key)
-            if done is not None:
-                out.append(done)
-                pos += x._nior
-                continue
-            todo.append(key)
-            if isinstance(x, IDis):
-                i = pos
-                pos += 1
-                if choices[i] == "L":
-                    todo += (x.right._nior, x.left)
-                else:
-                    pos += x.left._nior
-                    todo.append(x.right)
-            elif isinstance(x, (And, Or)):
-                todo += (type(x), x.right, x.left)
-            else:
-                todo += (type(x), x.child)
-    return out[0]
+            out.append(cls(out[a]))
+    return out[-1]
 
 
 def eliminate_idis(f: Formula):
@@ -192,9 +191,9 @@ def eliminate_idis(f: Formula):
     but a formula of modal logic with `ior` is rejected up front.
     """
     _admit(f, "ml-ior")
-    memo: dict = {}
+    program = _program(f)
     for raw in itertools.product("LR", repeat=count_idis(f)):
-        yield SelectionFunction(raw), _select(f, raw, memo)
+        yield SelectionFunction(raw), _select(program, raw)
 
 
 def emdl_to_mliv(f: Formula, *, max_dep_arity: int | None = DEFAULT_MAX_DEP_ARITY) -> Formula:
@@ -512,24 +511,20 @@ def _merge(pieces: list[tuple], syms) -> tuple[KripkeStructure, list[str]]:
     return KripkeStructure(worlds, edges, valuation), roots
 
 
-def _holding(f: Formula, piece: tuple, syms, cols: dict, full: int, program: list) -> int:
-    """The selections of `f` that hold pointwise at the root of `piece`,
-    as a mask over selection numbers (bit s for selection s).
+def _holding(program: list, piece: tuple, syms, cols: dict, full: int) -> int:
+    """The selections of the `ior` formula compiled to `program`
+    (`_program`) that hold pointwise at the root of `piece`, as a mask
+    over selection numbers (bit s for selection s).
 
-    Each node of `f` gets one selection mask per world of the piece:
-    `ior` at position i keeps its left side's mask where column
-    `cols[i]` is 0 and its right side's where it is 1, `&` and `|` are
-    AND and OR, and the diamond and the box are OR and AND over the
-    successors. A subtree without `ior` is the same in every selection,
-    so its mask at a world is `full` or 0 by its pointwise truth there,
-    read from one team evaluator over the piece. Symbols of `syms` the
-    piece lacks are false everywhere, as in the merged structure.
-
-    `program`, kept by the caller for the pieces of one decision, is
-    filled on the first call (`_compile_holding`) and run on each.
+    Each node gets one selection mask per world of the piece: `ior` at
+    position i keeps its left side's mask where column `cols[i]` is 0
+    and its right side's where it is 1, `&` and `|` are AND and OR, and
+    the diamond and the box are OR and AND over the successors. A
+    subtree without `ior` is the same in every selection, so its mask
+    at a world is `full` or 0 by its pointwise truth there, read from
+    one team evaluator over the piece. Symbols of `syms` the piece
+    lacks are false everywhere, as in the merged structure.
     """
-    if not program:
-        _compile_holding(f, program)
     succ, valuation = piece
     n = len(succ)
     ev = _TeamEvaluator(n, {**dict.fromkeys(syms, 0), **valuation}, succ, None)
@@ -562,34 +557,6 @@ def _holding(f: Formula, piece: tuple, syms, cols: dict, full: int, program: lis
     return vals[-1][0]
 
 
-def _compile_holding(f: Formula, program: list) -> None:
-    """Fill `program` with the steps of `_holding` for `f`, one per
-    occurrence of a node, in post-order from an explicit stack, the
-    root's last: `(None, g, 0, 0)` for a subtree g without `ior`, and
-    for a node with `ior`, whose first `ior` is at position i,
-    `(IDis, i, a, b)`, `(And, i, a, b)`, `(Or, i, a, b)`,
-    `(Diamond, i, a, 0)` or `(Box, i, a, 0)`, where a and b number the
-    steps of its parts.
-    """
-    done: list = []  # the steps of the finished subtrees, in order
-    todo: list = [(f, 0, False)]
-    while todo:
-        x, pos, ready = todo.pop()
-        cls = type(x)
-        if not x._nior:
-            done.append(len(program))
-            program.append((None, x, 0, 0))
-        elif ready:
-            b = done.pop() if cls is not Diamond and cls is not Box else 0
-            program.append((cls, pos, done.pop(), b))
-            done.append(len(program) - 1)
-        elif cls is Diamond or cls is Box:
-            todo += ((x, pos, True), (x.child, pos, False))
-        else:
-            first = pos + (cls is IDis)
-            todo += ((x, pos, True), (x.right, first + x.left._nior, False), (x.left, first, False))
-
-
 def ml_valid(f: Formula) -> Valid | Invalid:
     """Validity of a plain modal formula.
 
@@ -620,6 +587,11 @@ def mliv_valid(
     roots refutes every selection at once, hence the formula. The
     merged countermodel is replayed through the team semantics before
     being returned.
+
+    A formula with more than `max_selections` selections is refused
+    with GuardLimitError. `None` lifts the refusal, but the search
+    still holds masks of 2^m bits for m `ior`, so past about 30 `ior`
+    it runs out of memory.
     """
     return _mliv_valid(_admit(f, "ml-ior"), max_selections, None)
 
@@ -658,15 +630,14 @@ def _mliv_valid(
     syms = formula_symbols(f)
     if original is not None:
         syms |= formula_symbols(original)
+    program = _program(f)
     memo: dict = {}
     duals: dict = {}
-    chosen: dict = {}
     refuted: dict[Formula, tuple] = {}
     s, open_, cols = 0, None, None
-    program: list = []
     while True:
         choices = tuple("R" if s >> (m - 1 - i) & 1 else "L" for i in range(m))
-        candidate = _select(f, choices, chosen)
+        candidate = _select(program, choices)
         piece = _ml_valid(candidate, memo, duals)
         if piece is None:
             return Valid(witness=SelectionFunction(choices), checked=len(refuted) + 1)
@@ -677,7 +648,7 @@ def _mliv_valid(
         if open_:
             if cols is None:
                 cols = _full_team_columns(range(m))
-            open_ &= _holding(f, piece, syms, cols, full, program)
+            open_ &= _holding(program, piece, syms, cols, full)
         if not open_:
             break
         s = (open_ & -open_).bit_length() - 1
@@ -708,6 +679,10 @@ def emdl_valid(
     witness, or none is left. `checked` counts the tableaux run. An
     Invalid verdict is replayed against the unfolding and the original
     formula on the team of the pieces' roots before being returned.
+
+    `max_selections` bounds the selections of the unfolding as in
+    `mliv_valid`; `None` lifts the refusal, but past about 30 `ior`
+    the 2^m-bit selection masks run out of memory.
     """
     translated = emdl_to_mliv(f, max_dep_arity=max_dep_arity)
     return _mliv_valid(translated, max_selections, f)

@@ -1295,26 +1295,50 @@ def declare(m: KripkeStructure, syms) -> KripkeStructure:
     return KripkeStructure(m.worlds, m.edges, {**{s: () for s in syms}, **m.valuation})
 
 
+def reference_select(f: Formula, choices) -> Formula:
+    """The plain modal formula that `choices` picks out of the `ior`
+    formula `f`: a judge of `eliminate_idis`, recursing over `f` and
+    numbering its `ior` in preorder, those on dropped sides included."""
+    pos = 0
+
+    def pick(x: Formula) -> Formula:
+        nonlocal pos
+        if isinstance(x, IDis):
+            i = pos
+            pos += 1
+            left, right = pick(x.left), pick(x.right)
+            return left if choices[i] == "L" else right
+        if isinstance(x, (And, Or)):
+            return type(x)(pick(x.left), pick(x.right))
+        if isinstance(x, (Diamond, Box)):
+            return type(x)(pick(x.child))
+        return x
+
+    return pick(f)
+
+
 def reference_mliv_valid(f: Formula):
     """`mliv_valid` with the reference countermodels.
 
-    Selections go in `eliminate_idis` order. One that an earlier
-    countermodel refutes at its root, judged by `_bml_point` on that
-    countermodel with every symbol of `f` declared, is skipped; the
-    first other one with no countermodel is the witness. The
+    Selections go in lexicographic order, "L" first, each built by
+    `reference_select`. One that an earlier countermodel refutes at its
+    root, judged by `_bml_point` on that countermodel with every symbol
+    of `f` declared, is skipped; the first other one with no
+    countermodel is the witness. The
     countermodels are merged by a chain of `disjoint_union`s in the
     order they were found."""
-    from teamlogic import Invalid, Valid, disjoint_union, eliminate_idis
+    from teamlogic import Invalid, SelectionFunction, Valid, disjoint_union
 
     memo: dict = {}
     found: list = []
     syms = symbols(f)
-    for sel, g in eliminate_idis(f):
+    for choices in itertools.product("LR", repeat=count_idis(f)):
+        g = reference_select(f, choices)
         if any(not _bml_point(m, root, g) for m, root in found):
             continue
         countermodel = reference_ml_countermodel(g, memo)
         if countermodel is None:
-            return Valid(witness=sel, checked=len(found) + 1)
+            return Valid(witness=SelectionFunction(choices), checked=len(found) + 1)
         model, root = countermodel
         found.append((declare(model, syms), root))
     (model, root), *rest = found

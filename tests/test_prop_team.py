@@ -493,7 +493,7 @@ def test_a_flat_formula_keeps_one_mask_per_node():
     assert ev.eval(f, ev.full) is False
     assert ev.flat.keys() == set(walk(f))
     assert None not in ev.flat.values()
-    assert ev.chain == ev.pairs == {}
+    assert ev.pairs == {}
 
 
 def test_formulas_sharing_subtrees_enter_each_node_once(monkeypatch):

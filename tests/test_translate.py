@@ -51,6 +51,7 @@ from oracles import (
     reference_holding,
     reference_mliv_valid,
     reference_ml_countermodel,
+    reference_select,
     reference_tableau,
     reference_tableau_model,
 )
@@ -84,6 +85,22 @@ def test_selection_function():
     assert set(picks) == {"0", "1"}
     assert picks["0"] == Atom(p)
     assert picks["1"] == Atom(q)
+
+
+def test_selections_are_the_reference_selections():
+    # every selection of formulas with 0-6 `ior` is the very node the
+    # recursive reference builds
+    rng = random.Random(23)
+    counts = set()
+    for _ in range(300):
+        f = random_mliv_formula(rng, ["p", "q", "r"], rng.randint(1, 30), rng.randint(0, 3))
+        m = count_idis(f)
+        if m > 6:
+            continue
+        counts.add(m)
+        for sel, g in eliminate_idis(f):
+            assert g is reference_select(f, sel.choices), render(f)
+    assert counts == set(range(7))
 
 
 def test_translation_frozen_example():
@@ -618,9 +635,9 @@ def test_holding_matches_the_recursive_reference():
         pieces = [translate._ml_valid(g, {}, {}) for _, g in eliminate_idis(f)]
         pieces = [x for x in pieces if x is not None]
         pieces += [_random_piece(rng, ["p", "q", "r"]) for _ in range(4)]
-        program: list = []
+        program = translate._program(f)
         for piece in pieces:
-            got = translate._holding(f, piece, syms, cols, full, program)
+            got = translate._holding(program, piece, syms, cols, full)
             assert got == reference_holding(f, piece, syms, cols, full), render(f)
             seen.add(got == 0 or got == full)
     assert seen == {True, False}
