@@ -25,7 +25,7 @@ from .dqbf import (
     render_dqbf,
     render_qbf,
 )
-from .errors import GuardLimitError, ParseError
+from .errors import GuardLimitError
 from .formula import Fragment, classify, render
 from .kripke import kripke_from_dict, kripke_to_dict, mt_eval
 from .parser import parse_modal, parse_prop
@@ -194,14 +194,6 @@ def _cmd_valid(args, report: _Report) -> int:
     return _EXIT_FALSE
 
 
-def _cmd_translate(args, report: _Report) -> int:
-    f = parse_modal(_read_text(args, "formula"))
-    out = render(emdl_to_mliv(f))
-    report.lines = [out]
-    report.payload = {"formula": out}
-    return _EXIT_TRUE
-
-
 def _cmd_dqbf_eval(args, report: _Report) -> int:
     inst = parse_dqbf(_read_path(args.path))
     witness = dqbf_eval(
@@ -228,25 +220,21 @@ def _cmd_dqbf_eval(args, report: _Report) -> int:
     return _EXIT_TRUE
 
 
-def _cmd_dqbf_reduce(args, report: _Report) -> int:
-    inst = parse_dqbf(_read_path(args.path))
-    out = render(reduce_to_pd(inst))
+# The verbs that print one rewrite of their input: the payload key of
+# the output, and the rewrite from input text to output text.
+_REWRITES = {
+    "translate": ("formula", lambda text: render(emdl_to_mliv(parse_modal(text)))),
+    "dqbf-reduce": ("formula", lambda text: render(reduce_to_pd(parse_dqbf(text)))),
+    "qbf-to-dqbf": ("instance", lambda text: render_dqbf(qbf_to_dqbf(parse_qbf(text)))),
+    "dqbf-to-qbf": ("instance", lambda text: render_qbf(dqbf_to_qbf(parse_dqbf(text)))),
+}
+
+
+def _cmd_rewrite(args, report: _Report) -> int:
+    key, rewrite = _REWRITES[args.verb]
+    out = rewrite(_read_path(args.path) if "path" in args else _read_text(args, "formula"))
     report.lines = [out]
-    report.payload = {"formula": out}
-    return _EXIT_TRUE
-
-
-def _cmd_qbf_to_dqbf(args, report: _Report) -> int:
-    out = render_dqbf(qbf_to_dqbf(parse_qbf(_read_path(args.path))))
-    report.lines = [out]
-    report.payload = {"instance": out}
-    return _EXIT_TRUE
-
-
-def _cmd_dqbf_to_qbf(args, report: _Report) -> int:
-    out = render_qbf(dqbf_to_qbf(parse_dqbf(_read_path(args.path))))
-    report.lines = [out]
-    report.payload = {"instance": out}
+    report.payload = {key: out}
     return _EXIT_TRUE
 
 
@@ -255,11 +243,8 @@ _COMMANDS = {
     "mc": _cmd_mc,
     "sat": _cmd_sat,
     "valid": _cmd_valid,
-    "translate": _cmd_translate,
     "dqbf-eval": _cmd_dqbf_eval,
-    "dqbf-reduce": _cmd_dqbf_reduce,
-    "qbf-to-dqbf": _cmd_qbf_to_dqbf,
-    "dqbf-to-qbf": _cmd_dqbf_to_qbf,
+    **dict.fromkeys(_REWRITES, _cmd_rewrite),
 }
 
 
@@ -341,10 +326,7 @@ def run(argv: list[str] | None = None) -> int:
     report = _Report(args.json)
     try:
         code = _COMMANDS[args.verb](args, report)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a ParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except GuardLimitError as exc:

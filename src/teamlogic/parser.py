@@ -44,6 +44,7 @@ from .formula import (
     Not,
     Or,
     PropSymbol,
+    _DEP,
     _IDENT_RE,
     to_nnf,
 )
@@ -85,34 +86,34 @@ def _scan(text: str) -> tuple[list[str], list[str]]:
     return kinds, words
 
 
-# Binary operator tokens: (precedence, class); higher binds tighter.
-_BINARY = {"AMP": (3, And), "PIPE": (2, Or), "IOR": (1, IDis)}
+# Binary operator tokens, by class; `_prec`, the rendering precedence,
+# is also the parsing one: higher binds tighter.
+_BINARY = {"AMP": And, "PIPE": Or, "IOR": IDis}
 _PREFIX = {"BANG": Not, "DIA": Diamond, "BOX": Box}
 
 
 class _Expr:
     """An expression being parsed: its left operands, each waiting with
-    its operator's precedence and class for a right operand."""
+    its operator's class for a right operand."""
 
     __slots__ = ("ior", "pending")
 
     def __init__(self, ior: bool):
         self.ior = ior  # False in a dependence component: 'ior' ends it
-        self.pending: list[tuple[int, type, Formula]] = []
+        self.pending: list[tuple[type, Formula]] = []
 
 
 class _DepAtom:
-    """A modal dependence atom being parsed, with the index of the first
-    token of its current component and the parser's counts of dependence
-    atoms and `ior` nodes when that component began."""
+    """A modal dependence atom being parsed: its finished components and
+    the index of the first token of the current one, where an error in
+    that component is reported."""
 
-    __slots__ = ("args", "at_target", "start", "deps", "iors")
+    __slots__ = ("args", "at_target", "start")
 
     def __init__(self):
         self.args: list[Formula] = []
         self.at_target = False
         self.start = 0
-        self.deps = self.iors = 0
 
 
 # The frame of an open parenthesis.
@@ -128,10 +129,6 @@ class _Parser:
         self.kinds, self.words = _scan(text)
         self.pos = 0
         self.modal = modal
-        # Dependence atoms and `ior` nodes built so far: an operand
-        # contains one exactly when the count grew while it was parsed.
-        self.deps = 0
-        self.iors = 0
 
     def error(self, message: str, i: int) -> ParseError:
         """A ParseError at token `i`, its character position found by
@@ -154,8 +151,8 @@ class _Parser:
     def formula(self) -> Formula:
         """Parse a `formula` with `frames` as the stack of everything
         waiting for the operand at hand: prefix operators as (class,
-        token index, dependence count), open parentheses, expressions
-        and modal dependence atoms."""
+        token index), open parentheses, expressions and modal dependence
+        atoms. What an operand contains is read off its class mask."""
         frames: list = [_Expr(True)]
         kinds, words = self.kinds, self.words
         while True:
@@ -167,7 +164,7 @@ class _Parser:
             elif kind in _PREFIX:
                 if kind != "BANG" and not self.modal:
                     raise self.error(f"{words[i]!r} is not propositional syntax", i)
-                frames.append((_PREFIX[kind], i, self.deps))
+                frames.append((_PREFIX[kind], i))
                 continue
             elif kind == "LPAR":
                 frames += (_PAREN, _Expr(True))
@@ -193,10 +190,10 @@ class _Parser:
             while True:
                 frame = frames[-1]
                 if type(frame) is tuple:
-                    cls, op, deps = frames.pop()
+                    cls, op = frames.pop()
                     if cls is not Not:
                         value = cls(value)
-                    elif self.deps > deps:
+                    elif value._mask & _DEP:
                         raise self.error("dependence atoms cannot be negated", op)
                     elif isinstance(value, Atom):
                         value = NegAtom(value.sym)
@@ -206,19 +203,20 @@ class _Parser:
                         value = Not(value)
                 elif type(frame) is _Expr:
                     kind = kinds[self.pos]
-                    binary = _BINARY.get(kind)
+                    cls = _BINARY.get(kind)
                     pending = frame.pending
-                    if binary is not None and (frame.ior or kind != "IOR"):
+                    if cls is not None and (frame.ior or kind != "IOR"):
                         if kind == "IOR" and not self.modal:
                             raise self.error("'ior' is not propositional syntax", self.pos)
                         self.pos += 1
-                        prec, cls = binary
-                        while pending and pending[-1][0] >= prec:
-                            value = self.reduce(pending.pop(), value)
-                        pending.append((prec, cls, value))
+                        while pending and pending[-1][0]._prec >= cls._prec:
+                            op_cls, left = pending.pop()
+                            value = op_cls(left, value)
+                        pending.append((cls, value))
                         break
                     while pending:
-                        value = self.reduce(pending.pop(), value)
+                        op_cls, left = pending.pop()
+                        value = op_cls(left, value)
                     frames.pop()
                     if not frames:
                         return value
@@ -232,12 +230,6 @@ class _Parser:
                     if value is None:
                         break
                     frames.pop()
-
-    def reduce(self, waiting: tuple[int, type, Formula], right: Formula) -> Formula:
-        _, cls, left = waiting
-        if cls is IDis:
-            self.iors += 1
-        return cls(left, right)
 
     def symbol(self) -> PropSymbol:
         """The proposition symbol at `pos`, taken."""
@@ -276,12 +268,10 @@ class _Parser:
         if self.kinds[self.pos] != "RPAR":
             raise self.expected("')' closing the dependence atom")
         self.pos += 1
-        self.deps += 1
 
     def dep_component(self, frame: _DepAtom, frames: list) -> None:
         """Open the next component of a modal dependence atom."""
         frame.start = self.pos
-        frame.deps, frame.iors = self.deps, self.iors
         frames.append(_Expr(False))
 
     def dep_target(self, frame: _DepAtom, frames: list) -> None:
@@ -293,11 +283,10 @@ class _Parser:
         """Take a finished component; open the next one and return None,
         or close the atom and return it."""
         self.no_ior()
-        if self.deps > frame.deps:
+        if part._mask & _DEP:
             raise self.error("dependence atoms cannot be nested", frame.start)
-        if self.iors > frame.iors:
+        if part._mask & IDis._bit:
             raise self.error("'ior' cannot occur inside a dependence atom", frame.start)
-        part = to_nnf(part)
         if not frame.at_target:
             frame.args.append(part)
             if self.kinds[self.pos] == "COMMA":

@@ -17,6 +17,7 @@ from .errors import GuardLimitError, _expect_list
 from .formula import (
     And,
     Atom,
+    Dep,
     Formula,
     NegAtom,
     Or,
@@ -24,6 +25,7 @@ from .formula import (
     _Value,
     _admit,
     _as_symbol,
+    _fold,
     symbols as formula_symbols,
 )
 from .team_eval import DEFAULT_MAX_BITS, _full_team_columns, _TeamEvaluator
@@ -44,6 +46,7 @@ class Assignment(_Value):
     __slots__ = _fields = __match_args__ = ("domain", "bits")
 
     def __init__(self, domain: tuple[PropSymbol, ...], bits: tuple[int, ...]):
+        domain, bits = tuple(domain), tuple(bits)
         if list(domain) != sorted(set(domain)):
             raise ValueError("assignment domain must be sorted and duplicate free")
         if len(bits) != len(domain):
@@ -143,34 +146,31 @@ def team_to_dict(team: PropTeam) -> dict:
 def pl_pointwise(s, f: Formula) -> bool:
     """Classical single-assignment truth of a plain propositional
     formula under `s`, an `Assignment` or a mapping from symbols to the
-    integers 0 and 1; any other value, or any other formula, dependence
-    atoms included, raises ValueError before evaluation starts."""
+    integers 0 and 1 covering the symbols of `f`; anything else, or any
+    other formula, dependence atoms included, raises ValueError before
+    evaluation starts."""
     if isinstance(s, Assignment):
         env = s.as_dict()
     else:
         env = {_as_symbol(k): v for k, v in dict(s).items()}
         _check_bits(env.values())
-    return _pl_eval(env, _admit(f, "pl"))
+    missing = formula_symbols(_admit(f, "pl")) - env.keys()
+    if missing:
+        raise ValueError(f"symbol {min(missing)} is outside the assignment domain")
+    return _pl_eval(env, f)
 
 
 def _pl_eval(env: dict, f: Formula) -> bool:
     # Left to right with short-circuiting, on an explicit stack of the
     # binary nodes above the current one, each marked with whether its
-    # right side is the one under way. Callers admit their formulas.
-    # Dependence atoms, which only `pd_sat` passes, read as true: that
-    # gives team truth on the singleton {env}, which satisfies every
-    # dependence atom and splits only into itself and {}.
+    # right side is the one under way. Callers admit their formulas and
+    # give every symbol of them a value.
     stack: list[tuple[Formula, bool]] = []
     while True:
         while isinstance(f, (And, Or)):
             stack.append((f, False))
             f = f.left
-        if isinstance(f, (Atom, NegAtom)):
-            if f.sym not in env:
-                raise ValueError(f"symbol {f.sym} is outside the assignment domain")
-            value = env[f.sym] == (1 if isinstance(f, Atom) else 0)
-        else:
-            value = True
+        value = env[f.sym] == (1 if isinstance(f, Atom) else 0)
         while stack:
             node, right = stack.pop()
             # A left side that decides its node (false under &, true
@@ -250,15 +250,27 @@ def pd_sat(
 
     The empty team satisfies every formula, so satisfiability is only
     interesting with `require_nonempty`. By downward closure a nonempty
-    satisfying team exists exactly when a singleton does, so the search
-    ranges over single assignments in lexicographic order.
+    satisfying team exists exactly when a singleton does, and a
+    singleton satisfies every dependence atom, so with each read as a
+    tautology the formula's pointwise mask over the team of all
+    assignments holds the satisfying singletons. The least of them, the
+    lexicographically first assignment, is the witness.
     """
     _admit(f, "pd")
     domain = tuple(sorted(formula_symbols(f)))
     if not require_nonempty:
         return PropTeam(domain, ())
     _check_domain(domain, max_domain)
-    for bits in itertools.product((0, 1), repeat=len(domain)):
-        if _pl_eval(dict(zip(domain, bits)), f):
-            return PropTeam(domain, (bits,))
-    return None
+
+    def dep_free(g: Formula, kids: tuple) -> Formula:
+        if type(g) is Dep:
+            return Or(Atom(g.target), NegAtom(g.target))
+        return type(g)(*kids)
+
+    n = len(domain)
+    ev = _TeamEvaluator(1 << n, _full_team_columns(domain), None, None)
+    mask = ev.point_mask(_fold(f, dep_free, {}, Dep._bit))
+    if not mask:
+        return None
+    member = (mask & -mask).bit_length() - 1
+    return PropTeam(domain, (tuple(member >> (n - 1 - j) & 1 for j in range(n)),))

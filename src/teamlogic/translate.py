@@ -88,6 +88,7 @@ class SelectionFunction(_Value):
     __slots__ = _fields = __match_args__ = ("choices",)
 
     def __init__(self, choices: tuple[str, ...]):
+        choices = tuple(choices)
         if any(c not in ("L", "R") for c in choices):
             raise ValueError("choices must be 'L' or 'R'")
         object.__setattr__(self, "choices", choices)

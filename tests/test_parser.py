@@ -43,6 +43,8 @@ def test_parse_modal_basics():
     assert parse_modal("dep(<> p; [] q)") == MDep((Diamond(Atom(p)),), Box(Atom(q)))
     # atom-only dependence parses to the modal atom in modal mode
     assert parse_modal("dep(p; q)") == MDep((Atom(p),), Atom(q))
+    # components come out in negation normal form
+    assert parse_modal("dep(!(p & q); r)") == MDep((Or(NegAtom(p), NegAtom(q)),), Atom(r))
 
 
 def test_prop_mode_rejects_modal_syntax():

@@ -118,6 +118,13 @@ def test_pointwise_evaluation():
         pl_pointwise(a, Dep((), p))
     with pytest.raises(ValueError):
         pl_pointwise(Assignment.from_mapping({"p": 1}), Atom(q))
+    # a symbol without a value is refused by the formula, whatever the
+    # values would short-circuit, and the least one is named
+    for values in ({"p": 1}, {"p": 0}):
+        with pytest.raises(ValueError, match="^symbol q is outside the assignment domain$"):
+            pl_pointwise(values, parse_prop("p | q"))
+    with pytest.raises(ValueError, match="^symbol q is outside"):
+        pl_pointwise({"s": 1}, parse_prop("s | r & q"))
 
 
 @pytest.mark.parametrize("value", [2, "1", 1.0, True, None])
@@ -248,6 +255,9 @@ def test_pd_sat_returns_the_first_satisfying_row():
         assert pd_sat(f, require_nonempty=True) == expected
         found += expected is not None
     assert 0 < found < 300
+    # unsatisfiable over 20 symbols: no row is tried one by one
+    text = " & ".join(f"(x{i} | !x{i})" for i in range(20)) + " & x0 & !x0 & dep(x1; x2)"
+    assert pd_sat(parse_prop(text), require_nonempty=True) is None
     xs = [Atom(PropSymbol(f"x{i:02d}")) for i in range(12)]
     conj = xs[0]
     for x in xs[1:]:

@@ -126,6 +126,19 @@ def test_value_type_contract(cls, args, kwargs, text, other):
         assert type(clone) is cls and clone == a and repr(clone) == text
 
 
+def test_value_types_store_tuples():
+    # built from lists or iterators, a value equals and hashes as one
+    # built from tuples
+    for listed, tupled in [
+        (Assignment([P, Q], [0, 1]), Assignment((P, Q), (0, 1))),
+        (Assignment(iter((P, Q)), iter((0, 1))), Assignment((P, Q), (0, 1))),
+        (SelectionFunction(["L", "R"]), SelectionFunction(("L", "R"))),
+        (SelectionFunction(c for c in "LR"), SelectionFunction(("L", "R"))),
+    ]:
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert all(type(getattr(listed, n)) is tuple for n in FIELDS[type(listed)])
+
+
 def test_value_type_validation():
     with pytest.raises(ValueError, match="choices must be 'L' or 'R'"):
         SelectionFunction(("L", "X"))
