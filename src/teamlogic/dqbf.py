@@ -399,13 +399,16 @@ def reduce_to_pd(inst: DqbfInstance) -> Formula:
 _EXISTENTIAL = re.compile(r"\s*(" + _IDENT_RE.pattern + r")\s*\{([^{}]*)\}")
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
+def _content_lines(text: str) -> list[tuple[int, str, int]]:
+    """The lines that are neither blank nor comments, stripped, each
+    with its number and the offset of its first character in `text`."""
     lines = []
-    for i, line in enumerate(text.splitlines(), start=1):
+    start = 0
+    for i, line in enumerate(text.splitlines(keepends=True), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        lines.append((i, stripped))
+        if stripped and not stripped.startswith("#"):
+            lines.append((i, stripped, start + len(line) - len(line.lstrip())))
+        start += len(line)
     return lines
 
 
@@ -416,6 +419,19 @@ def _variable(name: str, ln: int) -> PropSymbol:
     except ValueError as exc:
         reason = exc if name in KEYWORDS else f"bad variable name {name!r}"
         raise ParseError(f"line {ln}: {reason}") from None
+
+
+def _matrix(ln: int, line: str, start: int) -> Formula:
+    """The formula of the matrix line `line`, line `ln` of the text,
+    whose first character is at offset `start`. A ParseError names the
+    line and gives its position in the whole text."""
+    word, _, rest = line.partition(" ")
+    if word != "matrix" or not rest.strip():
+        raise ParseError(f"line {ln}: expected 'matrix <formula>'")
+    try:
+        return parse_prop(rest)
+    except ParseError as exc:
+        raise ParseError(f"line {ln}: {exc.reason}", start + len(word) + 1 + exc.position) from None
 
 
 def parse_dqbf(text: str) -> DqbfInstance:
@@ -435,7 +451,7 @@ def parse_dqbf(text: str) -> DqbfInstance:
             f"expected exactly three content lines (forall, exists, matrix), "
             f"got {len(lines)}"
         )
-    (ln1, l1), (ln2, l2), (ln3, l3) = lines
+    (ln1, l1, _), (ln2, l2, _), line3 = lines
     first, _, rest1 = l1.partition(" ")
     if first != "forall":
         raise ParseError(f"line {ln1}: expected a 'forall' line")
@@ -456,10 +472,7 @@ def parse_dqbf(text: str) -> DqbfInstance:
         deps = [_variable(part.strip(), ln2) for part in inner.split(",")] if inner else []
         existentials.append((_variable(m.group(1), ln2), deps))
         pos = m.end()
-    third, _, rest3 = l3.partition(" ")
-    if third != "matrix" or not rest3.strip():
-        raise ParseError(f"line {ln3}: expected 'matrix <formula>'")
-    matrix = parse_prop(rest3)
+    matrix = _matrix(*line3)
     try:
         return DqbfInstance(universals, existentials, matrix)
     except ValueError as exc:
@@ -491,7 +504,7 @@ def parse_qbf(text: str) -> QbfInstance:
         raise ParseError(
             f"expected exactly two content lines (prefix, matrix), got {len(lines)}"
         )
-    (ln1, l1), (ln2, l2) = lines
+    (ln1, l1, _), line2 = lines
     first, _, rest1 = l1.partition(" ")
     if first != "prefix":
         raise ParseError(f"line {ln1}: expected a 'prefix' line")
@@ -503,10 +516,7 @@ def parse_qbf(text: str) -> QbfInstance:
         if q not in ("A", "E"):
             raise ParseError(f"line {ln1}: quantifier must be A or E, not {q!r}")
         prefix.append((q, _variable(v, ln1)))
-    second, _, rest2 = l2.partition(" ")
-    if second != "matrix" or not rest2.strip():
-        raise ParseError(f"line {ln2}: expected 'matrix <formula>'")
-    matrix = parse_prop(rest2)
+    matrix = _matrix(*line2)
     try:
         return QbfInstance(prefix, matrix)
     except ValueError as exc:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 
 class ParseError(ValueError):
-    """Syntax error in a formula or instance text, with a character offset."""
+    """Syntax error in a formula or instance text, with a character
+    offset; `reason` is the message without it."""
 
     def __init__(self, message: str, position: int | None = None):
+        self.reason = message
         self.position = position
         if position is not None:
             message = f"{message} (at position {position})"

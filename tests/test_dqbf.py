@@ -403,6 +403,25 @@ def test_bad_names_give_their_line(parse, text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "parse, text, message, position",
+    [
+        (
+            parse_dqbf,
+            "forall a\nexists e {a}\nmatrix (a | e) & ? e",
+            "line 3: unexpected character '?'",
+            39,
+        ),
+        (parse_qbf, "prefix A a E e\nmatrix (a | e) &", "line 2: expected a formula, found 'end of input'", 31),
+    ],
+)
+def test_matrix_errors_give_their_line_and_offset_in_the_text(parse, text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.position == position
+    assert str(info.value) == f"{message} (at position {position})"
+
+
 def test_qbf_text_round_trip():
     q = QbfInstance([("A", a1), ("E", b1)], parse_prop("a1 | b1"))
     text = render_qbf(q)

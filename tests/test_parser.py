@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +20,8 @@ from teamlogic import (
     parse_prop,
     render,
 )
+
+from oracles import random_emdl_formula, random_mliv_formula
 
 p = PropSymbol("p")
 q = PropSymbol("q")
@@ -106,6 +111,9 @@ def test_tokenizer_error_positions_are_exact():
         (parse_prop, "p | !dep(p; q)", "dependence atoms cannot be negated", 4),
         (parse_modal, "p & !(q | [] dep(; p))", "dependence atoms cannot be negated", 4),
         (parse_prop, "!!(p & dep(q; p))", "dependence atoms cannot be negated", 1),
+        (parse_modal, "!(p ior q)", "'ior' cannot be negated", 0),
+        (parse_modal, "[] !(p ior q)", "'ior' cannot be negated", 3),
+        (parse_modal, "!!(p ior q)", "'ior' cannot be negated", 1),
         (parse_modal, "dep(dep(p; q); r)", "dependence atoms cannot be nested", 4),
         (parse_modal, "dep(p; q & <> dep(; r))", "dependence atoms cannot be nested", 7),
         (parse_prop, "dep(p ior q; r)", "'ior' cannot occur inside a dependence atom", 6),
@@ -129,10 +137,9 @@ def test_scanner_builds_no_object_per_token(monkeypatch):
 
     # one group: `findall` gives the words themselves, not a tuple each
     assert parser._SCAN.groups == 1
-    kinds, words = parser._scan("dep(p, q; r) & !(s | t)")
-    assert kinds[:5] == ["DEP", "LPAR", "IDENT", "COMMA", "IDENT"] and kinds[-1] == "EOF"
+    words = parser._scan("dep(p, q; r) & !(s | t)")
     assert words[:5] == ["dep", "(", "p", ",", "q"] and words[-1] == ""
-    assert {type(x) for x in kinds + words} == {str}
+    assert len(words) == 16 and {type(x) for x in words} == {str}
 
     # character positions come from a second scan, made only for an error
     class NoRescan:
@@ -146,6 +153,33 @@ def test_scanner_builds_no_object_per_token(monkeypatch):
     assert parse_modal("dep(p, q; r) & !(s | t)") == parse_modal("dep(p, q; r) & (!s & !t)")
     with pytest.raises(AssertionError, match="scanned twice"):
         parse_prop("p q")
+
+
+def test_mutated_formulas_parse_or_fail_with_a_position():
+    # Rendered formulas with one to three word edits: each parser gives a
+    # formula that reads back as itself, or a ParseError inside the text.
+    rng = random.Random(25)
+    inserts = ["!", "(", ")", "&", "ior", "dep", ";", ",", "<>"]
+    for k in range(8000):
+        make = random_emdl_formula if k % 2 else random_mliv_formula
+        words = re.findall(r"<>|\[\]|\w+|\S", render(make(rng, ["p", "q", "r"], rng.randint(1, 8), 2)))
+        for _ in range(rng.randint(1, 3)):
+            edit = rng.randrange(3)
+            if edit == 0:
+                words.insert(rng.randint(0, len(words)), rng.choice(inserts))
+            elif edit == 1 and words:
+                del words[rng.randrange(len(words))]
+            elif len(words) > 1:
+                i, j = rng.sample(range(len(words)), 2)
+                words[i], words[j] = words[j], words[i]
+        text = " ".join(words)
+        for parse in (parse_prop, parse_modal):
+            try:
+                g = parse(text)
+            except ParseError as exc:
+                assert 0 <= exc.position <= len(text), (text, exc)
+            else:
+                assert parse(render(g)) is g, text
 
 
 def test_dep_rejects_nesting_and_team_disjunction():
