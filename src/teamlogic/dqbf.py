@@ -21,7 +21,7 @@ import itertools
 import re
 from collections.abc import Iterable
 
-from .errors import GuardLimitError, ParseError
+from .errors import ParseError, _check_guard
 from .formula import (
     And,
     Atom,
@@ -42,7 +42,7 @@ from .formula import (
 )
 from .parser import parse_prop
 from .prop_team import _pl_eval
-from .team_eval import DEFAULT_MAX_BITS, _AND, _NEG, _OR, _POS, _full_team_columns, _search
+from .team_eval import DEFAULT_MAX_BITS, _AND, _NEG, _OR, _POS, _full_team_columns, _refine, _search
 
 DEFAULT_MAX_QBF_VARS = 24
 
@@ -63,21 +63,25 @@ def _check_matrix(matrix: Formula, declared: set[PropSymbol]) -> Formula:
     return matrix
 
 
+def _prefix(prefix: Iterable[tuple[str, object]]) -> tuple[tuple[str, PropSymbol], ...]:
+    """A checked linear prefix, its variables as symbols."""
+    prefix = tuple((q, _as_symbol(v)) for q, v in prefix)
+    for q, _ in prefix:
+        if q not in ("A", "E"):
+            raise ValueError(f"quantifier must be 'A' or 'E', not {q!r}")
+    if len({v for _, v in prefix}) != len(prefix):
+        raise ValueError("prefix quantifies a variable twice")
+    return prefix
+
+
 class QbfInstance:
     """A fully quantified Boolean formula with a linear prefix."""
 
     __slots__ = ("prefix", "matrix")
 
     def __init__(self, prefix: Iterable[tuple[str, object]], matrix: Formula):
-        prefix = tuple((q, _as_symbol(v)) for q, v in prefix)
-        for q, _ in prefix:
-            if q not in ("A", "E"):
-                raise ValueError(f"quantifier must be 'A' or 'E', not {q!r}")
-        names = [v for _, v in prefix]
-        if len(set(names)) != len(names):
-            raise ValueError("prefix quantifies a variable twice")
-        self.prefix = prefix
-        self.matrix = _check_matrix(matrix, set(names))
+        self.prefix = _prefix(prefix)
+        self.matrix = _check_matrix(matrix, {v for _, v in self.prefix})
 
     def __eq__(self, other) -> bool:
         return (
@@ -89,6 +93,36 @@ class QbfInstance:
     def __repr__(self) -> str:
         head = " ".join(f"{q} {v.name}" for q, v in self.prefix)
         return f"QbfInstance({head} . {render(self.matrix)})"
+
+
+def _universals(universals: Iterable) -> tuple[PropSymbol, ...]:
+    """Checked universal variables, as symbols."""
+    universals = tuple(_as_symbol(u) for u in universals)
+    if len(set(universals)) != len(universals):
+        raise ValueError("universal variables must be unique")
+    return universals
+
+
+def _existentials(existentials: Iterable, universals: tuple[PropSymbol, ...]) -> tuple:
+    """Checked (variable, dependency set) pairs, each set in `universals`' order."""
+    upos = {u: i for i, u in enumerate(universals)}
+    pairs = []
+    for name, deps in existentials:
+        name = _as_symbol(name)
+        deps = [_as_symbol(d) for d in deps]
+        if len(set(deps)) != len(deps):
+            raise ValueError(f"dependency set of {name} repeats a variable")
+        for d in deps:
+            if d not in upos:
+                raise ValueError(f"dependency set of {name} names {d}, which is not universal")
+        pairs.append((name, tuple(sorted(deps, key=upos.__getitem__))))
+    enames = {n for n, _ in pairs}
+    if len(enames) != len(pairs):
+        raise ValueError("existential variables must be unique")
+    clash = enames & upos.keys()
+    if clash:
+        raise ValueError(f"quantified twice: {sorted(s.name for s in clash)}")
+    return tuple(pairs)
 
 
 class DqbfInstance:
@@ -107,31 +141,9 @@ class DqbfInstance:
         existentials: Iterable[tuple[object, Iterable]],
         matrix: Formula,
     ):
-        universals = tuple(_as_symbol(u) for u in universals)
-        if len(set(universals)) != len(universals):
-            raise ValueError("universal variables must be unique")
-        upos = {u: i for i, u in enumerate(universals)}
-        pairs = []
-        for name, deps in existentials:
-            name = _as_symbol(name)
-            deps = [_as_symbol(d) for d in deps]
-            if len(set(deps)) != len(deps):
-                raise ValueError(f"dependency set of {name} repeats a variable")
-            for d in deps:
-                if d not in upos:
-                    raise ValueError(
-                        f"dependency set of {name} names {d}, which is not universal"
-                    )
-            pairs.append((name, tuple(sorted(deps, key=upos.__getitem__))))
-        enames = [n for n, _ in pairs]
-        if len(set(enames)) != len(enames):
-            raise ValueError("existential variables must be unique")
-        clash = set(enames) & set(universals)
-        if clash:
-            raise ValueError(f"quantified twice: {sorted(s.name for s in clash)}")
-        self.universals = universals
-        self.existentials = tuple(pairs)
-        self.matrix = _check_matrix(matrix, set(universals) | set(enames))
+        self.universals = _universals(universals)
+        self.existentials = _existentials(existentials, self.universals)
+        self.matrix = _check_matrix(matrix, {*self.universals, *dict(self.existentials)})
 
     def __eq__(self, other) -> bool:
         return (
@@ -224,12 +236,7 @@ def dqbf_eval(
     """
     n = len(inst.universals)
     total_bits = sum(1 << len(deps) for _, deps in inst.existentials)
-    if max_table_bits is not None and total_bits > max_table_bits:
-        raise GuardLimitError(
-            f"{total_bits} Skolem table bits exceed the guard of "
-            f"{max_table_bits}; raise max_table_bits to override",
-            guard="max_table_bits", requested=total_bits, limit=max_table_bits,
-        )
+    _check_guard("max_table_bits", total_bits, max_table_bits, "Skolem table bits")
     full = (1 << (1 << n)) - 1
     cols = _full_team_columns(inst.universals)
     # One slot per variable: universals are fixed everywhere, each
@@ -241,9 +248,7 @@ def dqbf_eval(
     for k, (sym, deps) in enumerate(inst.existentials):
         slot[sym] = n + k
         # the rows reading each entry, first dependency most significant
-        entries = [full]
-        for d in deps:
-            entries = [m & c for m in entries for c in (~cols[d], cols[d])]
+        entries = _refine([full], [~cols[d] for d in deps])
         groups.append((n + k, len(bits), len(entries)))
         bits += [(n + k, m, 0) for m in entries]
     table_bits = _search(ones, zeros, bits, groups, _compile_matrix(inst.matrix, slot))
@@ -295,11 +300,7 @@ def qbf_eval(q: QbfInstance, *, max_vars: int | None = DEFAULT_MAX_QBF_VARS) -> 
     `_check_matrix` when the instance was built, so no leaf walks it for
     node classes.
     """
-    if max_vars is not None and len(q.prefix) > max_vars:
-        raise GuardLimitError(
-            f"prefix of {len(q.prefix)} variables exceeds the guard of {max_vars}",
-            guard="max_vars", requested=len(q.prefix), limit=max_vars,
-        )
+    _check_guard("max_vars", len(q.prefix), max_vars, "prefix variables")
     prefix = q.prefix
     env: dict[PropSymbol, int] = {}
     depth = 0  # how many prefix variables keep their value in `env`
@@ -421,6 +422,14 @@ def _variable(name: str, ln: int) -> PropSymbol:
         raise ParseError(f"line {ln}: {reason}") from None
 
 
+def _at_line(ln: int, check, *args):
+    """`check(*args)`, with its ValueError a ParseError naming line `ln`."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ParseError(f"line {ln}: {exc}") from None
+
+
 def _matrix(ln: int, line: str, start: int) -> Formula:
     """The formula of the matrix line `line`, line `ln` of the text,
     whose first character is at offset `start`. A ParseError names the
@@ -451,7 +460,7 @@ def parse_dqbf(text: str) -> DqbfInstance:
             f"expected exactly three content lines (forall, exists, matrix), "
             f"got {len(lines)}"
         )
-    (ln1, l1, _), (ln2, l2, _), line3 = lines
+    (ln1, l1, _), (ln2, l2, _), (ln3, l3, start3) = lines
     first, _, rest1 = l1.partition(" ")
     if first != "forall":
         raise ParseError(f"line {ln1}: expected a 'forall' line")
@@ -472,11 +481,13 @@ def parse_dqbf(text: str) -> DqbfInstance:
         deps = [_variable(part.strip(), ln2) for part in inner.split(",")] if inner else []
         existentials.append((_variable(m.group(1), ln2), deps))
         pos = m.end()
-    matrix = _matrix(*line3)
+    matrix = _matrix(ln3, l3, start3)
     try:
         return DqbfInstance(universals, existentials, matrix)
     except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        # a good instance is checked once; a bad one again, line by line
+        _at_line(ln2, _existentials, existentials, _at_line(ln1, _universals, universals))
+        raise ParseError(f"line {ln3}: {exc}") from None
 
 
 def render_dqbf(inst: DqbfInstance) -> str:
@@ -504,7 +515,7 @@ def parse_qbf(text: str) -> QbfInstance:
         raise ParseError(
             f"expected exactly two content lines (prefix, matrix), got {len(lines)}"
         )
-    (ln1, l1, _), line2 = lines
+    (ln1, l1, _), (ln2, l2, start2) = lines
     first, _, rest1 = l1.partition(" ")
     if first != "prefix":
         raise ParseError(f"line {ln1}: expected a 'prefix' line")
@@ -516,11 +527,12 @@ def parse_qbf(text: str) -> QbfInstance:
         if q not in ("A", "E"):
             raise ParseError(f"line {ln1}: quantifier must be A or E, not {q!r}")
         prefix.append((q, _variable(v, ln1)))
-    matrix = _matrix(*line2)
+    matrix = _matrix(ln2, l2, start2)
     try:
         return QbfInstance(prefix, matrix)
     except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        _at_line(ln1, _prefix, prefix)
+        raise ParseError(f"line {ln2}: {exc}") from None
 
 
 def render_qbf(q: QbfInstance) -> str:

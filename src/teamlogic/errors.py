@@ -1,4 +1,4 @@
-"""Shared exception types, and the list check of the JSON readers."""
+"""Shared exception types, the guard rule, and the JSON readers' list check."""
 
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ class GuardLimitError(RuntimeError):
     callers can raise them explicitly where they know what they are
     doing. `guard` names the keyword argument that sets the bound,
     `limit` is its value and `requested` the size that exceeded it.
+    `_check_guard`, the one guard rule, is the one place that raises it.
     """
 
     def __init__(self, message: str, *, guard: str | None = None,
@@ -30,6 +31,13 @@ class GuardLimitError(RuntimeError):
         self.guard = guard
         self.requested = requested
         self.limit = limit
+
+
+def _check_guard(guard: str, requested: int, limit: int | None, what: str) -> None:
+    """Refuse `requested` `what` past `limit`, set by keyword `guard`; None lifts it."""
+    if limit is not None and requested > limit:
+        message = f"{requested} {what} exceed the guard of {limit}; raise {guard} to override"
+        raise GuardLimitError(message, guard=guard, requested=requested, limit=limit)
 
 
 def _expect_list(value, what: str):

@@ -16,10 +16,11 @@ Binary operators are left associative; unary binds tightest, then '&',
 then '|', then 'ior'. In the propositional grammar dep arguments are
 bare identifiers and the modal tokens are rejected; in the modal grammar
 they are formulas without 'ior' or nested dependence atoms. Parsers
-return negation normal form: '!' on a literal flips it, '!' on a
-compound is pushed inward, and '!' on anything containing a dependence
-atom or an 'ior' is a syntax error at that '!', because no normal form
-exists for it.
+return negation normal form and never build a `Not`: every operand is
+already in normal form, and '!' takes its dual (`_dual`, through one
+memo per parse). '!' on anything containing a dependence atom or an
+'ior' is a syntax error at that '!', because no normal form exists for
+it.
 
 The scanner turns the text into its words, from one `findall`; the loop
 reads them in place by index and looks each up once in `_CODES`, where
@@ -47,9 +48,9 @@ from .formula import (
     PropSymbol,
     _DEP,
     _IDENT_RE,
-    _Literal,
+    _dual,
     _names,
-    to_nnf,
+    to_nnf,  # unused here, but `bench/spans.py` traces it by this module's name
 )
 
 # Whitespace, then a token: an operator or a word (a symbol name as
@@ -126,11 +127,12 @@ def _parse(text: str, modal: bool) -> Formula:
     operators waiting for an operand, as (class, word index); those above
     `base` wait for the operand at hand. `binary` is the highest code of
     a binary operator the current level takes. What an operand contains
-    is read off its class mask.
+    is read off its class mask. `duals` is the memo of the `_dual`s taken.
     """
     words = _scan(text)
     code_of = _CODES.get
     names = _names
+    duals: dict = {}
     pending: list[tuple] = [(0, None)]
     prefix: list[tuple[type, int]] = []
     base, binary, i = 0, _IOR, 0
@@ -188,10 +190,8 @@ def _parse(text: str, modal: bool) -> Formula:
                     raise _error(text, "dependence atoms cannot be negated", at)
                 elif value._mask & IDis._bit:
                     raise _error(text, "'ior' cannot be negated", at)
-                elif isinstance(value, _Literal):
-                    value = value.sym._literals[1 - value._side]
                 else:
-                    value = Not(value)
+                    value = _dual(value, duals)
             code = code_of(words[i], _NAME)
             if code <= binary:
                 if code == _IOR and not modal:
@@ -211,7 +211,7 @@ def _parse(text: str, modal: bool) -> Formula:
             if level[1] is None:
                 if words[i]:
                     raise _error(text, f"unexpected trailing input {words[i]!r}", i)
-                return to_nnf(value)
+                return value
             if level[1] == _LPAR:
                 if words[i] != ")":
                     raise _expected(text, words, "')'", i)

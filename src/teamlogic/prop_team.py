@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Mapping
 
-from .errors import GuardLimitError, _expect_list
+from .errors import _check_guard, _expect_list
 from .formula import (
     And,
     Atom,
@@ -209,18 +209,10 @@ def pt_eval(team: PropTeam, f: Formula, *, max_bits: int | None = DEFAULT_MAX_BI
     return ev.eval(f, ev.full)
 
 
-def _check_domain(domain: tuple, max_domain: int | None) -> None:
-    if max_domain is not None and len(domain) > max_domain:
-        raise GuardLimitError(
-            f"domain of {len(domain)} symbols exceeds the guard of {max_domain}",
-            guard="max_domain", requested=len(domain), limit=max_domain,
-        )
-
-
 def max_team(domain: Iterable, *, max_domain: int | None = DEFAULT_MAX_DOMAIN) -> PropTeam:
     """The team of all 2^|domain| assignments over `domain`."""
     domain = tuple(sorted({_as_symbol(s) for s in domain}))
-    _check_domain(domain, max_domain)
+    _check_guard("max_domain", len(domain), max_domain, "domain symbols")
     return PropTeam(domain, itertools.product((0, 1), repeat=len(domain)))
 
 
@@ -235,7 +227,7 @@ def pd_valid(f: Formula, *, max_domain: int | None = DEFAULT_MAX_DOMAIN) -> bool
     """
     _admit(f, "pd")
     domain = tuple(sorted(formula_symbols(f)))
-    _check_domain(domain, max_domain)
+    _check_guard("max_domain", len(domain), max_domain, "domain symbols")
     ev = _TeamEvaluator(1 << len(domain), _full_team_columns(domain), None, None)
     return ev.eval(f, ev.full)
 
@@ -260,7 +252,7 @@ def pd_sat(
     domain = tuple(sorted(formula_symbols(f)))
     if not require_nonempty:
         return PropTeam(domain, ())
-    _check_domain(domain, max_domain)
+    _check_guard("max_domain", len(domain), max_domain, "domain symbols")
 
     def dep_free(g: Formula, kids: tuple) -> Formula:
         if type(g) is Dep:

@@ -44,11 +44,16 @@ The subformula holds on its team exactly when some setting makes the
 program hold at every member. A witness gives each occurrence one
 team, and occurrences with the same team, those under `&` and `ior`
 below the same split part, diamond or box, share their bits.
+
+Shared rules are each written once: `errors._check_guard` refuses
+`max_bits` as every other guarded size; `_refine` splits member sets by
+masks, for dependence atoms, filtrations and Skolem tables; `_pre`, the
+predecessor step, reads both modalities, here and in `_surely_false`.
 """
 
 from __future__ import annotations
 
-from .errors import GuardLimitError
+from .errors import _check_guard
 from .formula import And, Atom, Box, Dep, Diamond, Formula, IDis, MDep, NegAtom, Or, _fold
 
 DEFAULT_MAX_BITS = 24
@@ -84,17 +89,24 @@ def _full_team_columns(symbols) -> dict:
     return cols
 
 
-def _conflict_pairs(components: tuple[int, ...], target: int, full: int) -> tuple[tuple[int, int], ...]:
+def _refine(classes: list[int], masks, n: int = 0) -> list[int]:
+    """Split each member set of `classes` by each of `masks`, the part inside
+    first, dropping empty parts; stop once there are `n` classes."""
+    for m in masks:
+        if len(classes) == n:
+            break
+        classes = [part for c in classes for part in (c & m, c & ~m) if part]
+    return classes
+
+
+def _conflict_pairs(components: list[int] | tuple[int, ...], target: int, full: int) -> tuple:
     """(zeros, ones) per class of members agreeing on every component.
 
     A team violates the dependence atom exactly when it meets both sides
     of one pair; classes constant on the target give no pair.
     """
-    classes = [full]
-    for c in components:
-        classes = [part for cls in classes for part in (cls & c, cls & ~c) if part]
     pairs = []
-    for cls in classes:
+    for cls in _refine([full], components):
         zeros, ones = cls & ~target, cls & target
         if zeros and ones:
             pairs.append((zeros, ones))
@@ -152,14 +164,11 @@ class _TeamEvaluator:
         elif cls is Diamond or cls is Box:
             mc = kids[0]
             if mc is not None:
-                return self._pre(mc) if cls is Diamond else self.full & ~self._pre(self.full & ~mc)
-        elif cls is Dep:
-            sym_mask = self.sym_mask
-            components = tuple([sym_mask[a] for a in f.args])
-            self.pairs[f] = _conflict_pairs(components, sym_mask[f.target], self.full)
-        elif cls is MDep:
-            # callers admit their formulas: the components are flat
-            self.pairs[f] = _conflict_pairs(kids[:-1], kids[-1], self.full)
+                return self._pre(mc) if cls is Diamond else self.full & ~self._pre(~mc)
+        elif cls is Dep or cls is MDep:
+            # callers admit their formulas: an MDep's components are flat
+            masks = kids if cls is MDep else [self.sym_mask[s] for s in (*f.args, f.target)]
+            self.pairs[f] = _conflict_pairs(masks[:-1], masks[-1], self.full)
         return None
 
     def _pre(self, mask: int) -> int:
@@ -270,7 +279,7 @@ class _TeamEvaluator:
                 if cls is And or cls is Or:
                     program.append((_AND if cls is And else _OR, x, y))
                 elif cls is Diamond or cls is Box:
-                    program.append((_DIA if cls is Diamond else _BOX, x, self.succ_mask))
+                    program.append((_DIA if cls is Diamond else _BOX, x, self))
                 else:
                     v = slot(0, 0)
                     groups.append((v, len(bits), 1))
@@ -313,12 +322,7 @@ class _TeamEvaluator:
         root = done[f, 0]
         if team != full:
             program.append((_OR, root, const(full & ~team)))
-        if self.max_bits is not None and len(bits) > self.max_bits:
-            raise GuardLimitError(
-                f"{len(bits)} certificate bits exceed the guard of "
-                f"{self.max_bits}; raise max_bits to override",
-                guard="max_bits", requested=len(bits), limit=self.max_bits,
-            )
+        _check_guard("max_bits", len(bits), self.max_bits, "certificate bits")
         # a program false somewhere with every bit unfixed needs no search
         if _surely_false(program, ones, zeros):
             return False
@@ -333,8 +337,8 @@ def _surely_false(program: list[tuple], ones: list[int], zeros: list[int]) -> in
 
     Instruction (_POS or _NEG, v, 0) reads slot v, positively or
     negated; (_AND or _OR, x, y) joins instructions x and y; (_DIA or
-    _BOX, x, succ) reads instruction x at some or every successor, row
-    i's successors being the mask succ[i]. The root comes last. ones[v]
+    _BOX, x, ev) reads instruction x at some or every successor, taken
+    by `_pre` of the evaluator `ev`. The root comes last. ones[v]
     and zeros[v] are the rows where slot v is fixed to 1 and to 0. In
     negation normal form a node's surely-false rows follow from its
     children's alone, and fixing more rows only adds to them.
@@ -351,12 +355,10 @@ def _surely_false(program: list[tuple], ones: list[int], zeros: list[int]) -> in
             f.append(f[x] & f[y])
         elif op == _DIA:
             # surely false where every successor is, or there is none
-            fx = f[x]
-            f.append(sum(1 << i for i, sm in enumerate(y) if not sm & ~fx))
+            f.append(y.full & ~y._pre(~f[x]))
         else:
             # surely false where some successor is
-            fx = f[x]
-            f.append(sum(1 << i for i, sm in enumerate(y) if sm & fx))
+            f.append(y._pre(f[x]))
     return f[-1]
 
 

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import GuardLimitError
+from .errors import _check_guard
 from .formula import (
     And,
     Atom,
@@ -72,7 +72,7 @@ from .formula import (
     symbols as formula_symbols,
 )
 from .kripke import KripkeStructure, _team_evaluator
-from .team_eval import _TeamEvaluator, _bits, _full_team_columns
+from .team_eval import _TeamEvaluator, _bits, _full_team_columns, _refine
 
 DEFAULT_MAX_DEP_ARITY = 10
 DEFAULT_MAX_SELECTIONS = 1 << 20
@@ -219,12 +219,7 @@ def emdl_to_mliv(f: Formula, *, max_dep_arity: int | None = DEFAULT_MAX_DEP_ARIT
         if type(g) is not MDep:
             return type(g)(*kids)
         n = len(g.args)
-        if max_dep_arity is not None and n > max_dep_arity:
-            raise GuardLimitError(
-                f"dependence atom of arity {n} exceeds the guard of "
-                f"{max_dep_arity}; its unfolding has 2^{n} disjuncts",
-                guard="max_dep_arity", requested=n, limit=max_dep_arity,
-            )
+        _check_guard("max_dep_arity", n, max_dep_arity, "arguments of a dependence atom")
         constant_target = IDis(g.target, _dual(g.target, duals))
         negated = [_dual(arg, duals) for arg in g.args]
         disjuncts = []
@@ -467,12 +462,7 @@ def _ml_valid(f: Formula, memo: dict, duals: dict) -> tuple | None:
     if n > 1:
         ev = _TeamEvaluator(n, val, succ, None)
         ev.point_mask(negated)
-        # Once every world is a class alone, the rest can split nothing.
-        for m in ev.flat.values():
-            if len(classes) == n:
-                break
-            classes = [part for c in classes for part in (c & m, c & ~m) if part]
-        classes.sort(key=lambda c: c & -c)
+        classes = sorted(_refine(classes, ev.flat.values(), n), key=lambda c: c & -c)
     class_succ = []
     for c in classes:
         image = 0
@@ -622,12 +612,7 @@ def _mliv_valid(
     root and no `ior`, runs once.
     """
     m = count_idis(f)
-    if max_selections is not None and (1 << m) > max_selections:
-        raise GuardLimitError(
-            f"{m} team-level disjunctions give 2^{m} selections, over the "
-            f"configured limit",
-            guard="max_selections", requested=1 << m, limit=max_selections,
-        )
+    _check_guard("max_selections", 1 << m, max_selections, "selections")
     syms = formula_symbols(f)
     if original is not None:
         syms |= formula_symbols(original)

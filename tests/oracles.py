@@ -192,6 +192,43 @@ def bisim_representatives(m: KripkeStructure, team, f: Formula) -> frozenset:
     return frozenset(reps.values())
 
 
+def reference_bisimulation(m1: KripkeStructure, m2: KripkeStructure) -> frozenset:
+    """The largest bisimulation between `m1` and `m2`, as the pairs
+    (world of `m1`, world of `m2`) it relates.
+
+    A greatest fixpoint on pairs of worlds, with no partition: it starts
+    from every pair that agrees on every symbol of either valuation, a
+    symbol undeclared on one side false there, and drops a pair while
+    a successor on one side has no partner among the successors on the
+    other.
+    """
+    vocab = set(m1.valuation) | set(m2.valuation)
+
+    def label(m: KripkeStructure, w: str) -> frozenset:
+        return frozenset(s for s in vocab if w in m.valuation.get(s, ()))
+
+    rel = {(u, v) for u in m1.worlds for v in m2.worlds if label(m1, u) == label(m2, v)}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in sorted(rel):
+            su, sv = _succ_of(m1, u), _succ_of(m2, v)
+            forth = all(any((u2, v2) in rel for v2 in sv) for u2 in su)
+            back = all(any((u2, v2) in rel for u2 in su) for v2 in sv)
+            if not (forth and back):
+                rel.discard((u, v))
+                changed = True
+    return frozenset(rel)
+
+
+def reference_team_bisimilar(rel: frozenset, team1, team2) -> bool:
+    """Whether every world of each team has a partner in the other
+    under `rel`, a `reference_bisimulation`."""
+    return all(any((u, v) in rel for v in team2) for u in team1) and all(
+        any((u, v) in rel for u in team1) for v in team2
+    )
+
+
 # ---------------------------------------------------------------------------
 # admission and negation normal form by plain recursion over the fields
 

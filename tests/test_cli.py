@@ -355,7 +355,7 @@ def test_guard_details_print_as_json_on_exit_3(tmp_path, capsys):
     args = ", ".join(f"x{i}" for i in range(11))
     code, out, err = run_cli(capsys, "translate", "--json", f"dep({args}; p)")
     assert code == 3
-    assert err == "error: dependence atom of arity 11 exceeds the guard of 10; its unfolding has 2^11 disjuncts\n"
+    assert err == "error: 11 arguments of a dependence atom exceed the guard of 10; raise max_dep_arity to override\n"
     assert json.loads(out) == {"guard": "max_dep_arity", "requested": 11, "limit": 10}
     rows = [[a, b, c, d, e] for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1) for e in (0, 1)]
     team = tmp_path / "wide.json"

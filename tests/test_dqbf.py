@@ -10,6 +10,7 @@ from teamlogic import (
     DqbfInstance,
     GuardLimitError,
     NegAtom,
+    Not,
     Or,
     ParseError,
     PropSymbol,
@@ -326,8 +327,12 @@ def test_parse_dqbf_normalizes_no_matrix_without_not(monkeypatch):
     monkeypatch.setattr(formula, "_nnf", refuse)
     inst = parse_dqbf("forall a1\nexists b1 {a1}\nmatrix (a1 & !b1) | (!a1 & !!b1)")
     assert render(inst.matrix) == "a1 & !b1 | !a1 & b1"
+    # the parser dualizes a negated compound itself and builds no `Not`
+    inst = parse_dqbf("forall a1\nexists b1 {a1}\nmatrix !(a1 & b1)")
+    assert render(inst.matrix) == "!a1 | !b1"
+    # a matrix that holds one is normalized
     with pytest.raises(AssertionError, match="entered _nnf"):
-        parse_dqbf("forall a1\nexists b1 {a1}\nmatrix !(a1 & b1)")
+        DqbfInstance([a1], [(b1, (a1,))], Not(And(Atom(a1), Atom(b1))))
 
 
 def test_eval_guard():
@@ -420,6 +425,34 @@ def test_matrix_errors_give_their_line_and_offset_in_the_text(parse, text, messa
         parse(text)
     assert info.value.position == position
     assert str(info.value) == f"{message} (at position {position})"
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_dqbf, "forall a a\nexists e {a}\nmatrix e", "line 1: universal variables must be unique"),
+        (parse_dqbf, "forall a\nexists e {a, a}\nmatrix e", "line 2: dependency set of e repeats a variable"),
+        (
+            parse_dqbf,
+            "forall a\n# e is not universal\nexists e {e}\nmatrix e",
+            "line 3: dependency set of e names e, which is not universal",
+        ),
+        (parse_dqbf, "forall a\nexists e {} e {a}\nmatrix e", "line 2: existential variables must be unique"),
+        (parse_dqbf, "forall a\nexists a {}\nmatrix a", "line 2: quantified twice: ['a']"),
+        (parse_dqbf, "forall a\nexists e {a}\n\nmatrix a | z", "line 4: matrix uses unquantified variables: z"),
+        (
+            parse_dqbf,
+            "forall a\nexists e {a}\nmatrix dep(a; e)",
+            "line 3: matrix must be a plain propositional formula, not contain Dep",
+        ),
+        (parse_qbf, "prefix A a E a\nmatrix a", "line 1: prefix quantifies a variable twice"),
+        (parse_qbf, "# a comment\nprefix A a\nmatrix z", "line 3: matrix uses unquantified variables: z"),
+    ],
+)
+def test_instance_errors_give_their_line(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 def test_qbf_text_round_trip():

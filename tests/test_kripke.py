@@ -35,6 +35,8 @@ from oracles import (
     random_mliv_formula,
     random_model,
     random_subteam,
+    reference_bisimulation,
+    reference_team_bisimilar,
 )
 
 p = PropSymbol("p")
@@ -260,6 +262,35 @@ def test_team_bisimilar():
     assert team_bisimilar(m1, team, u, mirrored)
     assert not team_bisimilar(m1, {"w0"}, u, {"L:w1"})
     assert team_bisimilar(m1, set(), u, set())
+
+
+def _bisim_model(rng: random.Random, tag: str, syms) -> KripkeStructure:
+    worlds = [f"{tag}{i}" for i in range(rng.randint(1, 4))]
+    edges = [(a, b) for a in worlds for b in worlds if rng.random() < 0.4]
+    valuation = {s: {w for w in worlds if rng.random() < 0.3} for s in syms}
+    return KripkeStructure(worlds, edges, valuation)
+
+
+def test_bisimilar_against_the_pair_fixpoint_seeded():
+    # q is declared on one side only, and false at every world of the other
+    rng = random.Random(26)
+    seen_world, seen_team = set(), set()
+    for _ in range(300):
+        m1 = _bisim_model(rng, "u", (p, q))
+        m2 = _bisim_model(rng, "v", (p,))
+        if rng.random() < 0.5:
+            m1, m2 = m2, m1
+        rel = reference_bisimulation(m1, m2)
+        for u in m1.worlds:
+            for v in m2.worlds:
+                verdict = bisimilar(m1, u, m2, v)
+                assert verdict == ((u, v) in rel)
+                seen_world.add(verdict)
+        team1, team2 = random_subteam(rng, m1.worlds), random_subteam(rng, m2.worlds)
+        verdict = team_bisimilar(m1, team1, m2, team2)
+        assert verdict == reference_team_bisimilar(rel, team1, team2)
+        seen_team.add(verdict)
+    assert seen_world == seen_team == {False, True}
 
 
 def test_against_brute_oracle_seeded():

@@ -154,7 +154,7 @@ def test_translation_arity_guard():
     # the leftmost atom over the guard is the one reported, and a bad
     # node above it is reported first
     wider = MDep((*args, Atom(p)), Atom(p))
-    with pytest.raises(GuardLimitError, match="arity 11"):
+    with pytest.raises(GuardLimitError, match="^11 arguments"):
         emdl_to_mliv(And(MDep(args, Atom(p)), wider))
     with pytest.raises(ValueError, match="IDis"):
         emdl_to_mliv(IDis(wider, Atom(p)))
