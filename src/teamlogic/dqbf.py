@@ -522,16 +522,12 @@ def parse_qbf(text: str) -> QbfInstance:
     toks = rest1.split()
     if len(toks) % 2 != 0:
         raise ParseError(f"line {ln1}: prefix must alternate quantifiers and names")
-    prefix = []
-    for q, v in zip(toks[::2], toks[1::2]):
-        if q not in ("A", "E"):
-            raise ParseError(f"line {ln1}: quantifier must be A or E, not {q!r}")
-        prefix.append((q, _variable(v, ln1)))
+    # the prefix is checked before the matrix is read, so line 1 errors come first
+    prefix = _at_line(ln1, _prefix, [(q, _variable(v, ln1)) for q, v in zip(toks[::2], toks[1::2])])
     matrix = _matrix(ln2, l2, start2)
     try:
         return QbfInstance(prefix, matrix)
     except ValueError as exc:
-        _at_line(ln1, _prefix, prefix)
         raise ParseError(f"line {ln2}: {exc}") from None
 
 

@@ -171,12 +171,17 @@ def mt_eval(
 ) -> bool:
     """Exact modal team-semantics truth of `f` on `team` in `m`.
 
-    The valuation must cover every symbol of the formula. A split with
-    two or more disjuncts that are not flat, a diamond that is not flat,
-    or an `ior` of two sides that are not flat is one search over
-    certificate bits: one per `ior` and per conflict pair of each
-    dependence atom under it. `max_bits` refuses a search over more
-    bits with GuardLimitError.
+    The valuation must cover every symbol of the formula, and each node
+    of it is entered only when the evaluation first needs it. An `ior`
+    of two sides that are not flat, reached under `&`, a box or what a
+    flat side leaves, holds when its left side does and otherwise when
+    its right side does, each side evaluated on its own. A split with
+    two or more disjuncts that are not flat, or a diamond that is not
+    flat, is one search over certificate bits: one per `ior` and per
+    conflict pair of each dependence atom under it. A diamond that is
+    not flat is false without a search on a team with a world without
+    successors. `max_bits` refuses a search over more bits with
+    GuardLimitError.
     """
     _admit(f, "modal-team")
     ev, (mask,) = _team_evaluator(m, (team,), (f,), max_bits)

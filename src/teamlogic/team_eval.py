@@ -6,34 +6,41 @@ sees a member count, one mask per symbol (the members where it is 1, or
 where it holds), and for modal teams each member's successor list. One
 instance keeps its work per formula node, keyed by the node itself:
 interning makes a node its own identity-hashed key, and its class and
-children are all the evaluator reads of it. Each node is entered once,
-children first on a `_fold`. Several formulas over the same universe,
-such as those an Invalid EMDL verdict replays, share one instance and
-the nodes they have in common.
+children are all the evaluator reads of it. A node is entered once,
+children first on a `_fold`, the first time the evaluation needs it.
+Several formulas over the same universe, such as those an Invalid EMDL
+verdict replays, share one instance and the nodes they have in common.
 
-A dependence-free, `ior`-free subformula is flat: its team truth is a
-subset test against the members satisfying it pointwise. A dependence
-atom, `Dep` over symbols or `MDep` over plain modal formulas, is kept
-as the pairs of member sets that agree on every component and disagree
-on the target; a team satisfies it when it meets no pair on both sides.
+A dependence-free, `ior`-free subformula is flat, which its class mask
+shows: its team truth is a subset test against the members satisfying
+it pointwise. A dependence atom, `Dep` over symbols or `MDep` over
+plain modal formulas, is kept as the pairs of member sets that agree
+on every component and disagree on the target; a team satisfies it
+when it meets no pair on both sides.
 
 Evaluation walks the formula top-down on an explicit stack as far as
-the first choice point on each path: a `|` or an `ior` with two sides
-that are not flat, or a diamond that is not flat. Above it each node
-has one known team: `&` hands its own to both sides, the box its
-image, a `|` with a flat side what that side leaves to the other, and
-an `ior` with a flat side its own to the other side, unless the flat
-side holds. So a flat node there is one subset test, and a dependence
-atom one test per pair.
+the first choice point on each path: a `|` with two sides that are not
+flat, or a diamond that is not flat. Above it each node has one known
+team: `&` hands its own to both sides, the box its image, a `|` with a
+flat side what that side leaves to the other, and an `ior` with a flat
+side its own to the other side, unless the flat side holds. So a flat
+node there is one subset test, entered at that test, and a dependence
+atom one test per pair, entered when the walk reaches it. A diamond
+that is not flat fails on a team with a member without successors. An
+`ior` of two sides that are not flat holds exactly when one side does,
+so the walk leaves it as two walks on its team, the right one only
+when the left one fails; they run as frames on one explicit stack.
 
 Team truth is in NP (Ebbing and Lohmann, SOFSEM 2012), and a choice
 point is decided by `_search`, the propagation search that also finds
-DQBF Skolem tables, over certificate bits. Under a setting of them, a
+DQBF Skolem tables, over certificate bits; its subtree is entered just
+before its program is built. Under a setting of the bits, a
 pointwise program holds at a member where the subformula may keep it:
 - a flat subtree is a slot fixed to its mask;
 - `&` is AND, and `|` is OR, exact by downward closure: a split puts
   each member into a part whose disjunct's program holds there;
-- an `ior` is one bit b, read as (not b and left) or (b and right);
+- an `ior`, here under a split or a diamond, is one bit b, read as
+  (not b and left) or (b and right);
 - a dependence atom is 2-coherent (Kontinen, Studia Logica 2013): it
   holds on a team that some orientation of its pairs keeps on the
   named side of each, so each pair is one bit;
@@ -57,6 +64,9 @@ from .errors import _check_guard
 from .formula import And, Atom, Box, Dep, Diamond, Formula, IDis, MDep, NegAtom, Or, _fold
 
 DEFAULT_MAX_BITS = 24
+
+# the classes whose nodes make a formula not flat
+_NONFLAT = Dep._bit | MDep._bit | IDis._bit
 
 
 def _bits(mask: int):
@@ -124,10 +134,13 @@ class _TeamEvaluator:
     The state is kept per formula node, in dicts keyed by the node: an
     interned node is its own identity-hashed key. `flat` maps every node
     entered to its pointwise mask, or to None when it is not flat; it is
-    the `done` of the `_fold` that enters each formula handed to `eval`
-    or `point_mask`, children first through `_add`, so a node shared by
-    several formulas is entered once. A dependence atom also keeps its
-    conflict pairs, each a (zeros, ones) couple of member masks.
+    the `done` of each `_fold` that enters nodes, children first through
+    `_add`, so a node shared by several formulas is entered once. `eval`
+    enters a flat subformula where its walk tests it, a dependence atom
+    where the walk reaches it and a choice point's subtree before its
+    search; `point_mask` enters its whole formula. A dependence atom
+    also keeps its conflict pairs, each a (zeros, ones) couple of member
+    masks. `dead` holds the members without successors.
     """
 
     def __init__(
@@ -140,11 +153,14 @@ class _TeamEvaluator:
         self.full = (1 << n) - 1
         self.sym_mask = sym_mask
         self.succ_mask = []
-        for vs in succ or ():
+        self.dead = 0
+        for i, vs in enumerate(succ or ()):
             sm = 0
             for v in vs:
                 sm |= 1 << v
             self.succ_mask.append(sm)
+            if not sm:
+                self.dead |= 1 << i
         self.max_bits = max_bits
         self.flat: dict[Formula, int | None] = {}
         self.pairs: dict[Formula, tuple[tuple[int, int], ...]] = {}
@@ -165,10 +181,12 @@ class _TeamEvaluator:
             mc = kids[0]
             if mc is not None:
                 return self._pre(mc) if cls is Diamond else self.full & ~self._pre(~mc)
-        elif cls is Dep or cls is MDep:
+        elif cls is Dep:
+            sym_mask = self.sym_mask
+            self.pairs[f] = _conflict_pairs([sym_mask[s] for s in f.args], sym_mask[f.target], self.full)
+        elif cls is MDep:
             # callers admit their formulas: an MDep's components are flat
-            masks = kids if cls is MDep else [self.sym_mask[s] for s in (*f.args, f.target)]
-            self.pairs[f] = _conflict_pairs(masks[:-1], masks[-1], self.full)
+            self.pairs[f] = _conflict_pairs(kids[:-1], kids[-1], self.full)
         return None
 
     def _pre(self, mask: int) -> int:
@@ -180,22 +198,69 @@ class _TeamEvaluator:
         return _fold(f, self._add, self.flat)
 
     def eval(self, f: Formula, mask: int) -> bool:
-        """Team truth of `f` on `mask`, entering `f` on first use.
+        """Team truth of `f` on `mask`, entering each node of `f` on first need.
 
-        The walk down to the choice points runs first, and each choice
-        point is searched only once every test above them has passed.
-        A conjunction, and a choice point, reached again on the same team
-        is skipped, so a formula sharing subtrees costs its distinct ones.
+        The walk of `f` (`_walk`) runs first. What it leaves is decided
+        in the order the walk met it, once every test of the walk has
+        passed: a choice point by `_holds`, its subtree entered just
+        before, and a walk-level `ior` as the walk of its left side or,
+        when that fails, of its right. Those walks are frames on one
+        explicit stack, a frame waiting while the walk it started runs,
+        and each `ior` and choice point is decided once per team.
         """
-        flat = self.flat
-        _fold(f, self._add, flat)
-        todo, seen, choices = [(f, mask)], set(), {}
+        work = self._walk(f, mask)
+        if not work:
+            return work is not None
+        memo: dict[tuple[Formula, int], bool] = {}
+        # the suspended walks: what each has left to decide, with the
+        # `ior`, its team and whether the walk above decides its right side
+        frames: list[tuple[list, Formula, int, bool]] = []
+        while True:
+            held = work is not None
+            while held and work:
+                g, team = work.pop()
+                held = memo.get((g, team))
+                if held is not None:
+                    continue
+                if type(g) is IDis:
+                    frames.append((work, g, team, False))
+                    work = self._walk(g.left, team)
+                    held = work is not None
+                else:
+                    _fold(g, self._add, self.flat)
+                    held = memo[g, team] = self._holds(g, team)
+            if not frames:
+                return held
+            work, g, team, right = frames.pop()
+            if held or right:
+                memo[g, team] = held
+                if not held:
+                    work = None
+            else:
+                frames.append((work, g, team, True))
+                work = self._walk(g.right, team)
+
+    def _walk(self, f: Formula, mask: int) -> list[tuple[Formula, int]] | None:
+        """The walk of `f` on `mask`: None when one of its tests fails,
+        else the choice points and walk-level `ior` it leaves, each with
+        its team, the last met first.
+
+        A node is flat when its class mask has no `Dep`, `MDep` or `IDis`
+        bit, and the walk enters a flat node, or a dependence atom, only
+        when it tests it. A non-flat diamond on a team with a member
+        without successors fails at once. A conjunction reached again on
+        the same team is skipped.
+        """
+        flat, pairs = self.flat, self.pairs
+        todo, seen, deferred = [(f, mask)], set(), {}
         while todo:
             g, team = todo.pop()
-            m = flat[g]
-            if m is not None:
+            if not g._mask & _NONFLAT:
+                m = flat.get(g)
+                if m is None:
+                    m = _fold(g, self._add, flat)
                 if team & ~m:
-                    return False
+                    return None
                 continue
             if not team:
                 continue
@@ -210,22 +275,32 @@ class _TeamEvaluator:
                     image |= self.succ_mask[w]
                 todo.append((g.child, image))
             elif cls is Dep or cls is MDep:
-                for zeros, ones in self.pairs[g]:
+                conflicts = pairs.get(g)
+                if conflicts is None:
+                    _fold(g, self._add, flat)
+                    conflicts = pairs[g]
+                for zeros, ones in conflicts:
                     if team & zeros and team & ones:
-                        return False
+                        return None
             elif cls is Or or cls is IDis:
-                m, rest = flat[g.left], g.right
+                side, rest = g.left, g.right
+                if side._mask & _NONFLAT:
+                    side, rest = rest, side
+                    if side._mask & _NONFLAT:
+                        deferred[g, team] = None
+                        continue
+                m = flat.get(side)
                 if m is None:
-                    m, rest = flat[g.right], g.left
-                if m is None:
-                    choices[g, team] = None
-                elif cls is Or:
+                    m = _fold(side, self._add, flat)
+                if cls is Or:
                     todo.append((rest, team & ~m))
                 elif team & ~m:
                     todo.append((rest, team))
+            elif team & self.dead:
+                return None
             else:
-                choices[g, team] = None
-        return all(self._holds(g, team) for g, team in choices)
+                deferred[g, team] = None
+        return [*reversed(deferred)]
 
     def _holds(self, f: Formula, team: int) -> bool:
         """Whether some setting of the certificate bits of `f` makes its

@@ -446,6 +446,10 @@ def test_matrix_errors_give_their_line_and_offset_in_the_text(parse, text, messa
             "line 3: matrix must be a plain propositional formula, not contain Dep",
         ),
         (parse_qbf, "prefix A a E a\nmatrix a", "line 1: prefix quantifies a variable twice"),
+        # the prefix rules, worded as `QbfInstance` words them, come before
+        # any error of the matrix
+        (parse_qbf, "prefix A a X e\nmatrix (", "line 1: quantifier must be 'A' or 'E', not 'X'"),
+        (parse_qbf, "prefix A a E a\nmatrix (", "line 1: prefix quantifies a variable twice"),
         (parse_qbf, "# a comment\nprefix A a\nmatrix z", "line 3: matrix uses unquantified variables: z"),
     ],
 )

@@ -470,6 +470,104 @@ def test_nested_choice_points_match_brute_force(monkeypatch):
     assert len(imaged) > 300
 
 
+def _spy_holds(monkeypatch) -> list:
+    """Record the node and team of every `_holds` from here on."""
+    decided = []
+    holds = team_eval._TeamEvaluator._holds
+    monkeypatch.setattr(
+        team_eval._TeamEvaluator, "_holds", lambda self, g, team: decided.append((g, team)) or holds(self, g, team)
+    )
+    return decided
+
+
+def _ior_nest(rng, budget):
+    # `ior` over dependence atoms, nested under `&`, boxes, splits and
+    # other `ior`
+    if budget <= 1:
+        return _atom_dep(rng) if rng.random() < 0.5 else _random_literal(rng, [p, q])
+    roll = rng.random()
+    if roll < 0.15:
+        return Box(_ior_nest(rng, budget - 1))
+    left = rng.randint(1, budget - 1)
+    op = IDis if roll < 0.6 else And if roll < 0.85 else Or
+    return op(_ior_nest(rng, left), _ior_nest(rng, budget - left))
+
+
+def test_nested_ior_over_dependence_atoms_matches_brute_force(monkeypatch):
+    # An `ior` the walk reaches, under `&`, a box or another such `ior`,
+    # is decided as two walks on its team; one under a split is a bit of
+    # that split's search. The brute oracle tries both sides of each.
+    decided = _spy_holds(monkeypatch)
+    rng = random.Random(59)
+    verdicts, walked = [], 0
+    for _ in range(2000):
+        m = random_model(rng, rng.randint(1, 4), [p, q], edge_p=rng.choice((0.3, 0.6)))
+        team = frozenset(m.worlds) if rng.random() < 0.5 else random_subteam(rng, m.worlds)
+        f = _ior_nest(rng, rng.randint(2, 8))
+        before = len(decided)
+        verdict = mt_eval(m, team, f)
+        assert verdict == brute_mt(m, team, f), (render(f), kripke_to_dict(m, team))
+        verdicts.append(verdict)
+        walked += type(f) is IDis and len(decided) == before
+    assert 300 < verdicts.count(False) < 1700
+    assert walked > 500
+
+
+@pytest.mark.parametrize("k", [13, 20])
+def test_nested_ior_of_constancy_atoms_needs_no_search(monkeypatch, k):
+    # Two worlds differing on every p_i, so each dep(; p_i) fails and so
+    # does their nested `ior`, decided by walks alone at the default
+    # max_bits, whatever the number of `ior`.
+    searched = _spy_searches(monkeypatch)
+    syms = [PropSymbol(f"p{i}") for i in range(k)]
+    f = MDep((), Atom(syms[0]))
+    for s in syms[1:]:
+        f = IDis(f, MDep((), Atom(s)))
+    m = KripkeStructure(["a", "b"], [], {s: {"a"} for s in syms})
+    assert mt_eval(m, {"a", "b"}, f) is False
+    assert mt_eval(m, {"a"}, f) is True
+    assert searched == []
+
+
+def test_an_ior_is_walked_once_per_team():
+    # 40 levels of an `ior` of a node with itself under a box: 2^40
+    # paths, each level's walks run once per team, deeper than the
+    # recursion limit allows a call per level
+    m = KripkeStructure(["a", "b"], [("a", "b"), ("b", "a")], {p: {"a"}, q: {"a", "b"}})
+    f = MDep((), Atom(p))
+    for _ in range(40):
+        f = IDis(f, f)
+    g = MDep((), Atom(q))
+    for _ in range(2000):
+        g = IDis(And(g, MDep((), Atom(p))), Box(g))
+    assert mt_eval(m, {"a", "b"}, f) is False
+    assert mt_eval(m, {"a", "b"}, g) is True
+    assert mt_eval(m, {"a", "b"}, And(g, f)) is False
+
+
+def test_a_diamond_at_a_dead_end_fails_on_the_walk(monkeypatch):
+    # A member without successors has no successor team, so a diamond
+    # over a formula that is not flat fails there without a search; on
+    # teams without such a member the search decides.
+    decided = _spy_holds(monkeypatch)
+    rng = random.Random(61)
+    verdicts = set()
+    for _ in range(300):
+        m = random_model(rng, rng.randint(1, 4), [p, q], edge_p=0.3)
+        team = random_subteam(rng, m.worlds)
+        f = Diamond(_ior_nest(rng, rng.randint(2, 5)))
+        if not f._mask & team_eval._NONFLAT:
+            continue
+        dead_end = any(not m.successors(w) for w in team)
+        before = len(decided)
+        verdict = mt_eval(m, team, f)
+        assert verdict == brute_mt(m, team, f), (render(f), kripke_to_dict(m, team))
+        if dead_end:
+            assert verdict is False and len(decided) == before
+        verdicts.add((dead_end, verdict))
+    assert verdicts == {(True, False), (False, False), (False, True)}
+
+
 @st.composite
 def small_models(draw):
     n = draw(st.integers(1, 3))

@@ -507,6 +507,12 @@ def test_a_flat_formula_keeps_one_mask_per_node():
 
 
 def test_formulas_sharing_subtrees_enter_each_node_once(monkeypatch):
+    # A node is entered when the walk first needs it: the whole subtree
+    # of a choice point (all of `f`, a split of two dependence atoms),
+    # and a flat side or a dependence atom where the walk tests it. `g`
+    # fails at `dep(p; q)`, entered with `f`, and enters nothing; `k`
+    # enters its flat side and fails at its first atom, leaving the
+    # rest of its conjunction unentered.
     entered = []
     add = team_eval._TeamEvaluator._add
     monkeypatch.setattr(
@@ -514,10 +520,12 @@ def test_formulas_sharing_subtrees_enter_each_node_once(monkeypatch):
     )
     f = parse_prop("dep(p; q) | (p & q) | dep(r; q)")
     g = parse_prop("(p & q) | dep(p; q) & r")
+    k = parse_prop("(r & !p) | dep(r; p) & dep(q; r) & !q")
     ev = _full_team_evaluator()
-    for h in (f, g, f):
-        ev.eval(h, ev.full)
-    assert len(entered) == len(set(entered)) == len(set(walk(f)) | set(walk(g)))
+    assert [ev.eval(h, ev.full) for h in (f, g, k, f)] == [True, False, False, True]
+    flat_side = parse_prop("r & !p")
+    assert len(entered) == len(set(entered))
+    assert set(entered) == set(walk(f)) | set(walk(flat_side)) | {Dep((r,), p)}
 
 
 def test_a_shared_subformula_is_decided_once_per_team(monkeypatch):
